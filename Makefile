@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos verify verify-full bench benchfull bench-json bench-diff allocscheck fuzz-smoke lint fmt vet fmtcheck docscheck clean
+.PHONY: all build test race chaos verify verify-full e2e e2e-compare bench benchfull bench-json bench-diff allocscheck fuzz-smoke lint fmt vet fmtcheck docscheck clean
 
 all: build test lint docscheck verify
 
@@ -34,13 +34,28 @@ chaos:
 # built-in stop-and-wait / Go-Back-N / selective-repeat models against
 # their expected verdicts — clean configurations must stay clean,
 # seeded bugs must keep being found. `verify-full` adds the flagship
-# 700k-state GBN configuration (~30s on one vCPU) that the sequential
-# checker cannot finish in comparable time; CI runs the full set.
+# 749k-state GBN configuration (8.6s at one worker, 4.9s at two on a
+# 2-vCPU Xeon) that the sequential checker cannot finish in comparable
+# time; CI runs the full set.
 verify:
 	$(GO) run ./cmd/protoverify
 
 verify-full:
 	$(GO) run ./cmd/protoverify -full
+
+# The end-to-end benchmark (bench/, BENCHMARK.json): every workload,
+# three untraced runs (seeds 1-3) and one traced run each, one child
+# process per run, all records in .bench_build/e2e.json. Takes a few
+# minutes. `make e2e-compare OLD=a.json NEW=b.json` applies
+# BENCHMARK.json's regression bounds to two such files.
+e2e:
+	sh bench/run.sh -workload all -runs 3 -json .bench_build/e2e.json
+
+e2e-compare:
+	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
+		echo "usage: make e2e-compare OLD=old.json NEW=new.json"; exit 2; \
+	fi
+	sh bench/run.sh -compare $(OLD) $(NEW)
 
 # Documentation references must resolve: every `DESIGN.md §N` citation
 # in Go sources names a real section of DESIGN.md.

@@ -241,8 +241,9 @@ func modelTargets(full bool) ([]target, error) {
 	}
 	if full {
 		// The flagship configuration beyond the sequential engine's
-		// practical limit: 749,416 states (~34 s at one worker; the
-		// sequential engine needs ~185 s). See DESIGN.md §12.
+		// practical limit: 749,416 states, 8.6 s at one worker and 4.9 s
+		// at two on a 2-vCPU Xeon (the sequential engine needs minutes).
+		// See DESIGN.md §12.
 		steps = append(steps, func() error {
 			return gbn(verify.GBNOptions{SeqSpace: 16, Window: 6, Total: 10, Capacity: 3, Lossy: true, Reorder: true}, false, "")
 		})
@@ -328,7 +329,7 @@ func run(out io.Writer, specDir string, full bool, workers, maxStates int) int {
 
 func main() {
 	specDir := flag.String("specs", "examples/specs", "directory of .pdsl specs to model-check")
-	full := flag.Bool("full", false, "include the large flagship configuration (~30s on one vCPU)")
+	full := flag.Bool("full", false, "include the large flagship configuration (749k states, ~9s at one worker)")
 	workers := flag.Int("workers", 0, "explorer worker count (0 = NumCPU)")
 	maxStates := flag.Int("max-states", 1<<21, "visited-table bound; truncation fails the gate")
 	flag.Parse()

@@ -180,6 +180,74 @@ func decodeCanon(data []byte, depth int) (Value, []byte, error) {
 	}
 }
 
+// CanonLen returns the length of the one value encoding at the front of
+// data without building the value: it walks the grammar DecodeCanon
+// parses (tags, uvarint lengths, field counts, the nesting bound) and
+// fails wherever that structure is broken. It checks structure only —
+// DecodeCanon also rejects bad bool bytes, uint widths and out-of-width
+// values — so a caller that needs the value must still decode it; the
+// model checker uses CanonLen to key already-decoded messages by their
+// bytes.
+func CanonLen(data []byte) (int, error) {
+	return canonLen(data, 0)
+}
+
+func canonLen(data []byte, depth int) (int, error) {
+	if depth > canonMaxDepth {
+		return 0, fmt.Errorf("%w: nesting deeper than %d", ErrCanon, canonMaxDepth)
+	}
+	if len(data) == 0 {
+		return 0, fmt.Errorf("%w: empty input", ErrCanon)
+	}
+	switch data[0] {
+	case canonInvalid:
+		return 1, nil
+	case canonBool:
+		if len(data) < 2 {
+			return 0, fmt.Errorf("%w: truncated bool", ErrCanon)
+		}
+		return 2, nil
+	case canonUint:
+		if len(data) < 2 {
+			return 0, fmt.Errorf("%w: truncated uint width", ErrCanon)
+		}
+		_, n := binary.Uvarint(data[2:])
+		if n <= 0 {
+			return 0, fmt.Errorf("%w: bad uint varint", ErrCanon)
+		}
+		return 2 + n, nil
+	case canonBytes, canonString:
+		_, rest, err := canonTakeBytes(data[1:])
+		if err != nil {
+			return 0, err
+		}
+		return len(data) - len(rest), nil
+	case canonMsg:
+		_, rest, err := canonTakeBytes(data[1:])
+		if err != nil {
+			return 0, err
+		}
+		nFields, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return 0, fmt.Errorf("%w: bad field count", ErrCanon)
+		}
+		rest = rest[n:]
+		for i := uint64(0); i < nFields; i++ {
+			if _, rest, err = canonTakeBytes(rest); err != nil {
+				return 0, err
+			}
+			fl, err := canonLen(rest, depth+1)
+			if err != nil {
+				return 0, err
+			}
+			rest = rest[fl:]
+		}
+		return len(data) - len(rest), nil
+	default:
+		return 0, fmt.Errorf("%w: tag 0x%02x", ErrCanon, data[0])
+	}
+}
+
 // canonTakeBytes reads a uvarint length prefix and that many bytes.
 func canonTakeBytes(data []byte) ([]byte, []byte, error) {
 	l, n := binary.Uvarint(data)

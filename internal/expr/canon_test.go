@@ -129,6 +129,38 @@ func TestCanonDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestCanonLenAgreesWithDecode pins CanonLen to DecodeCanon's grammar:
+// wherever DecodeCanon succeeds, CanonLen reports exactly the bytes it
+// consumed (so CanonLen never fails where DecodeCanon succeeds). Inputs
+// are every canonical value followed by trailing bytes, every truncation
+// of those, and the hostile cases.
+func TestCanonLenAgreesWithDecode(t *testing.T) {
+	var inputs [][]byte
+	for _, v := range canonValues() {
+		enc := v.AppendCanon(nil)
+		for i := 0; i <= len(enc); i++ {
+			inputs = append(inputs, enc[:i])
+		}
+		inputs = append(inputs, append(bytes.Clone(enc), canonBool, 1))
+	}
+	inputs = append(inputs, []byte{0x7F}, []byte{canonBool, 2}, []byte{canonUint, 7, 1},
+		[]byte{canonMsg, 1, 'M', 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	for _, data := range inputs {
+		n, lerr := CanonLen(data)
+		_, rest, derr := DecodeCanon(data)
+		if derr == nil && (lerr != nil || n != len(data)-len(rest)) {
+			t.Errorf("% x: CanonLen = %d, %v; DecodeCanon consumed %d", data, n, lerr, len(data)-len(rest))
+		}
+	}
+	deep := Bool(true)
+	for i := 0; i < canonMaxDepth+2; i++ {
+		deep = Msg("M", map[string]Value{"f": deep})
+	}
+	if _, err := CanonLen(deep.AppendCanon(nil)); err == nil {
+		t.Error("CanonLen: expected depth-limit error")
+	}
+}
+
 func TestCanonDecodeDepthLimit(t *testing.T) {
 	v := Bool(true)
 	for i := 0; i < canonMaxDepth+2; i++ {

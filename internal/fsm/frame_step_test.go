@@ -161,6 +161,33 @@ func TestStepEvArgErrors(t *testing.T) {
 	}
 }
 
+// TestExecutableMatchesSpec pins Executable against the spec-level
+// lookups it replaces, for every (state, event) pair, plus the
+// out-of-range ids.
+func TestExecutableMatchesSpec(t *testing.T) {
+	spec := frameSpec()
+	prog, err := CompileSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := prog.NewMachine()
+	for _, st := range spec.States {
+		if _, err := m.RestoreState(append([]byte{byte(prog.stateIdx[st.Name])}, expr.U8(0).AppendCanon(nil)...)); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range spec.Events {
+			id, _ := prog.EventID(ev.Name)
+			want := len(spec.TransitionsFrom(st.Name, ev.Name)) > 0 || spec.Ignored(st.Name, ev.Name)
+			if got := m.Executable(id); got != want {
+				t.Errorf("Executable(%s) in %s = %v, want %v", ev.Name, st.Name, got, want)
+			}
+		}
+	}
+	if m.Executable(EventID(-1)) || m.Executable(EventID(len(spec.Events))) {
+		t.Error("out-of-range event id reported executable")
+	}
+}
+
 // TestStepEvZeroAllocs pins the frame path's allocation contract: a
 // fired transition with a guard, an assignment and an output allocates
 // nothing in steady state.

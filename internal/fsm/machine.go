@@ -246,6 +246,20 @@ type FrameResult struct {
 // EventID resolves an event name for StepEv (see Program.EventID).
 func (m *Machine) EventID(name string) (EventID, bool) { return m.prog.EventID(name) }
 
+// Executable reports whether ev is handled or declared ignored in the
+// current state, read from the compiled dispatch row: exactly the events
+// Step and StepEv accept without ErrInvalidTransition. It is the
+// table-lookup form of asking Spec.TransitionsFrom and Spec.Ignored. An
+// out-of-range id is not executable.
+func (m *Machine) Executable(ev EventID) bool {
+	p := m.prog
+	if ev < 0 || int(ev) >= p.numEvents {
+		return false
+	}
+	row := &p.rows[m.stateIdx*p.numEvents+int(ev)]
+	return len(row.ts) > 0 || row.ignored
+}
+
 // StepEv is the frame-path counterpart of Step: the event is named by a
 // pre-resolved EventID, arguments bind positionally to the event's
 // declared parameters, and fired outputs are written into preallocated

@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkVerifyStates measures the parallel checker's state throughput
-// on a fixed Go-Back-N configuration (1429 states, lossy reordering
-// channels) across worker counts. On a single-core machine the
+// on a fixed Go-Back-N configuration (1,548 states and 11,653
+// transitions over lossy reordering channels) across worker counts. On a single-core machine the
 // workers>1 cases measure coordination overhead, not speedup — benchdiff
 // skips cross-machine comparison for worker counts above the core count,
 // and BENCH_hotpath.json records num_cpu alongside the numbers.
@@ -19,6 +19,7 @@ func BenchmarkVerifyStates(b *testing.B) {
 	inv := []Invariant{GBNInvariant(8)}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			var states, elapsedNs int64
 			for i := 0; i < b.N; i++ {
 				res, err := Explore(sys, Options{

@@ -10,16 +10,18 @@ import (
 // FuzzStateCanon throws arbitrary bytes at the canonical state decoders
 // the parallel checker trusts for dedup and rehydration, and checks:
 //
-//  1. Neither expr.DecodeCanon nor decodeGlobal panics, whatever the
-//     input — the visited table must survive hostile encodings.
+//  1. Neither expr.DecodeCanon, expr.CanonLen nor decodeState panics,
+//     whatever the input — the visited table must survive hostile
+//     encodings — and CanonLen measures exactly what DecodeCanon reads.
 //  2. Any value that decodes re-encodes to a canonical fixed point:
 //     decode(enc(v)) succeeds, consumes everything, and re-encodes to
 //     identical bytes. (enc(decode(data)) may differ from data — the
 //     decoder accepts non-minimal varints — but one round through the
 //     encoder must be idempotent, or the dedup table would split states.)
 //  3. The same fixed-point property for whole global states of the
-//     stop-and-wait system: a decodable state encodes canonically, and
-//     equal canonical bytes means equal fingerprints feeding the table.
+//     stop-and-wait system: a decodable state encodes canonically, the
+//     interned encoding equals the reference encoder's, and equal
+//     canonical bytes means equal fingerprints feeding the table.
 //
 // Seed corpus: testdata/fuzz/FuzzStateCanon (real root and mid-search
 // state encodings plus truncated/bit-flipped mutations).
@@ -74,17 +76,30 @@ func FuzzStateCanon(f *testing.F) {
 			}
 		}
 
-		// Property 1+3: whole global states.
+		// CanonLen walks exactly what DecodeCanon consumes.
+		if _, rest, err := expr.DecodeCanon(data); err == nil {
+			if n, err := expr.CanonLen(data); err != nil || n != len(data)-len(rest) {
+				t.Fatalf("CanonLen = %d, %v; DecodeCanon consumed %d", n, err, len(data)-len(rest))
+			}
+		}
+
+		// Property 1+3: whole global states, through the interned codec
+		// the workers use, which must also agree with the reference
+		// encoder.
 		fms := newMachines(progs)
-		fq := make([][]expr.Value, len(sys.Routes))
-		if err := decodeGlobal(sys, fms, fq, data); err != nil {
+		tables := newMsgTables(sys, progs)
+		fq := make([][]msgID, len(sys.Routes))
+		if err := decodeState(tables, fms, fq, data); err != nil {
 			return
 		}
-		canon := encodeGlobal(sys, fms, fq, nil)
-		if err := decodeGlobal(sys, fms, fq, canon); err != nil {
+		canon := encodeState(sys, tables, fms, fq, nil)
+		if ref := encodeGlobal(sys, fms, queueValues(tables, fq), nil); !bytes.Equal(ref, canon) {
+			t.Fatalf("interned encoding %x, reference %x", canon, ref)
+		}
+		if err := decodeState(tables, fms, fq, canon); err != nil {
 			t.Fatalf("canonical state encoding does not decode: %v (canon=%x)", err, canon)
 		}
-		canon2 := encodeGlobal(sys, fms, fq, nil)
+		canon2 := encodeState(sys, tables, fms, fq, nil)
 		if !bytes.Equal(canon2, canon) {
 			t.Fatalf("state encoding not a fixed point: %x -> %x", canon, canon2)
 		}

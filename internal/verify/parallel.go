@@ -14,10 +14,18 @@ package verify
 // Workers never share mutable state except the visited table (internally
 // striped) and the frontier cursors. A worker owns one set of machines
 // compiled once per spec and rehydrates them per expansion from the
-// canonical state encoding — no machine clones, no string keys.
+// canonical state encoding — no machine clones, no string keys. It steps
+// them through fsm.Machine.StepEv with event ids and argument lists
+// resolved once per Explore, reads enabledness off the compiled dispatch
+// rows, and keeps in-flight messages interned (encode.go), so expanding
+// a state allocates nothing once the intern tables are warm.
+//
+// The moves and their effects are exactly enabledMoves/applyMove's, which
+// ExploreSequential and Replay use; the differential tests pin the two.
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,10 +42,29 @@ type levelFrontier struct {
 	head atomic.Int64
 }
 
+// envBinding is an environment event resolved once per Explore.
+type envBinding struct {
+	ev fsm.EventID // -1 when the machine does not declare the event
+	// args[i] is EnvEvent.Args[i] in the event's parameter order; byName[i]
+	// marks a binding whose names do not match the parameters, which is
+	// stepped by name so Step reports the mismatch.
+	args   [][]expr.Value
+	byName []bool
+}
+
+// routeBinding is a route's delivery event resolved once per Explore.
+type routeBinding struct {
+	ev fsm.EventID // -1 when the consumer does not declare the event
+	// byName is set unless Route.Param is the event's only parameter.
+	byName bool
+}
+
 type pexplorer struct {
 	sys       *System
 	opts      Options
 	progs     []*fsm.Program
+	envs      []envBinding
+	routes    []routeBinding
 	tbl       *table
 	workers   []*pworker
 	frontiers []levelFrontier
@@ -58,13 +85,17 @@ type pworker struct {
 	e  *pexplorer
 
 	ms          []*fsm.Machine
-	baseQ       [][]expr.Value // decoded queues of the node being expanded
-	q           [][]expr.Value // per-move working copy of the queue headers
+	msgs        []msgTable // interned in-flight messages, per route
+	baseQ       [][]msgID  // decoded queues of the node being expanded
+	q           [][]msgID  // per-move working copy of the queues
 	moves       []Move
+	arg         [1]expr.Value // positional delivery argument
 	deliverArgs []map[string]expr.Value
 	encBuf      []byte // current node's encoding
 	succBuf     []byte // successor encoding scratch
-	next        []ref  // next-level frontier (worker-private)
+	canonBuf    []byte // output message encoding scratch
+	snap        Snapshot
+	next        []ref // next-level frontier (worker-private)
 
 	transitions uint64
 	dupHits     uint64
@@ -72,34 +103,90 @@ type pworker struct {
 	viols       []pviol
 	err         error
 
-	onOverrun func(route int, dropped expr.Value)
-	curRef    ref
-	curDepth  int32
-	curMove   Move
+	curRef   ref
+	curDepth int32
+	curMove  Move
 }
 
 func newPWorker(e *pexplorer, id int) *pworker {
+	nr := len(e.sys.Routes)
 	w := &pworker{
 		id:          id,
 		e:           e,
 		ms:          newMachines(e.progs),
-		baseQ:       make([][]expr.Value, len(e.sys.Routes)),
-		q:           make([][]expr.Value, len(e.sys.Routes)),
-		overruns:    make([]uint64, len(e.sys.Routes)),
+		msgs:        newMsgTables(e.sys, e.progs),
+		baseQ:       make([][]msgID, nr),
+		q:           make([][]msgID, nr),
+		overruns:    make([]uint64, nr),
 		deliverArgs: deliverArgsFor(e.sys),
+		snap: Snapshot{
+			States: make([]string, len(e.progs)),
+			Vars:   make([]map[string]expr.Value, len(e.progs)),
+			Queues: make([][]expr.Value, nr),
+		},
 	}
-	w.onOverrun = func(route int, dropped expr.Value) {
-		w.overruns[route]++
-		if inv := w.e.opts.OverrunInvariant; inv != nil {
-			if err := inv(route, dropped); err != nil {
-				w.viols = append(w.viols, pviol{
-					kind: ViolationOverrun, name: "channel-overrun", msg: err.Error(),
-					state: w.curRef, depth: w.curDepth, extra: w.curMove, hasExtra: true,
-				})
-			}
-		}
+	for i, p := range e.progs {
+		w.snap.Vars[i] = make(map[string]expr.Value, len(p.Spec().Vars))
 	}
 	return w
+}
+
+// bindEvents resolves every environment event and route delivery to an
+// event id and, where the argument names match the event's parameters
+// exactly, a positional argument list.
+func bindEvents(sys *System, progs []*fsm.Program) ([]envBinding, []routeBinding) {
+	eventID := func(machine int, name string) (fsm.EventID, *fsm.Event) {
+		id, ok := progs[machine].EventID(name)
+		if !ok {
+			return -1, nil
+		}
+		ev, _ := progs[machine].Spec().EventByName(name)
+		return id, ev
+	}
+	envs := make([]envBinding, len(sys.Env))
+	for ei, env := range sys.Env {
+		b := &envs[ei]
+		id, ev := eventID(env.Machine, env.Event)
+		b.ev = id
+		named := env.Args
+		if len(named) == 0 {
+			named = []map[string]expr.Value{nil}
+		}
+		b.args = make([][]expr.Value, len(named))
+		b.byName = make([]bool, len(named))
+		for i, args := range named {
+			if ev == nil {
+				continue // never executable
+			}
+			b.args[i], b.byName[i] = positional(ev.Params, args)
+		}
+	}
+	routes := make([]routeBinding, len(sys.Routes))
+	for ri, r := range sys.Routes {
+		id, ev := eventID(r.To, r.Event)
+		routes[ri] = routeBinding{
+			ev:     id,
+			byName: ev == nil || len(ev.Params) != 1 || ev.Params[0].Name != r.Param,
+		}
+	}
+	return envs, routes
+}
+
+// positional orders named arguments by the event's parameters. byName is
+// true when the names are not exactly the parameters.
+func positional(params []fsm.Param, named map[string]expr.Value) (args []expr.Value, byName bool) {
+	if len(named) != len(params) {
+		return nil, true
+	}
+	args = make([]expr.Value, len(params))
+	for i, p := range params {
+		v, ok := named[p.Name]
+		if !ok {
+			return nil, true
+		}
+		args[i] = v
+	}
+	return args, false
 }
 
 // Explore runs the parallel breadth-first search over the system's
@@ -128,13 +215,14 @@ func Explore(sys *System, opts Options) (*Result, error) {
 		tbl:       newTable(opts.MaxStates),
 		frontiers: make([]levelFrontier, nw),
 	}
+	e.envs, e.routes = bindEvents(sys, progs)
 	e.workers = make([]*pworker, nw)
 	for i := range e.workers {
 		e.workers[i] = newPWorker(e, i)
 	}
 
 	w0 := e.workers[0]
-	rootEnc := encodeGlobal(sys, w0.ms, w0.baseQ, nil)
+	rootEnc := encodeState(sys, w0.msgs, w0.ms, w0.baseQ, nil)
 	rootRef, _, full := e.tbl.insert(fingerprint(rootEnc), rootEnc, refNil, -1, 0)
 	if !full {
 		w0.checkInvariants(rootRef, 0, w0.baseQ)
@@ -200,16 +288,21 @@ func Explore(sys *System, opts Options) (*Result, error) {
 		pviols = append(pviols, w.viols...)
 	}
 	if len(pviols) > 0 {
+		tr := newTracer(e)
 		vs := make([]Violation, len(pviols))
 		anchors := make([][]byte, len(pviols))
 		for i, pv := range pviols {
-			moves := e.movesTo(pv.state)
+			var extra *Move
 			if pv.hasExtra {
-				moves = append(moves, pv.extra)
+				extra = &pv.extra
+			}
+			moves, trace, err := tr.path(pv.state, extra)
+			if err != nil {
+				return nil, err
 			}
 			vs[i] = Violation{
 				Kind: pv.kind, Name: pv.name, Msg: pv.msg,
-				Moves: moves, Trace: describeMoves(moves), Depth: int(pv.depth),
+				Moves: moves, Trace: trace, Depth: int(pv.depth),
 			}
 			anchors[i], _ = e.tbl.node(pv.state, nil)
 		}
@@ -257,15 +350,23 @@ func (w *pworker) drain(depth int32) {
 	}
 }
 
+// load decodes the state r into the worker's machines and base queues
+// and enumerates its moves into w.moves.
+func (w *pworker) load(r ref) error {
+	w.encBuf, _ = w.e.tbl.node(r, w.encBuf)
+	if err := decodeState(w.msgs, w.ms, w.baseQ, w.encBuf); err != nil {
+		return err
+	}
+	w.enabledMoves()
+	return nil
+}
+
 // expand applies every enabled move of one state, inserting unseen
 // successors into the table and the worker's next-level frontier.
 func (w *pworker) expand(r ref, depth int32) {
-	w.encBuf, _ = w.e.tbl.node(r, w.encBuf)
-	if err := decodeGlobal(w.e.sys, w.ms, w.baseQ, w.encBuf); err != nil {
-		w.err = err
+	if w.err = w.load(r); w.err != nil {
 		return
 	}
-	w.moves = enabledMoves(w.e.sys, w.ms, w.baseQ, w.moves)
 	w.curRef, w.curDepth = r, depth
 	productive := false
 	machinesDirty := false
@@ -278,9 +379,11 @@ func (w *pworker) expand(r ref, depth int32) {
 			}
 			machinesDirty = false
 		}
-		copy(w.q, w.baseQ)
+		for ri, bq := range w.baseQ {
+			w.q[ri] = append(w.q[ri][:0], bq...)
+		}
 		w.curMove = mv
-		ar, err := applyMove(w.e.sys, w.ms, w.q, mv, w.deliverArgs, w.onOverrun)
+		ar, err := w.apply(mv)
 		if err != nil {
 			w.viols = append(w.viols, pviol{
 				kind: ViolationStep, name: mv.String(), msg: err.Error(),
@@ -293,7 +396,7 @@ func (w *pworker) expand(r ref, depth int32) {
 			continue
 		}
 		machinesDirty = ar.fired
-		w.succBuf = encodeGlobal(w.e.sys, w.ms, w.q, w.succBuf[:0])
+		w.succBuf = encodeState(w.e.sys, w.msgs, w.ms, w.q, w.succBuf[:0])
 		if bytes.Equal(w.succBuf, w.encBuf) {
 			continue // fired but changed nothing
 		}
@@ -327,11 +430,188 @@ func (w *pworker) expand(r ref, depth int32) {
 	}
 }
 
-func (w *pworker) checkInvariants(r ref, depth int32, queues [][]expr.Value) {
+// enabledMoves is enabledMoves over the worker's machines and base
+// queues, with executability read from the compiled dispatch rows: the
+// same moves in the same order.
+func (w *pworker) enabledMoves() {
+	sys := w.e.sys
+	moves := w.moves[:0]
+	for ei := range sys.Env {
+		env := &sys.Env[ei]
+		if !w.ms[env.Machine].Executable(w.e.envs[ei].ev) {
+			continue
+		}
+		for i := 0; i < max(len(env.Args), 1); i++ {
+			moves = append(moves, Move{
+				Kind: MoveEnv, Env: ei, Machine: env.Machine, Event: env.Event, ArgIdx: i,
+			})
+		}
+	}
+	for ri := range sys.Routes {
+		r := &sys.Routes[ri]
+		n := len(w.baseQ[ri])
+		if n == 0 {
+			continue
+		}
+		slots := 1
+		if r.Reorder {
+			slots = n
+		}
+		if w.ms[r.To].Executable(w.e.routes[ri].ev) {
+			for qi := 0; qi < slots; qi++ {
+				moves = append(moves, Move{Kind: MoveDeliver, Route: ri, QIdx: qi})
+			}
+		}
+		if r.Lossy {
+			for qi := 0; qi < slots; qi++ {
+				moves = append(moves, Move{Kind: MoveDrop, Route: ri, QIdx: qi})
+			}
+		}
+	}
+	w.moves = moves
+}
+
+// apply is applyMove over the worker's machines and working queues w.q,
+// which it edits in place.
+func (w *pworker) apply(mv Move) (applyResult, error) {
+	e := w.e
+	switch mv.Kind {
+	case MoveEnv:
+		env := &e.sys.Env[mv.Env]
+		b := &e.envs[mv.Env]
+		var fired bool
+		var err error
+		if b.byName[mv.ArgIdx] {
+			var args map[string]expr.Value
+			if len(env.Args) > 0 {
+				args = env.Args[mv.ArgIdx]
+			}
+			fired, err = w.stepByName(env.Machine, env.Event, args)
+		} else {
+			fired, err = w.stepEv(env.Machine, b.ev, b.args[mv.ArgIdx])
+		}
+		if err != nil {
+			return applyResult{}, err
+		}
+		return applyResult{fired: fired, envNoop: !fired}, nil
+	case MoveDeliver:
+		r := &e.sys.Routes[mv.Route]
+		msg := w.msgs[mv.Route].vals[w.q[mv.Route][mv.QIdx]]
+		w.remove(mv.Route, mv.QIdx)
+		var fired bool
+		var err error
+		if e.routes[mv.Route].byName {
+			args := w.deliverArgs[mv.Route]
+			args[r.Param] = msg
+			fired, err = w.stepByName(r.To, r.Event, args)
+		} else {
+			w.arg[0] = msg
+			fired, err = w.stepEv(r.To, e.routes[mv.Route].ev, w.arg[:])
+		}
+		// A rejected or ignored message is still consumed: the queue
+		// changed but the machine did not.
+		return applyResult{fired: fired}, err
+	case MoveDrop:
+		w.remove(mv.Route, mv.QIdx)
+		return applyResult{}, nil
+	default:
+		return applyResult{}, fmt.Errorf("verify: unknown move kind %d", mv.Kind)
+	}
+}
+
+func (w *pworker) remove(route, i int) {
+	q := w.q[route]
+	w.q[route] = append(q[:i], q[i+1:]...)
+}
+
+// stepEv steps machine mi through the positional fast path and queues
+// the outputs of a fired transition.
+func (w *pworker) stepEv(mi int, ev fsm.EventID, args []expr.Value) (fired bool, err error) {
+	res, err := w.ms[mi].StepEv(ev, args...)
+	if err != nil || res.Fired == nil {
+		return false, err
+	}
+	for _, o := range res.Outputs {
+		msg := expr.FrameMsg(o.Shape, o.Frame)
+		w.canonBuf = msg.AppendCanon(w.canonBuf[:0])
+		w.emit(mi, o.Message, msg)
+	}
+	return true, nil
+}
+
+// stepByName steps machine mi with named arguments — the binding StepEv
+// cannot express, which Step rejects with the reference engine's error.
+func (w *pworker) stepByName(mi int, event string, args map[string]expr.Value) (fired bool, err error) {
+	res, err := w.ms[mi].Step(event, args)
+	if err != nil || res.Fired == nil {
+		return false, err
+	}
+	for _, o := range res.Outputs {
+		msg := expr.MsgView(o.Message, o.Fields)
+		w.canonBuf = msg.AppendCanon(w.canonBuf[:0])
+		w.emit(mi, o.Message, msg)
+	}
+	return true, nil
+}
+
+// emit places an output of machine from, whose canonical encoding is in
+// w.canonBuf, on every route that carries it — routeOutputs' semantics,
+// including the overrun victim rule.
+func (w *pworker) emit(from int, message string, msg expr.Value) {
+	for ri := range w.e.sys.Routes {
+		r := &w.e.sys.Routes[ri]
+		if r.From != from || r.Message != message {
+			continue
+		}
+		t := &w.msgs[ri]
+		id := t.intern(msg, w.canonBuf)
+		if q := w.q[ri]; len(q) >= r.Capacity {
+			victim := 0
+			if r.Reorder && len(q) > 1 {
+				victim = t.minIndex(q)
+			}
+			w.overrun(ri, t.vals[q[victim]])
+			w.remove(ri, victim)
+		}
+		w.q[ri] = append(w.q[ri], id)
+	}
+}
+
+// overrun counts a channel-overrun drop and applies the overrun
+// invariant, anchored at the state and move being expanded.
+func (w *pworker) overrun(route int, dropped expr.Value) {
+	w.overruns[route]++
+	if inv := w.e.opts.OverrunInvariant; inv != nil {
+		if err := inv(route, dropped); err != nil {
+			w.viols = append(w.viols, pviol{
+				kind: ViolationOverrun, name: "channel-overrun", msg: err.Error(),
+				state: w.curRef, depth: w.curDepth, extra: w.curMove, hasExtra: true,
+			})
+		}
+	}
+}
+
+// checkInvariants evaluates the invariants on the machines and queues,
+// through the worker's one reused Snapshot (see Invariant.Fn).
+func (w *pworker) checkInvariants(r ref, depth int32, queues [][]msgID) {
 	if len(w.e.opts.Invariants) == 0 {
 		return
 	}
-	snap := snapshotFrom(w.ms, queues)
+	snap := &w.snap
+	for i, m := range w.ms {
+		snap.States[i] = m.State()
+		vars := snap.Vars[i]
+		for _, v := range m.Spec().Vars {
+			vars[v.Name], _ = m.Var(v.Name)
+		}
+	}
+	for ri, q := range queues {
+		vals := snap.Queues[ri][:0]
+		for _, id := range q {
+			vals = append(vals, w.msgs[ri].vals[id])
+		}
+		snap.Queues[ri] = vals
+	}
 	for _, inv := range w.e.opts.Invariants {
 		if err := inv.Fn(snap); err != nil {
 			w.viols = append(w.viols, pviol{
@@ -342,32 +622,76 @@ func (w *pworker) checkInvariants(r ref, depth int32, queues [][]expr.Value) {
 	}
 }
 
-// movesTo reconstructs the move sequence from the initial state to r by
-// walking parent refs, re-deriving each parent's move list and selecting
-// the recorded move index. Runs single-threaded after the search, on
-// worker 0's machines.
-func (e *pexplorer) movesTo(r ref) []Move {
-	var chain []ref
-	for cur := r; cur != refNil; {
-		chain = append(chain, cur)
-		cur = e.tbl.metaOf(cur).parent
+// tracer reconstructs counter-example traces after the search, single-
+// threaded on worker 0. The move into a state is found by decoding its
+// parent, re-enumerating the parent's moves and taking the recorded
+// index; tracer memoises it per state, so the prefixes many violations
+// share are decoded once.
+type tracer struct {
+	e      *pexplorer
+	w      *pworker
+	memo   map[ref]traceStep
+	loaded ref // the state whose moves w.moves holds
+	chain  []ref
+}
+
+// traceStep is the move into a state, with its rendering.
+type traceStep struct {
+	mv  Move
+	str string
+}
+
+func newTracer(e *pexplorer) *tracer {
+	return &tracer{e: e, w: e.workers[0], memo: map[ref]traceStep{}, loaded: refNil}
+}
+
+// path returns the moves from the initial state to r, then extra when
+// non-nil, with their renderings.
+func (t *tracer) path(r ref, extra *Move) ([]Move, []string, error) {
+	t.chain = t.chain[:0]
+	for cur := r; cur != refNil; cur = t.e.tbl.metaOf(cur).parent {
+		t.chain = append(t.chain, cur)
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	n := len(t.chain) - 1
+	if extra != nil {
+		n++
 	}
-	w := e.workers[0]
-	moves := make([]Move, 0, len(chain)-1)
-	for i := 0; i+1 < len(chain); i++ {
-		w.encBuf, _ = e.tbl.node(chain[i], w.encBuf)
-		if err := decodeGlobal(e.sys, w.ms, w.baseQ, w.encBuf); err != nil {
-			return moves // unreachable: the table only holds valid encodings
+	moves := make([]Move, 0, n)
+	trace := make([]string, 0, n)
+	// chain runs from r up to the root; walk it root-first, skipping the
+	// root itself, which no move leads into.
+	for i := len(t.chain) - 2; i >= 0; i-- {
+		st, err := t.stepInto(t.chain[i], t.chain[i+1])
+		if err != nil {
+			return nil, nil, err
 		}
-		w.moves = enabledMoves(e.sys, w.ms, w.baseQ, w.moves)
-		mid := e.tbl.metaOf(chain[i+1]).moveID
-		if int(mid) >= len(w.moves) {
-			return moves // unreachable: moveID indexes the parent's move list
-		}
-		moves = append(moves, w.moves[mid])
+		moves = append(moves, st.mv)
+		trace = append(trace, st.str)
 	}
-	return moves
+	if extra != nil {
+		moves = append(moves, *extra)
+		trace = append(trace, extra.String())
+	}
+	return moves, trace, nil
+}
+
+// stepInto returns the move from parent into child.
+func (t *tracer) stepInto(child, parent ref) (traceStep, error) {
+	if st, ok := t.memo[child]; ok {
+		return st, nil
+	}
+	if t.loaded != parent {
+		if err := t.w.load(parent); err != nil {
+			return traceStep{}, err
+		}
+		t.loaded = parent
+	}
+	mid := t.e.tbl.metaOf(child).moveID
+	if int(mid) >= len(t.w.moves) {
+		return traceStep{}, fmt.Errorf("verify: trace: move %d of a state with %d moves", mid, len(t.w.moves))
+	}
+	mv := t.w.moves[mid]
+	st := traceStep{mv: mv, str: mv.String()}
+	t.memo[child] = st
+	return st, nil
 }

@@ -68,14 +68,13 @@ type table struct {
 	shards    [tableShards]tableShard
 }
 
+// shardInitSlots is a shard index's size at its first insert. Indexes
+// are allocated lazily, so a small search touches only the shards its
+// few states hash to.
+const shardInitSlots = 64
+
 func newTable(max int) *table {
-	t := &table{max: int64(max)}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.idx = make([]uint32, 512)
-		s.mask = 511
-	}
-	return t
+	return &table{max: int64(max)}
 }
 
 // insert adds the encoding if unseen. It returns the state's ref,
@@ -85,6 +84,10 @@ func (t *table) insert(fp uint64, enc []byte, parent ref, moveID int32, depth in
 	shard := fp >> 56
 	s := &t.shards[shard]
 	s.mu.Lock()
+	if s.idx == nil {
+		s.idx = make([]uint32, shardInitSlots)
+		s.mask = shardInitSlots - 1
+	}
 	i := fp & s.mask
 	for {
 		slot := s.idx[i]

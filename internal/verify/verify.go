@@ -94,7 +94,11 @@ type Snapshot struct {
 // Invariant is a named safety property over global states.
 type Invariant struct {
 	Name string
-	Fn   func(*Snapshot) error
+	// Fn reports a violation as a non-nil error. The snapshot it receives
+	// is valid only during the call: Explore reuses one Snapshot per
+	// worker, refilling its slices and maps in place for the next state,
+	// so Fn must copy anything it keeps.
+	Fn func(*Snapshot) error
 }
 
 // Violation kinds.
@@ -218,12 +222,6 @@ type Stats struct {
 	// ArenaBytes is the total canonical-encoding bytes pooled in the
 	// visited table (Explore only).
 	ArenaBytes int
-}
-
-// DedupRatio is DupHits per state actually inserted — how much work the
-// visited table saved.
-func (s Stats) DedupRatio() float64 {
-	return float64(s.DupHits)
 }
 
 // Result summarises an exploration.
