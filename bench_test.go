@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/arq"
 	gen "protodsl/internal/arq/gen"
 	"protodsl/internal/codegen"
@@ -544,10 +545,11 @@ func BenchmarkAblationInterpVsCodegen(b *testing.B) {
 // BenchmarkAblationCodecPath: the layout-interpreting wire codec against
 // the generated inline codec, byte-identical outputs.
 func BenchmarkAblationCodecPath(b *testing.B) {
-	layout, err := wire.Compile(arq.PacketMessage())
+	codec, err := arq.NewCodec()
 	if err != nil {
 		b.Fatal(err)
 	}
+	layout := codec.Packet
 	payload := make([]byte, 128)
 	vals := map[string]expr.Value{"seq": expr.U8(1), "payload": expr.Bytes(payload)}
 	enc, err := layout.Encode(vals)
@@ -711,14 +713,14 @@ func BenchmarkAblationWindow(b *testing.B) {
 
 func BenchmarkDSLCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := dsl.Compile(dsl.ARQSource); err != nil {
+		if _, _, err := dsl.Compile(specs.ARQ); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkCodegen(b *testing.B) {
-	proto, _, err := dsl.Compile(dsl.ARQSource)
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		b.Fatal(err)
 	}

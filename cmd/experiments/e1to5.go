@@ -9,8 +9,8 @@ import (
 	"runtime"
 	"time"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/arq"
-	"protodsl/internal/dsl"
 	"protodsl/internal/fsm"
 	"protodsl/internal/ipv4"
 	"protodsl/internal/loc"
@@ -82,7 +82,7 @@ func runE2(c *ctx, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	dslLines := loc.CountDSLLines(dsl.ARQSource)
+	dslLines := loc.CountDSLLines(specs.ARQ)
 
 	tb := metrics.NewTable("E2: error-handling / control overhead share (paper §1: \"50% or more\")",
 		"artefact", "human-written?", "code lines", "overhead lines", "overhead share")

@@ -15,9 +15,8 @@
 // stdout or, with -o FILE, atomically to a file — the form used by the
 // //go:generate directives in the committed gen packages.
 //
-// Pass "-" as the file to read from stdin; `pdslc <cmd> -builtin-arq`
-// uses the embedded §3.4 ARQ protocol (`gen` also accepts
-// -builtin-ipv4 for the embedded IPv4 header).
+// Pass "-" as the file to read from stdin. The shipped protocols live in
+// examples/specs (e.g. `pdslc check examples/specs/arq.pdsl`).
 package main
 
 import (
@@ -41,34 +40,41 @@ func main() {
 	}
 }
 
+// subcommands maps each subcommand to its handler, in usage order; the
+// usage message and the dispatch in run both read it.
+var subcommands = []struct {
+	name string
+	fn   func(args []string, out io.Writer) error
+}{
+	{"check", cmdCheck},
+	{"gen", cmdGen},
+	{"diagram", cmdDiagram},
+	{"dot", cmdDot},
+	{"tests", cmdTests},
+}
+
 func run(args []string, out io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: pdslc <check|gen|diagram|tests> [flags] <file.pdsl | - | -builtin-arq>")
+		names := make([]string, len(subcommands))
+		for i, c := range subcommands {
+			names[i] = c.name
+		}
+		return fmt.Errorf("usage: pdslc <%s> [flags] <file.pdsl | ->", strings.Join(names, "|"))
 	}
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "check":
-		return cmdCheck(rest, out)
-	case "gen":
-		return cmdGen(rest, out)
-	case "diagram":
-		return cmdDiagram(rest, out)
-	case "dot":
-		return cmdDot(rest, out)
-	case "tests":
-		return cmdTests(rest, out)
-	default:
-		return fmt.Errorf("unknown subcommand %q", cmd)
+	for _, c := range subcommands {
+		if c.name == args[0] {
+			return c.fn(args[1:], out)
+		}
 	}
+	return fmt.Errorf("unknown subcommand %q", args[0])
 }
 
 func cmdDot(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dot", flag.ContinueOnError)
-	builtin := fs.Bool("builtin-arq", false, "render the embedded ARQ protocol")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	src, err := loadSource(fs, builtin)
+	src, err := loadSource(fs)
 	if err != nil {
 		return err
 	}
@@ -83,12 +89,9 @@ func cmdDot(args []string, out io.Writer) error {
 }
 
 // loadSource resolves the source argument of a subcommand.
-func loadSource(fs *flag.FlagSet, builtinARQ *bool) (string, error) {
-	if *builtinARQ {
-		return dsl.ARQSource, nil
-	}
+func loadSource(fs *flag.FlagSet) (string, error) {
 	if fs.NArg() != 1 {
-		return "", fmt.Errorf("expected exactly one input file (or -builtin-arq)")
+		return "", fmt.Errorf("expected exactly one input file")
 	}
 	name := fs.Arg(0)
 	if name == "-" {
@@ -107,11 +110,10 @@ func loadSource(fs *flag.FlagSet, builtinARQ *bool) (string, error) {
 
 func cmdCheck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	builtin := fs.Bool("builtin-arq", false, "check the embedded ARQ protocol")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	src, err := loadSource(fs, builtin)
+	src, err := loadSource(fs)
 	if err != nil {
 		return err
 	}
@@ -167,8 +169,6 @@ func cmdGen(args []string, out io.Writer) error {
 	emit := fs.String("emit", "go", "output backend (supported: go)")
 	outFile := fs.String("o", "", "write output to file instead of stdout")
 	runtimeImport := fs.String("runtime", "", "genrt import path override")
-	builtin := fs.Bool("builtin-arq", false, "generate from the embedded ARQ protocol")
-	builtinIPv4 := fs.Bool("builtin-ipv4", false, "generate from the embedded IPv4 header protocol")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -181,15 +181,9 @@ func cmdGen(args []string, out io.Writer) error {
 	if !known {
 		return fmt.Errorf("unknown -emit backend %q (supported: %s)", *emit, strings.Join(genBackends, ", "))
 	}
-	var src string
-	var err error
-	if *builtinIPv4 {
-		src = dsl.IPv4Source
-	} else {
-		src, err = loadSource(fs, builtin)
-		if err != nil {
-			return err
-		}
+	src, err := loadSource(fs)
+	if err != nil {
+		return err
 	}
 	proto, _, err := dsl.Compile(src)
 	if err != nil {
@@ -211,11 +205,10 @@ func cmdGen(args []string, out io.Writer) error {
 
 func cmdDiagram(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("diagram", flag.ContinueOnError)
-	builtin := fs.Bool("builtin-arq", false, "render the embedded ARQ protocol")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	src, err := loadSource(fs, builtin)
+	src, err := loadSource(fs)
 	if err != nil {
 		return err
 	}
@@ -231,11 +224,10 @@ func cmdDiagram(args []string, out io.Writer) error {
 
 func cmdTests(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tests", flag.ContinueOnError)
-	builtin := fs.Bool("builtin-arq", false, "derive tests for the embedded ARQ protocol")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	src, err := loadSource(fs, builtin)
+	src, err := loadSource(fs)
 	if err != nil {
 		return err
 	}

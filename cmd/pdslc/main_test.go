@@ -7,12 +7,18 @@ import (
 	"strings"
 	"testing"
 
-	"protodsl/internal/dsl"
+	"protodsl/examples/specs"
+)
+
+// The shipped protocol files, relative to this package.
+var (
+	arqSpec  = filepath.Join("..", "..", "examples", "specs", "arq.pdsl")
+	ipv4Spec = filepath.Join("..", "..", "examples", "specs", "ipv4.pdsl")
 )
 
 func TestCheckBuiltinARQ(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"check", "-builtin-arq"}, &out); err != nil {
+	if err := run([]string{"check", arqSpec}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -26,7 +32,7 @@ func TestCheckBuiltinARQ(t *testing.T) {
 func TestCheckFromFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "arq.pdsl")
-	if err := os.WriteFile(path, []byte(dsl.ARQSource), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(specs.ARQ), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
@@ -59,7 +65,7 @@ func TestCheckRejectsBrokenSpec(t *testing.T) {
 
 func TestGenEmitsGo(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"gen", "-pkg", "arqgen", "-builtin-arq"}, &out); err != nil {
+	if err := run([]string{"gen", "-pkg", "arqgen", arqSpec}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -72,7 +78,7 @@ func TestGenEmitsGo(t *testing.T) {
 
 func TestGenUnknownBackend(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"gen", "-emit", "rust", "-builtin-arq"}, &out)
+	err := run([]string{"gen", "-emit", "rust", arqSpec}, &out)
 	if err == nil {
 		t.Fatal("unknown -emit backend accepted")
 	}
@@ -88,7 +94,7 @@ func TestGenUnknownBackend(t *testing.T) {
 func TestGenToFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.go")
 	var out bytes.Buffer
-	if err := run([]string{"gen", "-emit", "go", "-pkg", "gen", "-builtin-ipv4", "-o", path}, &out); err != nil {
+	if err := run([]string{"gen", "-emit", "go", "-pkg", "gen", "-o", path, ipv4Spec}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
@@ -105,7 +111,7 @@ func TestGenToFile(t *testing.T) {
 
 func TestDiagram(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"diagram", "-builtin-arq"}, &out); err != nil {
+	if err := run([]string{"diagram", arqSpec}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -116,7 +122,7 @@ func TestDiagram(t *testing.T) {
 
 func TestTests(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"tests", "-builtin-arq"}, &out); err != nil {
+	if err := run([]string{"tests", arqSpec}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -129,8 +135,18 @@ func TestTests(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(nil, &out); err == nil {
-		t.Error("no args accepted")
+	err := run(nil, &out)
+	if err == nil {
+		t.Fatal("no args accepted")
+	}
+	// The usage message names every subcommand run dispatches.
+	for _, cmd := range []string{"check", "gen", "diagram", "dot", "tests"} {
+		if !strings.Contains(err.Error(), cmd) {
+			t.Errorf("usage %q does not name %s", err, cmd)
+		}
+		if derr := run([]string{cmd}, &out); derr == nil || strings.Contains(derr.Error(), "unknown subcommand") {
+			t.Errorf("%s: not dispatched (err %v)", cmd, derr)
+		}
 	}
 	if err := run([]string{"frobnicate"}, &out); err == nil {
 		t.Error("unknown subcommand accepted")

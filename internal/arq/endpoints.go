@@ -61,33 +61,23 @@ type Sender struct {
 }
 
 // NewSender builds a sender for the given payload sequence. The machine
-// is instantiated from the statically checked spec; a spec that fails
-// Check is unusable (NewMachine refuses it).
+// is instantiated from arq.pdsl's Sender program, compiled and checked
+// once per process.
 func NewSender(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr,
 	payloads [][]byte, rto time.Duration, maxRetries int) (*Sender, error) {
-	machine, err := fsm.NewMachine(SenderSpec())
+	prog, err := program("Sender")
 	if err != nil {
-		return nil, fmt.Errorf("arq sender: %w", err)
+		return nil, err
 	}
 	codec, err := NewCodec()
 	if err != nil {
-		return nil, fmt.Errorf("arq sender: %w", err)
+		return nil, err
 	}
-	// The machine's shapes and the codec's programs are built from two
-	// wire.Message instances of the same constructors; assert once that
-	// their layouts agree so definition drift fails here, not as a guard
-	// silently reading the wrong slot.
-	ackShape := machine.Program().MsgShape("Ack")
-	if !ackShape.SameLayout(codec.AckProgram().Shape()) {
-		return nil, fmt.Errorf("arq sender: machine Ack shape does not match wire program layout")
-	}
-	if !machine.Program().MsgShape("Packet").SameLayout(codec.PacketProgram().Shape()) {
-		return nil, fmt.Errorf("arq sender: machine Packet shape does not match wire program layout")
-	}
+	machine := prog.NewMachine()
 	s := &Sender{
 		sim: sim, ep: ep, peer: peer, machine: machine, codec: codec,
 		payloads: payloads, rto: rto, maxRetries: maxRetries,
-		ackShape: ackShape, obs: obs.Of(sim),
+		ackShape: prog.MsgShape("Ack"), obs: obs.Of(sim),
 	}
 	s.evSend, _ = machine.EventID(EvSend)
 	s.evOK, _ = machine.EventID(EvOK)
@@ -303,26 +293,20 @@ type Receiver struct {
 	err       error
 }
 
-// NewReceiver builds a receiver.
+// NewReceiver builds a receiver running arq.pdsl's Receiver program.
 func NewReceiver(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr) (*Receiver, error) {
-	machine, err := fsm.NewMachine(ReceiverSpec())
+	prog, err := program("Receiver")
 	if err != nil {
-		return nil, fmt.Errorf("arq receiver: %w", err)
+		return nil, err
 	}
 	codec, err := NewCodec()
 	if err != nil {
-		return nil, fmt.Errorf("arq receiver: %w", err)
+		return nil, err
 	}
-	pktShape := machine.Program().MsgShape("Packet")
-	if !pktShape.SameLayout(codec.PacketProgram().Shape()) {
-		return nil, fmt.Errorf("arq receiver: machine Packet shape does not match wire program layout")
-	}
-	if !machine.Program().MsgShape("Ack").SameLayout(codec.AckProgram().Shape()) {
-		return nil, fmt.Errorf("arq receiver: machine Ack shape does not match wire program layout")
-	}
+	machine := prog.NewMachine()
 	r := &Receiver{
 		sim: sim, ep: ep, peer: peer, machine: machine, codec: codec,
-		pktShape: pktShape,
+		pktShape: prog.MsgShape("Packet"),
 	}
 	r.evRecv, _ = machine.EventID(EvRecv)
 	r.evClose, _ = machine.EventID(EvClose)

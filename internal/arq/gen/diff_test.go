@@ -15,6 +15,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
@@ -27,7 +28,7 @@ import (
 // input.
 func compiledARQ(t *testing.T) *dsl.Protocol {
 	t.Helper()
-	proto, _, err := dsl.Compile(dsl.ARQSource)
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}

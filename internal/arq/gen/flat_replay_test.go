@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"protodsl/examples/specs"
 	gen "protodsl/internal/arq/gen"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
@@ -80,7 +81,7 @@ func (r *receiverFlat) TransitionName(out genrt.StepOutcome) string {
 // flat machines: the generated dispatch tables must agree with the
 // interpreted spec on every fired transition, rejection and ignore.
 func TestFlatMachinesReplayGeneratedSuites(t *testing.T) {
-	proto, _, err := dsl.Compile(dsl.ARQSource)
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestFlatMachinesReplayGeneratedSuites(t *testing.T) {
 // TestFlatReplayCatchesDivergence sabotages the adapter to prove RunFlat
 // actually compares outcomes: remapping an event must fail the replay.
 func TestFlatReplayCatchesDivergence(t *testing.T) {
-	proto, _, err := dsl.Compile(dsl.ARQSource)
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}

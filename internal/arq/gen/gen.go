@@ -1,3 +1,3 @@
-//go:generate go run protodsl/cmd/pdslc gen -emit go -pkg gen -builtin-arq -o arq_gen.go
+//go:generate go run protodsl/cmd/pdslc gen -emit go -pkg gen -o arq_gen.go ../../../examples/specs/arq.pdsl
 
 package gen

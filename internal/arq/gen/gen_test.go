@@ -16,7 +16,6 @@ import (
 	"protodsl/internal/fsmtyped"
 	"protodsl/internal/genrt"
 	"protodsl/internal/netsim"
-	"protodsl/internal/wire"
 )
 
 // The generated state types satisfy fsmtyped.State.
@@ -50,10 +49,11 @@ func TestGeneratedCodecRoundTrip(t *testing.T) {
 // TestGeneratedCodecMatchesInterpreter: the generated inline codec and
 // the wire-layout interpreter produce byte-identical encodings.
 func TestGeneratedCodecMatchesInterpreter(t *testing.T) {
-	layout, err := wire.Compile(arq.PacketMessage())
+	codec, err := arq.NewCodec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	layout := codec.Packet
 	f := func(seq uint8, payload []byte) bool {
 		if len(payload) > 1000 {
 			payload = payload[:1000]

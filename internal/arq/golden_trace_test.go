@@ -176,13 +176,7 @@ func TestGoldenTraces(t *testing.T) {
 // human-readable anchor to diff against.
 func TestGoldenTraceVerbatim(t *testing.T) {
 	path := filepath.Join("testdata", "golden_trace_gbn_loss0_seed0.txt")
-	_, _, _, trace := runGoldenScenario(t, goldenScenario{variant: "gbn", loss: 0, seed: 0})
-	var sb strings.Builder
-	for _, ev := range trace {
-		sb.WriteString(ev.String())
-		sb.WriteString("\n")
-	}
-	got := sb.String()
+	got := renderTrace(t, goldenScenario{variant: "gbn", loss: 0, seed: 0})
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -190,7 +184,7 @@ func TestGoldenTraceVerbatim(t *testing.T) {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d events)", path, len(trace))
+		t.Logf("rewrote %s", path)
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -198,6 +192,19 @@ func TestGoldenTraceVerbatim(t *testing.T) {
 		t.Fatalf("no golden file (run with -update to record): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("verbatim trace diverged from golden (%d events); diff the files for the first reordered event", len(trace))
+		t.Error("verbatim trace diverged from golden; diff the files for the first reordered event")
 	}
+}
+
+// renderTrace runs one scenario and renders its trace one event a line,
+// the format of the verbatim golden file.
+func renderTrace(t *testing.T, sc goldenScenario) string {
+	t.Helper()
+	_, _, _, trace := runGoldenScenario(t, sc)
+	var sb strings.Builder
+	for _, ev := range trace {
+		sb.WriteString(ev.String())
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }

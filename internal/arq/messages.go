@@ -22,46 +22,11 @@ import (
 	"protodsl/internal/wire"
 )
 
-// PacketMessage returns the paper's data packet layout:
-//
-//	Pkt : Byte(seq) → Byte(chk) → List Byte(payload)
-//
-// realised on the wire as seq:8, chk:8 (sum8 over the whole packet with
-// chk zeroed), a 16-bit payload length, and the payload bytes.
-func PacketMessage() *wire.Message {
-	return &wire.Message{
-		Name: "Packet",
-		Doc:  "ARQ data packet (paper §3.4): sequence number, checksum, payload.",
-		Fields: []wire.Field{
-			{Name: "seq", Kind: wire.FieldUint, Bits: 8, Doc: "sequence number"},
-			{Name: "chk", Kind: wire.FieldUint, Bits: 8, Doc: "sum8 checksum",
-				Compute: &wire.Compute{Kind: wire.ComputeChecksum, Algo: wire.ChecksumSum8}},
-			{Name: "paylen", Kind: wire.FieldUint, Bits: 16, Doc: "payload length in bytes"},
-			{Name: "payload", Kind: wire.FieldBytes, LenKind: wire.LenField, LenField: "paylen",
-				Doc: "application payload"},
-		},
-	}
-}
-
-// AckMessage returns the acknowledgement layout: the acknowledged
-// sequence number protected by the same checksum discipline.
-func AckMessage() *wire.Message {
-	return &wire.Message{
-		Name: "Ack",
-		Doc:  "ARQ acknowledgement: the acknowledged sequence number.",
-		Fields: []wire.Field{
-			{Name: "seq", Kind: wire.FieldUint, Bits: 8, Doc: "acknowledged sequence number"},
-			{Name: "chk", Kind: wire.FieldUint, Bits: 8, Doc: "sum8 checksum",
-				Compute: &wire.Compute{Kind: wire.ComputeChecksum, Algo: wire.ChecksumSum8}},
-		},
-	}
-}
-
-// Codec bundles the compiled layouts and slot programs for the
-// protocol's messages, plus reusable frame scratch for the
-// allocation-free encode/decode paths. The scratch makes a Codec
-// single-goroutine (like the machines it serves); use one Codec per
-// endpoint.
+// Codec pairs arq.pdsl's Packet and Ack layouts and slot programs —
+// compiled once per process and shared, immutable, by every Codec — with
+// per-codec frame scratch for the allocation-free encode/decode paths.
+// The scratch makes a Codec single-goroutine (like the machines it
+// serves); use one Codec per endpoint.
 //
 // The hot-path methods (AppendEncode*, Decode*InPlace, Decode*Frame) run
 // entirely on wire.Program slot frames: from the delivery buffer to the
@@ -79,15 +44,23 @@ type Codec struct {
 	pktSeq, pktPayload, ackSeq int // canonical field slots
 }
 
-// NewCodec compiles the protocol's message layouts and slot programs.
+// NewCodec builds a codec over the shared Packet and Ack layouts of
+// arq.pdsl:
+//
+//	Pkt : Byte(seq) → Byte(chk) → List Byte(payload)
+//
+// realised on the wire as seq:8, chk:8 (sum8 over the whole packet with
+// chk zeroed), a 16-bit payload length and the payload bytes; the ack is
+// the acknowledged seq under the same checksum. Only the scratch frames
+// are per codec.
 func NewCodec() (*Codec, error) {
-	p, err := wire.Compile(PacketMessage())
+	proto, err := arqSpec()
 	if err != nil {
-		return nil, fmt.Errorf("compile Packet: %w", err)
+		return nil, fmt.Errorf("arq: %w", err)
 	}
-	a, err := wire.Compile(AckMessage())
-	if err != nil {
-		return nil, fmt.Errorf("compile Ack: %w", err)
+	p, a := proto.Layouts["Packet"], proto.Layouts["Ack"]
+	if p == nil || a == nil {
+		return nil, fmt.Errorf("arq: arq.pdsl lacks a Packet or Ack message")
 	}
 	c := &Codec{
 		Packet:  p,

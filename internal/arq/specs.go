@@ -1,9 +1,11 @@
 package arq
 
 import (
-	"protodsl/internal/expr"
+	"fmt"
+
+	"protodsl/examples/specs"
+	"protodsl/internal/dsl"
 	"protodsl/internal/fsm"
-	"protodsl/internal/wire"
 )
 
 // Sender/receiver event and state names, exported so callers and tests
@@ -32,14 +34,26 @@ const (
 	EvClose = "CLOSE"
 )
 
-func messages() map[string]*wire.Message {
-	return map[string]*wire.Message{
-		"Packet": PacketMessage(),
-		"Ack":    AckMessage(),
+// arqSpec is the loader of arq.pdsl: every engine in this package runs
+// the Sender and Receiver programs and the Packet and Ack layouts it
+// compiles, once per process.
+var arqSpec = dsl.Load(specs.ARQ)
+
+// program returns the shared compiled program of one arq.pdsl machine.
+func program(machine string) (*fsm.Program, error) {
+	proto, err := arqSpec()
+	if err != nil {
+		return nil, fmt.Errorf("arq: %w", err)
 	}
+	prog, ok := proto.Program(machine)
+	if !ok {
+		return nil, fmt.Errorf("arq: arq.pdsl has no machine %s", machine)
+	}
+	return prog, nil
 }
 
-// SenderSpec returns the paper's ARQ sender machine:
+// SenderSpec returns the paper's ARQ sender machine, the Sender of
+// arq.pdsl:
 //
 //	data SendTrans : SendSt → SendSt → ⋆ where
 //	  SEND    : ListByte → SendTrans (Ready seq) (Wait seq)
@@ -55,59 +69,12 @@ func messages() map[string]*wire.Message {
 // `ack.seq == seq` over a *validated* Ack: the interpreter only ever sees
 // acks that passed DecodeAck, so the dependent-type precondition
 // "verified packet" is established before the event is raised.
-func SenderSpec() *fsm.Spec {
-	return &fsm.Spec{
-		Name: "ArqSender",
-		Doc:  "Stop-and-wait ARQ sender (paper §3.4).",
-		Vars: []fsm.Var{{Name: "seq", Type: expr.TU8}},
-		States: []fsm.State{
-			{Name: StReady, Init: true, Doc: "ready to send the next packet"},
-			{Name: StWait, Doc: "a packet is in flight, awaiting its ack"},
-			{Name: StTimeout, Doc: "the in-flight packet timed out"},
-			{Name: StSent, Final: true, Doc: "all data sent and acknowledged"},
-		},
-		Events: []fsm.Event{
-			{Name: EvSend, Params: []fsm.Param{{Name: "data", Type: expr.TBytes}}},
-			{Name: EvOK, Params: []fsm.Param{{Name: "ack", Type: expr.TMsg("Ack")}}},
-			{Name: EvFail},
-			{Name: EvTimeout},
-			{Name: EvRetry},
-			{Name: EvFinish},
-		},
-		Transitions: []fsm.Transition{
-			{Name: "send", From: StReady, Event: EvSend, To: StWait,
-				Outputs: []fsm.Output{{Message: "Packet", Fields: map[string]expr.Expr{
-					"seq":     expr.MustParse("seq"),
-					"payload": expr.MustParse("data"),
-				}}}},
-			{Name: "ack", From: StWait, Event: EvOK, To: StReady,
-				Guard:   expr.MustParse("ack.seq == seq"),
-				Assigns: []fsm.Assign{{Var: "seq", Expr: expr.MustParse("seq + 1")}}},
-			{Name: "fail", From: StWait, Event: EvFail, To: StReady},
-			{Name: "timeout", From: StWait, Event: EvTimeout, To: StTimeout},
-			{Name: "retry", From: StTimeout, Event: EvRetry, To: StReady},
-			{Name: "finish", From: StReady, Event: EvFinish, To: StSent},
-		},
-		Ignores: []fsm.Ignore{
-			// Stale acks and late timers arriving in Ready are no-ops.
-			{State: StReady, Event: EvOK, Doc: "stale ack after advance"},
-			{State: StReady, Event: EvFail, Doc: "late failure signal"},
-			{State: StReady, Event: EvTimeout, Doc: "late timer"},
-			{State: StReady, Event: EvRetry, Doc: "late retry"},
-			{State: StWait, Event: EvSend, Doc: "window is 1: cannot send while waiting"},
-			{State: StWait, Event: EvRetry, Doc: "not timed out"},
-			{State: StWait, Event: EvFinish, Doc: "cannot finish with data in flight"},
-			{State: StTimeout, Event: EvSend},
-			{State: StTimeout, Event: EvOK, Doc: "ack after timeout: host decides via RETRY"},
-			{State: StTimeout, Event: EvFail},
-			{State: StTimeout, Event: EvTimeout},
-			{State: StTimeout, Event: EvFinish},
-		},
-		Messages: messages(),
-	}
-}
+//
+// Each call parses the embedded text afresh, so the caller owns the
+// spec and may mutate it; the engines' compiled program is unaffected.
+func SenderSpec() *fsm.Spec { return parsedMachine("Sender") }
 
-// ReceiverSpec returns the paper's receiver:
+// ReceiverSpec returns the paper's receiver, the Receiver of arq.pdsl:
 //
 //	RECV : (seq : Byte) → (data : ListByte) →
 //	       CheckPacket … → RecvTrans (ReadyFor seq) (ReadyFor (seq+1))
@@ -116,33 +83,20 @@ func SenderSpec() *fsm.Spec {
 // paper's receiver "will reject a packet"; re-acknowledging the rejected
 // duplicate is what lets the sender make progress when acks are lost) and
 // a CLOSE event to a final state so consistent termination is checkable.
-func ReceiverSpec() *fsm.Spec {
-	return &fsm.Spec{
-		Name: "ArqReceiver",
-		Doc:  "Stop-and-wait ARQ receiver (paper §3.4).",
-		Vars: []fsm.Var{{Name: "seq", Type: expr.TU8}},
-		States: []fsm.State{
-			{Name: StReadyFor, Init: true, Doc: "waiting for packet `seq`"},
-			{Name: StClosed, Final: true},
-		},
-		Events: []fsm.Event{
-			{Name: EvRecv, Params: []fsm.Param{{Name: "p", Type: expr.TMsg("Packet")}}},
-			{Name: EvClose},
-		},
-		Transitions: []fsm.Transition{
-			{Name: "accept", From: StReadyFor, Event: EvRecv, To: StReadyFor,
-				Guard:   expr.MustParse("p.seq == seq"),
-				Assigns: []fsm.Assign{{Var: "seq", Expr: expr.MustParse("seq + 1")}},
-				Outputs: []fsm.Output{{Message: "Ack", Fields: map[string]expr.Expr{
-					"seq": expr.MustParse("p.seq"),
-				}}}},
-			{Name: "dupack", From: StReadyFor, Event: EvRecv, To: StReadyFor,
-				Guard: expr.MustParse("p.seq != seq"),
-				Outputs: []fsm.Output{{Message: "Ack", Fields: map[string]expr.Expr{
-					"seq": expr.MustParse("p.seq"),
-				}}}},
-			{Name: "close", From: StReadyFor, Event: EvClose, To: StClosed},
-		},
-		Messages: messages(),
+// Like SenderSpec, it returns a fresh spec the caller owns.
+func ReceiverSpec() *fsm.Spec { return parsedMachine("Receiver") }
+
+// parsedMachine parses the embedded arq.pdsl and returns one machine.
+// The text is part of the binary and compiles (arqSpec and the tests
+// check it), so a failure here is a build defect and panics.
+func parsedMachine(name string) *fsm.Spec {
+	proto, err := dsl.Parse(specs.ARQ)
+	if err != nil {
+		panic(fmt.Sprintf("arq: parsing arq.pdsl: %v", err))
 	}
+	spec, ok := proto.Machine(name)
+	if !ok {
+		panic("arq: arq.pdsl has no machine " + name)
+	}
+	return spec
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the fsmtyped (compile-time-checked) implementation of the
-// same protocol the interpreter executes from SenderSpec/ReceiverSpec.
+// same protocol the interpreter executes from arq.pdsl.
 // Each paper state is a distinct Go type; each SendTrans constructor is a
 // Transition[From, To]. Applying TIMEOUT to a Ready state or FINISH to a
 // Wait state does not compile — Go's type checker plays the role of the

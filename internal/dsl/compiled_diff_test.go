@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/expr"
 	"protodsl/internal/wire"
 )
@@ -171,8 +172,8 @@ func TestCompiledEngineDifferential(t *testing.T) {
 		name   string
 		source string
 	}{
-		{"arq", ARQSource},
-		{"ipv4", IPv4Source},
+		{"arq", specs.ARQ},
+		{"ipv4", specs.IPv4},
 	} {
 		proto, _, err := Compile(src.source)
 		if err != nil {

@@ -3,37 +3,9 @@
 // (ABNF/ASN.1's role), machine behaviour (FSM's role) and the validity
 // conditions connecting them, in one definition.
 //
-// A .pdsl file looks like:
-//
-//	protocol arq {
-//	    message Packet {
-//	        seq: u8
-//	        chk: u8 = checksum sum8
-//	        paylen: u16
-//	        payload: bytes[paylen]
-//	    }
-//
-//	    machine Sender {
-//	        var seq: u8
-//
-//	        init state Ready
-//	        state Wait
-//	        final state Sent
-//
-//	        event SEND(data: bytes)
-//	        event OK(ack: Ack)
-//	        event FINISH
-//
-//	        on SEND from Ready to Wait {
-//	            send Packet(seq: seq, payload: data)
-//	        }
-//	        on OK from Wait to Ready when ack.seq == seq {
-//	            set seq = seq + 1
-//	        }
-//	        on FINISH from Ready to Sent
-//	        ignore OK in Ready
-//	    }
-//	}
+// The shipped protocols are the .pdsl files in examples/specs (arq.pdsl
+// is the paper's §3.4 stop-and-wait ARQ); docs/LANGUAGE.md describes the
+// grammar.
 //
 // Parse turns source text into wire messages and fsm specs; Compile
 // additionally runs every static check (wire.Compile, fsm.Check) so a

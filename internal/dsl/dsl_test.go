@@ -5,15 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
 	"protodsl/internal/wire"
 )
 
 func TestCompileARQSource(t *testing.T) {
-	proto, reports, err := Compile(ARQSource)
+	proto, reports, err := Compile(specs.ARQ)
 	if err != nil {
-		t.Fatalf("Compile(ARQSource): %v", err)
+		t.Fatalf("Compile(specs.ARQ): %v", err)
 	}
 	if proto.Name != "arq" {
 		t.Errorf("name = %q", proto.Name)
@@ -52,7 +53,7 @@ func TestCompileARQSource(t *testing.T) {
 // Equivalence is checked structurally over every dimension that affects
 // execution.
 func TestDSLMatchesProgrammaticARQ(t *testing.T) {
-	proto, _, err := Compile(ARQSource)
+	proto, _, err := Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}

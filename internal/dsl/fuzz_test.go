@@ -3,6 +3,8 @@ package dsl
 import (
 	"strings"
 	"testing"
+
+	"protodsl/examples/specs"
 )
 
 // FuzzParse throws arbitrary source at the DSL front end. The contract
@@ -15,18 +17,18 @@ import (
 // Seed corpus: testdata/fuzz/FuzzParse (the canonical sources plus
 // truncations and hostile edits).
 func FuzzParse(f *testing.F) {
-	f.Add(ARQSource)
-	f.Add(IPv4Source)
+	f.Add(specs.ARQ)
+	f.Add(specs.IPv4)
 	f.Add("")
 	f.Add("protocol P {}")
 	f.Add("message M { field x: u8 }")
 	// Truncations of the canonical source shake unterminated-construct
 	// handling at every nesting depth.
 	for _, frac := range []int{4, 2} {
-		f.Add(ARQSource[:len(ARQSource)/frac])
+		f.Add(specs.ARQ[:len(specs.ARQ)/frac])
 	}
-	f.Add(strings.Replace(ARQSource, "u8", "u999", 1))
-	f.Add(strings.Replace(ARQSource, "{", "", 1))
+	f.Add(strings.Replace(specs.ARQ, "u8", "u999", 1))
+	f.Add(strings.Replace(specs.ARQ, "{", "", 1))
 
 	f.Fuzz(func(t *testing.T, src string) {
 		// Pathological inputs (deep nesting, megabyte identifiers) are

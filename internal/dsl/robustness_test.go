@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"protodsl/examples/specs"
 )
 
 // TestQuickParserNeverPanics: the DSL parser is total — arbitrary input
@@ -27,7 +29,7 @@ func TestQuickParserNeverPanics(t *testing.T) {
 // TestQuickMutatedARQNeverPanics feeds structurally plausible but mangled
 // sources: the canonical ARQ text with random edits.
 func TestQuickMutatedARQNeverPanics(t *testing.T) {
-	base := ARQSource
+	base := specs.ARQ
 	f := func(pos uint16, repl byte, del uint8) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -54,11 +56,11 @@ func TestQuickMutatedARQNeverPanics(t *testing.T) {
 // TestCompileIdempotent: compiling the same source twice yields machines
 // that check identically (no hidden mutation of shared state).
 func TestCompileIdempotent(t *testing.T) {
-	p1, r1, err := Compile(ARQSource)
+	p1, r1, err := Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, r2, err := Compile(ARQSource)
+	p2, r2, err := Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}

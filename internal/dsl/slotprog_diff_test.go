@@ -5,16 +5,15 @@ import (
 	"errors"
 	"testing"
 
-	"protodsl/internal/arq"
+	"protodsl/examples/specs"
 	"protodsl/internal/expr"
-	"protodsl/internal/ipv4"
 	"protodsl/internal/wire"
 )
 
 // This file differentially tests the slot-compiled wire programs against
 // the map-based layout codec: for every message layout reachable from
-// the canonical protocols — the native ARQ and IPv4 definitions plus
-// both compiled examples/specs sources — encode must agree byte for
+// the canonical protocols — both compiled examples/specs sources, which
+// are the only definitions the engines run — encode must agree byte for
 // byte, decode must agree field for field, and every corruption of the
 // wire bytes (truncations, single-byte flips) must fail with the same
 // sentinel error class on both paths.
@@ -23,31 +22,17 @@ import (
 func diffLayouts(t *testing.T) map[string]*wire.Layout {
 	t.Helper()
 	out := make(map[string]*wire.Layout)
-	add := func(prefix string, layouts map[string]*wire.Layout) {
-		for name, l := range layouts {
-			out[prefix+"/"+name] = l
-		}
-	}
 	for _, src := range []struct {
 		name   string
 		source string
-	}{{"arq.pdsl", ARQSource}, {"ipv4.pdsl", IPv4Source}} {
+	}{{"arq.pdsl", specs.ARQ}, {"ipv4.pdsl", specs.IPv4}} {
 		proto, _, err := Compile(src.source)
 		if err != nil {
 			t.Fatalf("compile %s: %v", src.name, err)
 		}
-		add(src.name, proto.Layouts)
-	}
-	for name, msg := range map[string]*wire.Message{
-		"native/Packet":     arq.PacketMessage(),
-		"native/Ack":        arq.AckMessage(),
-		"native/IPv4Header": ipv4.HeaderMessage(),
-	} {
-		l, err := wire.Compile(msg)
-		if err != nil {
-			t.Fatalf("compile %s: %v", name, err)
+		for name, l := range proto.Layouts {
+			out[src.name+"/"+name] = l
 		}
-		out[name] = l
 	}
 	return out
 }

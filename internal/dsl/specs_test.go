@@ -1,37 +1,14 @@
 package dsl
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
-)
 
-// TestSpecFilesMatchCanonicalSources keeps the on-disk .pdsl files under
-// examples/specs in sync with the embedded canonical sources that the
-// tests, tools and generated code are built from.
-func TestSpecFilesMatchCanonicalSources(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		want string
-	}{
-		{"arq.pdsl", ARQSource},
-		{"ipv4.pdsl", IPv4Source},
-		{"handshake.pdsl", HandshakeSource},
-	} {
-		path := filepath.Join("..", "..", "examples", "specs", tc.file)
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if string(got) != tc.want {
-			t.Errorf("%s is out of sync with the embedded source", tc.file)
-		}
-	}
-}
+	"protodsl/examples/specs"
+)
 
 // TestIPv4SourceCompiles covers the second canonical source end to end.
 func TestIPv4SourceCompiles(t *testing.T) {
-	proto, reports, err := Compile(IPv4Source)
+	proto, reports, err := Compile(specs.IPv4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/genrt"
@@ -20,7 +21,7 @@ import (
 
 func headerProgram(t *testing.T) *wire.Program {
 	t.Helper()
-	proto, _, err := dsl.Compile(dsl.IPv4Source)
+	proto, _, err := dsl.Compile(specs.IPv4)
 	if err != nil {
 		t.Fatal(err)
 	}

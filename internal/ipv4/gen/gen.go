@@ -1,3 +1,3 @@
-//go:generate go run protodsl/cmd/pdslc gen -emit go -pkg gen -builtin-ipv4 -o ipv4_gen.go
+//go:generate go run protodsl/cmd/pdslc gen -emit go -pkg gen -o ipv4_gen.go ../../../examples/specs/ipv4.pdsl
 
 package gen

@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 
+	"protodsl/examples/specs"
+	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/proof"
 	"protodsl/internal/wire"
@@ -30,30 +32,22 @@ var (
 	ErrBadTotalLength = errors.New("total length shorter than header")
 )
 
-// HeaderMessage returns the RFC 791 header layout, options included
-// (their length is the Figure 1 relation (IHL-5)*4).
-func HeaderMessage() *wire.Message {
-	return &wire.Message{
-		Name: "IPv4Header",
-		Doc:  "RFC 791 Internet Datagram Header (paper Figure 1).",
-		Fields: []wire.Field{
-			{Name: "version", Kind: wire.FieldUint, Bits: 4, Doc: "IP version (4)"},
-			{Name: "ihl", Kind: wire.FieldUint, Bits: 4, Doc: "header length in 32-bit words"},
-			{Name: "tos", Kind: wire.FieldUint, Bits: 8, Doc: "type of service"},
-			{Name: "total_length", Kind: wire.FieldUint, Bits: 16, Doc: "datagram length in bytes"},
-			{Name: "identification", Kind: wire.FieldUint, Bits: 16, Doc: "fragment group id"},
-			{Name: "flags", Kind: wire.FieldUint, Bits: 3, Doc: "control flags"},
-			{Name: "fragment_offset", Kind: wire.FieldUint, Bits: 13, Doc: "fragment position in 8-byte units"},
-			{Name: "ttl", Kind: wire.FieldUint, Bits: 8, Doc: "time to live"},
-			{Name: "protocol", Kind: wire.FieldUint, Bits: 8, Doc: "next-level protocol"},
-			{Name: "header_checksum", Kind: wire.FieldUint, Bits: 16, Doc: "RFC 1071 checksum over the header",
-				Compute: &wire.Compute{Kind: wire.ComputeChecksum, Algo: wire.ChecksumInet16}},
-			{Name: "source", Kind: wire.FieldUint, Bits: 32, Doc: "source address"},
-			{Name: "destination", Kind: wire.FieldUint, Bits: 32, Doc: "destination address"},
-			{Name: "options", Kind: wire.FieldBytes, LenKind: wire.LenExpr,
-				LenExpr: expr.MustParse("(ihl - 5) * 4"), Doc: "options and padding"},
-		},
+// ipv4Spec is the loader of ipv4.pdsl, whose IPv4Header message is the
+// RFC 791 header layout, options included (their length is the Figure 1
+// relation (ihl - 5) * 4).
+var ipv4Spec = dsl.Load(specs.IPv4)
+
+// headerLayout returns the shared compiled IPv4Header layout.
+func headerLayout() (*wire.Layout, error) {
+	proto, err := ipv4Spec()
+	if err != nil {
+		return nil, fmt.Errorf("ipv4: %w", err)
 	}
+	l, ok := proto.Layouts["IPv4Header"]
+	if !ok {
+		return nil, errors.New("ipv4: ipv4.pdsl has no IPv4Header message")
+	}
+	return l, nil
 }
 
 // Header is a decoded, semantically validated IPv4 header.
@@ -120,11 +114,12 @@ type headerSlots struct {
 	source, destination, options int
 }
 
-// NewCodec compiles the header layout.
+// NewCodec builds a codec over the shared header layout; only the
+// scratch frames are per codec.
 func NewCodec() (*Codec, error) {
-	l, err := wire.Compile(HeaderMessage())
+	l, err := headerLayout()
 	if err != nil {
-		return nil, fmt.Errorf("ipv4: %w", err)
+		return nil, err
 	}
 	prog := l.Program()
 	slot := func(name string) int {
@@ -274,8 +269,16 @@ func (c *Codec) decode(data []byte, inPlace bool) (CheckedHeader, []byte, error)
 	return checked, data[hdrLen:], nil
 }
 
-// Diagram renders the Figure 1 ASCII picture from the definition.
-func Diagram() string { return wire.Diagram(HeaderMessage()) }
+// Diagram renders the Figure 1 ASCII picture from the definition. The
+// embedded ipv4.pdsl is part of the binary and always compiles (the
+// package tests load it), so a failure here is a build defect and panics.
+func Diagram() string {
+	l, err := headerLayout()
+	if err != nil {
+		panic(err)
+	}
+	return wire.Diagram(l.Message())
+}
 
 func addrToUint(a [4]byte) uint64 {
 	return uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])

@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"protodsl/internal/dsl"
+	"protodsl/examples/specs"
 )
 
 func TestAnalyzeSimpleFunction(t *testing.T) {
@@ -96,7 +96,7 @@ func TestE2SocketsBaselineIsErrorHeavy(t *testing.T) {
 // TestE2DSLHasNoErrorHandling: the DSL definition contains zero
 // error-handling lines — validation is the compiler's job.
 func TestE2DSLHasNoErrorHandling(t *testing.T) {
-	n := CountDSLLines(dsl.ARQSource)
+	n := CountDSLLines(specs.ARQ)
 	if n == 0 {
 		t.Fatal("no DSL lines counted")
 	}

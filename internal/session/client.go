@@ -1,6 +1,6 @@
 // Client is the active opener: Closed -> SynSent -> Established ->
 // FinWait -> TimeWait -> Down, exactly the Client machine from
-// dsl.HandshakeSource, with the engine supplying what the spec
+// handshake.pdsl, with the engine supplying what the spec
 // abstracts away — real timers (SYN retransmits on the RFC 6298
 // estimator, heartbeat ticks, TIME_WAIT expiry), the shared-flow
 // control/data split, and the obs counters.
@@ -151,9 +151,6 @@ func Connect(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, cfg ClientCo
 		return nil, err
 	}
 	c.synAckShape = c.m.Program().MsgShape("SynAck")
-	if err := assertShapes(c.m.Program(), codec, "Syn", "SynAck", "AckC", "Fin", "Beat"); err != nil {
-		return nil, err
-	}
 	c.tickFn = c.onTick
 	port.SetHandler(c.onFrame)
 

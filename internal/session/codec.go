@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"protodsl/internal/expr"
-	"protodsl/internal/fsm"
 	"protodsl/internal/wire"
 )
 
@@ -153,32 +152,14 @@ func (c *Codec) AppendBeatAck(dst []byte, seq uint32) []byte {
 }
 
 // appendOutput encodes a machine output frame with kind k's wire
-// program — valid because the engines assert layout parity between the
-// machine shapes and the wire shapes at construction (assertShapes).
+// program — valid because the loader (dsl.Load) asserts layout parity
+// between the machine shapes and the wire shapes.
 func appendOutput(dst []byte, c *Codec, k Kind, f *expr.Frame) []byte {
 	out, err := c.by[k].prog.AppendEncode(dst, f)
 	if err != nil {
 		panic(fmt.Sprintf("session: encoding %s output: %v", kindMessage[k], err))
 	}
 	return out
-}
-
-// assertShapes checks that the machine program's view of each named
-// message matches the codec's wire layout field-for-field, which is
-// what lets machine frames flow straight into wire encoders and wire
-// decode frames straight into StepEv.
-func assertShapes(mprog *fsm.Program, c *Codec, names ...string) error {
-	for _, n := range names {
-		k, ok := messageKinds[n]
-		if !ok {
-			return fmt.Errorf("session: unknown control message %s", n)
-		}
-		ms := mprog.MsgShape(n)
-		if ms == nil || !ms.SameLayout(c.by[k].prog.Shape()) {
-			return fmt.Errorf("session: machine and wire layouts disagree on %s", n)
-		}
-	}
-	return nil
 }
 
 // Classify decodes data as a control frame, returning its kind, or 0

@@ -1,7 +1,7 @@
 // Package session is the connection lifecycle layer (DESIGN.md §14): a
 // 3-way cookie handshake, heartbeat liveness, half-close teardown with
 // TIME_WAIT absorption, and crash-recoverable server state — all driven
-// by the compiled handshake machines from dsl.HandshakeSource, the same
+// by the compiled handshake machines from handshake.pdsl, the same
 // pipeline every other protocol in this repo rides.
 //
 // The split mirrors the spec's two machines. Client (client.go) is the
@@ -22,8 +22,8 @@ package session
 
 import (
 	"fmt"
-	"sync"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/dsl"
 	"protodsl/internal/fsm"
 	"protodsl/internal/netsim"
@@ -35,7 +35,7 @@ import (
 type Kind uint8
 
 // The control frame kinds, matching the `kind` field values baked into
-// dsl.HandshakeSource transitions.
+// handshake.pdsl transitions.
 const (
 	KindSyn     Kind = 1
 	KindSynAck  Kind = 2
@@ -105,43 +105,27 @@ type Resume struct {
 // the machine programs (cheap per-peer instantiation) and the wire
 // layouts the codec encodes against.
 type protocol struct {
-	proto      *dsl.Protocol
 	clientProg *fsm.Program
 	serverProg *fsm.Program
 	layouts    map[string]*wire.Layout
 }
 
-var (
-	protoOnce sync.Once
-	protoVal  *protocol
-	protoErr  error
-)
+// handshake is the loader of handshake.pdsl.
+var handshake = dsl.Load(specs.Handshake)
 
 // compiled returns the process-wide compiled handshake protocol.
-func compiled() (*protocol, error) {
-	protoOnce.Do(func() {
-		proto, reports, err := dsl.Compile(dsl.HandshakeSource)
-		if err != nil {
-			protoErr = fmt.Errorf("session: compiling handshake spec: %w", err)
-			return
-		}
-		for _, r := range reports {
-			if !r.OK() {
-				protoErr = fmt.Errorf("session: handshake machine %s: %s", r.Spec, r.Errors()[0].Msg)
-				return
-			}
-		}
-		p := &protocol{proto: proto, layouts: proto.Layouts}
-		var ok bool
-		if p.clientProg, ok = proto.Program("Client"); !ok {
-			protoErr = fmt.Errorf("session: handshake spec has no Client machine")
-			return
-		}
-		if p.serverProg, ok = proto.Program("Server"); !ok {
-			protoErr = fmt.Errorf("session: handshake spec has no Server machine")
-			return
-		}
-		protoVal = p
-	})
-	return protoVal, protoErr
+func compiled() (protocol, error) {
+	proto, err := handshake()
+	if err != nil {
+		return protocol{}, fmt.Errorf("session: handshake spec: %w", err)
+	}
+	p := protocol{layouts: proto.Layouts}
+	var ok bool
+	if p.clientProg, ok = proto.Program("Client"); !ok {
+		return protocol{}, fmt.Errorf("session: handshake spec has no Client machine")
+	}
+	if p.serverProg, ok = proto.Program("Server"); !ok {
+		return protocol{}, fmt.Errorf("session: handshake spec has no Server machine")
+	}
+	return p, nil
 }

@@ -3,6 +3,7 @@ package verify
 import (
 	"testing"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
@@ -11,11 +12,11 @@ import (
 // TestModelCheckDSLCompiledARQ closes the loop between the surface DSL
 // and the model checker: the machines model-checked here are the *same
 // artefacts* that execute in the interpreter and feed the code generator
-// — compiled from dsl.ARQSource, not hand-built models. This is the
+// — compiled from specs.ARQ, not hand-built models. This is the
 // paper's §3.3 point 2 inverted: because our model IS the implementation
 // source, there is no transcription gap for the checker to miss.
 func TestModelCheckDSLCompiledARQ(t *testing.T) {
-	proto, _, err := dsl.Compile(dsl.ARQSource)
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}

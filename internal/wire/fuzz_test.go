@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"protodsl/examples/specs"
 	argen "protodsl/internal/arq/gen"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
@@ -27,7 +28,7 @@ import (
 // Seed corpus: testdata/fuzz/FuzzProgramDecode (hostile frames — short,
 // truncated-length, bad-checksum, trailing-bytes, bit-flipped lengths).
 func FuzzProgramDecode(f *testing.F) {
-	proto, _, err := dsl.Compile(dsl.ARQSource)
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		f.Fatal(err)
 	}

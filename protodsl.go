@@ -33,6 +33,7 @@
 package protodsl
 
 import (
+	"protodsl/examples/specs"
 	"protodsl/internal/codegen"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
@@ -52,8 +53,8 @@ type Protocol = dsl.Protocol
 type ParseError = dsl.ParseError
 
 // ARQSource is the canonical .pdsl text of the paper's §3.4 stop-and-wait
-// ARQ protocol.
-const ARQSource = dsl.ARQSource
+// ARQ protocol: examples/specs/arq.pdsl, embedded.
+var ARQSource = specs.ARQ
 
 // ParseProtocol parses .pdsl source without semantic checking.
 func ParseProtocol(src string) (*Protocol, error) { return dsl.Parse(src) }
