@@ -58,7 +58,8 @@ e2e-compare:
 	sh bench/run.sh -compare $(OLD) $(NEW)
 
 # Documentation references must resolve: every `DESIGN.md §N` citation
-# in Go sources names a real section of DESIGN.md.
+# in Go sources names a real section of DESIGN.md, and every backticked
+# repository path in a Markdown file names a real file or directory.
 docscheck:
 	$(GO) run ./internal/tools/docscheck
 

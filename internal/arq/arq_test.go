@@ -269,44 +269,6 @@ func TestTransferReordering(t *testing.T) {
 	}
 }
 
-func TestTypedTransferEquivalence(t *testing.T) {
-	payloads := makePayloads(15, 24)
-	for _, loss := range []float64{0, 0.15, 0.35} {
-		cfg := Config{
-			Seed: 7,
-			Link: netsim.LinkParams{
-				Delay: time.Millisecond, LossProb: loss, DupProb: 0.05, CorruptProb: 0.05,
-			},
-			RTO: 15 * time.Millisecond, MaxRetries: 40,
-		}
-		interp, err := RunTransfer(cfg, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		typed, err := RunTransferTyped(cfg, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if interp.OK != typed.OK || interp.SenderState != typed.SenderState {
-			t.Fatalf("loss=%.2f: interp (%v,%s) != typed (%v,%s)",
-				loss, interp.OK, interp.SenderState, typed.OK, typed.SenderState)
-		}
-		if len(interp.Delivered) != len(typed.Delivered) {
-			t.Fatalf("loss=%.2f: delivered %d vs %d", loss, len(interp.Delivered), len(typed.Delivered))
-		}
-		for i := range interp.Delivered {
-			if !bytes.Equal(interp.Delivered[i], typed.Delivered[i]) {
-				t.Fatalf("loss=%.2f: delivery %d differs between implementations", loss, i)
-			}
-		}
-		if interp.Sender.PacketsSent != typed.Sender.PacketsSent ||
-			interp.Sender.Retransmits != typed.Sender.Retransmits {
-			t.Errorf("loss=%.2f: sender stats differ: %+v vs %+v",
-				loss, interp.Sender, typed.Sender)
-		}
-	}
-}
-
 func TestTransferDeterministic(t *testing.T) {
 	cfg := Config{
 		Seed: 99,
@@ -409,41 +371,6 @@ func TestQuickTransferInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTypedTransitionLog(t *testing.T) {
-	sim := netsim.New(1)
-	sEP, _ := sim.NewEndpoint("s")
-	rEP, _ := sim.NewEndpoint("r")
-	sim.Connect(sEP, rEP, netsim.LinkParams{Delay: time.Millisecond})
-	if _, err := NewTypedReceiver(sim, rEP, sEP.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	send, err := NewTypedSender(sim, sEP, rEP.Addr(), makePayloads(2, 4), 10*time.Millisecond, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	send.Start()
-	if err := sim.RunUntilIdle(1000); err != nil {
-		t.Fatal(err)
-	}
-	if !send.OK() {
-		t.Fatalf("transfer failed: %s", send.State())
-	}
-	entries := send.Log().Entries()
-	// Expect SEND, OK, SEND, OK, FINISH.
-	want := []string{"SEND", "OK", "SEND", "OK", "FINISH"}
-	if len(entries) != len(want) {
-		t.Fatalf("log = %v", entries)
-	}
-	for i, w := range want {
-		if entries[i].Name != w || entries[i].Err {
-			t.Errorf("log[%d] = %v, want %s", i, entries[i], w)
-		}
-	}
-	if entries[4].From != StReady || entries[4].To != StSent {
-		t.Errorf("FINISH entry = %v", entries[4])
 	}
 }
 

@@ -192,7 +192,7 @@ type SenderReady struct {
 	Vars SenderVars
 }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (SenderReady) StateName() string { return "Ready" }
 
 // SenderWait is machine Sender in state "Wait".
@@ -200,7 +200,7 @@ type SenderWait struct {
 	Vars SenderVars
 }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (SenderWait) StateName() string { return "Wait" }
 
 // SenderTimeout is machine Sender in state "Timeout".
@@ -208,7 +208,7 @@ type SenderTimeout struct {
 	Vars SenderVars
 }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (SenderTimeout) StateName() string { return "Timeout" }
 
 // SenderSent is machine Sender in state "Sent" (final: no transitions leave it).
@@ -216,7 +216,7 @@ type SenderSent struct {
 	Vars SenderVars
 }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (SenderSent) StateName() string { return "Sent" }
 
 // NewSender returns the machine in its initial state "Ready".
@@ -350,7 +350,7 @@ func (m *SenderMachine) Reset() { *m = NewSenderMachine() }
 // StateIndex returns the dense index of the current state.
 func (m *SenderMachine) StateIndex() int { return int(m.state) }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (m *SenderMachine) StateName() string { return senderStateNames[m.state] }
 
 // InFinal reports whether the machine is in an accepting state.
@@ -528,7 +528,7 @@ type ReceiverReadyFor struct {
 	Vars ReceiverVars
 }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (ReceiverReadyFor) StateName() string { return "ReadyFor" }
 
 // ReceiverClosed is machine Receiver in state "Closed" (final: no transitions leave it).
@@ -536,7 +536,7 @@ type ReceiverClosed struct {
 	Vars ReceiverVars
 }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (ReceiverClosed) StateName() string { return "Closed" }
 
 // NewReceiver returns the machine in its initial state "ReadyFor".
@@ -645,7 +645,7 @@ func (m *ReceiverMachine) Reset() { *m = NewReceiverMachine() }
 // StateIndex returns the dense index of the current state.
 func (m *ReceiverMachine) StateIndex() int { return int(m.state) }
 
-// StateName identifies the state (it satisfies fsmtyped.State).
+// StateName identifies the state.
 func (m *ReceiverMachine) StateName() string { return receiverStateNames[m.state] }
 
 // InFinal reports whether the machine is in an accepting state.

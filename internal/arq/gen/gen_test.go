@@ -13,19 +13,8 @@ import (
 
 	"protodsl/internal/arq"
 	"protodsl/internal/expr"
-	"protodsl/internal/fsmtyped"
 	"protodsl/internal/genrt"
 	"protodsl/internal/netsim"
-)
-
-// The generated state types satisfy fsmtyped.State.
-var (
-	_ fsmtyped.State = SenderReady{}
-	_ fsmtyped.State = SenderWait{}
-	_ fsmtyped.State = SenderTimeout{}
-	_ fsmtyped.State = SenderSent{}
-	_ fsmtyped.State = ReceiverReadyFor{}
-	_ fsmtyped.State = ReceiverClosed{}
 )
 
 func TestGeneratedCodecRoundTrip(t *testing.T) {
@@ -241,232 +230,6 @@ func TestGeneratedReceiver(t *testing.T) {
 	}
 }
 
-// genSender drives the generated machine over the simulator — the
-// generated analogue of arq.Sender.
-type genSender struct {
-	sim  *netsim.Sim
-	ep   *netsim.Endpoint
-	peer netsim.Addr
-
-	state    fsmtyped.State
-	payloads [][]byte
-	idx      int
-
-	timer      netsim.Timer
-	rto        time.Duration
-	maxRetries int
-	retries    int
-
-	packetsSent, retransmits int
-	done, ok                 bool
-	err                      error
-}
-
-func (s *genSender) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-	s.finish(false)
-}
-
-func (s *genSender) finish(ok bool) {
-	if s.done {
-		return
-	}
-	s.done, s.ok = true, ok
-	if s.timer != nil {
-		s.timer.Cancel()
-	}
-}
-
-func (s *genSender) advance() {
-	if s.done {
-		return
-	}
-	ready, isReady := s.state.(SenderReady)
-	if !isReady {
-		s.fail(errors.New("advance outside Ready"))
-		return
-	}
-	if s.idx >= len(s.payloads) {
-		sent, err := ready.Finish()
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		s.state = sent
-		s.finish(true)
-		return
-	}
-	s.transmit(ready, false)
-}
-
-func (s *genSender) transmit(ready SenderReady, retrans bool) {
-	wait, pkt, err := ready.Send(s.payloads[s.idx])
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	s.state = wait
-	enc, err := EncodePacket(pkt)
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	if err := s.ep.Send(s.peer, enc); err != nil {
-		s.fail(err)
-		return
-	}
-	s.packetsSent++
-	if retrans {
-		s.retransmits++
-	}
-	if s.timer != nil {
-		s.timer.Cancel()
-	}
-	s.timer = s.sim.After(s.rto, s.onTimeout)
-}
-
-func (s *genSender) onDatagram(_ netsim.Addr, data []byte) {
-	if s.done {
-		return
-	}
-	wait, isWait := s.state.(SenderWait)
-	ack, err := DecodeAck(data)
-	if err != nil {
-		if !isWait {
-			return
-		}
-		ready, ferr := wait.Fail()
-		if ferr != nil {
-			s.fail(ferr)
-			return
-		}
-		s.state = ready
-		s.transmit(ready, true)
-		return
-	}
-	if !isWait {
-		return
-	}
-	ready, err := wait.Ack(ack)
-	if err != nil {
-		return // guard rejection: stale ack
-	}
-	s.state = ready
-	if s.timer != nil {
-		s.timer.Cancel()
-	}
-	s.retries = 0
-	s.idx++
-	s.advance()
-}
-
-func (s *genSender) onTimeout() {
-	if s.done {
-		return
-	}
-	wait, isWait := s.state.(SenderWait)
-	if !isWait {
-		return
-	}
-	timedOut, err := wait.Timeout()
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	s.state = timedOut
-	s.retries++
-	if s.retries > s.maxRetries {
-		s.finish(false)
-		return
-	}
-	ready, err := timedOut.Retry()
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	s.state = ready
-	s.transmit(ready, true)
-}
-
-// genReceiver drives the generated receiver.
-type genReceiver struct {
-	ep        *netsim.Endpoint
-	peer      netsim.Addr
-	state     ReceiverReadyFor
-	delivered [][]byte
-	err       error
-}
-
-func (r *genReceiver) onDatagram(_ netsim.Addr, data []byte) {
-	if r.err != nil {
-		return
-	}
-	pkt, err := DecodePacket(data)
-	if err != nil {
-		return // unverified: dropped before any processing
-	}
-	var ackOut Ack
-	if next, out, aerr := r.state.Accept(pkt); aerr == nil {
-		r.state = next
-		r.delivered = append(r.delivered, pkt.Value().Payload)
-		ackOut = out
-	} else if same, out, derr := r.state.Dupack(pkt); derr == nil {
-		r.state = same
-		ackOut = out
-	} else {
-		return // unreachable: the guards partition the space
-	}
-	enc, err := EncodeAck(ackOut)
-	if err != nil {
-		r.err = err
-		return
-	}
-	if err := r.ep.Send(r.peer, enc); err != nil {
-		r.err = err
-	}
-}
-
-// runGenTransfer mirrors arq.RunTransfer using only generated code.
-func runGenTransfer(cfg arq.Config, payloads [][]byte) (ok bool, delivered [][]byte, packetsSent int, err error) {
-	if cfg.RTO == 0 {
-		cfg.RTO = 50 * time.Millisecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 10
-	}
-	sim := netsim.New(cfg.Seed)
-	sEP, err := sim.NewEndpoint("sender")
-	if err != nil {
-		return false, nil, 0, err
-	}
-	rEP, err := sim.NewEndpoint("receiver")
-	if err != nil {
-		return false, nil, 0, err
-	}
-	sim.Connect(sEP, rEP, cfg.Link)
-
-	recv := &genReceiver{ep: rEP, peer: sEP.Addr(), state: NewReceiver()}
-	rEP.SetHandler(recv.onDatagram)
-	send := &genSender{
-		sim: sim, ep: sEP, peer: rEP.Addr(), state: NewSender(),
-		payloads: payloads, rto: cfg.RTO, maxRetries: cfg.MaxRetries,
-	}
-	sEP.SetHandler(send.onDatagram)
-	sim.Post(send.advance)
-	if err := sim.RunUntilIdle(100000); err != nil {
-		return false, nil, 0, err
-	}
-	if send.err != nil {
-		return false, nil, 0, send.err
-	}
-	if recv.err != nil {
-		return false, nil, 0, recv.err
-	}
-	return send.ok, recv.delivered, send.packetsSent, nil
-}
-
 func TestGeneratedTransferOverLossyLink(t *testing.T) {
 	payloads := make([][]byte, 25)
 	for i := range payloads {
@@ -477,57 +240,83 @@ func TestGeneratedTransferOverLossyLink(t *testing.T) {
 		Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: 0.2, DupProb: 0.05, CorruptProb: 0.05},
 		RTO:  15 * time.Millisecond, MaxRetries: 50,
 	}
-	ok, delivered, _, err := runGenTransfer(cfg, payloads)
+	res, err := RunTransfer(cfg, payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !res.OK {
 		t.Fatal("generated transfer failed")
 	}
-	if len(delivered) != len(payloads) {
-		t.Fatalf("delivered %d/%d", len(delivered), len(payloads))
+	if len(res.Delivered) != len(payloads) {
+		t.Fatalf("delivered %d/%d", len(res.Delivered), len(payloads))
 	}
 	for i := range payloads {
-		if !bytes.Equal(delivered[i], payloads[i]) {
+		if !bytes.Equal(res.Delivered[i], payloads[i]) {
 			t.Fatalf("payload %d mismatch", i)
 		}
 	}
 }
 
 // TestGeneratedEquivalentToInterpreter: generated code and the fsm
-// interpreter produce identical protocol behaviour on identical seeds.
+// interpreter produce identical protocol behaviour on identical seeds —
+// outcome, final sender state, deliveries, packets sent and
+// retransmissions — over duplicating and corrupting links.
 func TestGeneratedEquivalentToInterpreter(t *testing.T) {
-	payloads := make([][]byte, 15)
-	for i := range payloads {
-		payloads[i] = []byte{byte(i)}
+	oneByte := make([][]byte, 15)
+	for i := range oneByte {
+		oneByte[i] = []byte{byte(i)}
 	}
-	for _, loss := range []float64{0, 0.2, 0.4} {
-		cfg := arq.Config{
-			Seed: 11,
-			Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: loss, DupProb: 0.1},
-			RTO:  12 * time.Millisecond, MaxRetries: 40,
+	wide := make([][]byte, 15)
+	for i := range wide {
+		wide[i] = make([]byte, 24)
+		for j := range wide[i] {
+			wide[i][j] = byte(i + j)
 		}
-		interp, err := arq.RunTransfer(cfg, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		genOK, genDelivered, genPackets, err := runGenTransfer(cfg, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if interp.OK != genOK {
-			t.Fatalf("loss=%.1f: interp ok=%v, generated ok=%v", loss, interp.OK, genOK)
-		}
-		if len(interp.Delivered) != len(genDelivered) {
-			t.Fatalf("loss=%.1f: delivered %d vs %d", loss, len(interp.Delivered), len(genDelivered))
-		}
-		for i := range interp.Delivered {
-			if !bytes.Equal(interp.Delivered[i], genDelivered[i]) {
-				t.Fatalf("loss=%.1f: delivery %d differs", loss, i)
+	}
+	cases := []struct {
+		seed     int64
+		payloads [][]byte
+		losses   []float64
+		dup      float64
+		corrupt  float64
+		rto      time.Duration
+	}{
+		{seed: 11, payloads: oneByte, losses: []float64{0, 0.2, 0.4}, dup: 0.1, rto: 12 * time.Millisecond},
+		{seed: 7, payloads: wide, losses: []float64{0, 0.15, 0.35}, dup: 0.05, corrupt: 0.05, rto: 15 * time.Millisecond},
+	}
+	for _, c := range cases {
+		for _, loss := range c.losses {
+			cfg := arq.Config{
+				Seed: c.seed,
+				Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: loss, DupProb: c.dup, CorruptProb: c.corrupt},
+				RTO:  c.rto, MaxRetries: 40,
 			}
-		}
-		if interp.Sender.PacketsSent != genPackets {
-			t.Errorf("loss=%.1f: packets sent %d vs %d", loss, interp.Sender.PacketsSent, genPackets)
+			interp, err := arq.RunTransfer(cfg, c.payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := RunTransfer(cfg, c.payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if interp.OK != gen.OK || interp.SenderState != gen.SenderState {
+				t.Fatalf("seed=%d loss=%.2f: interp (%v,%s), generated (%v,%s)",
+					c.seed, loss, interp.OK, interp.SenderState, gen.OK, gen.SenderState)
+			}
+			if len(interp.Delivered) != len(gen.Delivered) {
+				t.Fatalf("seed=%d loss=%.2f: delivered %d vs %d", c.seed, loss, len(interp.Delivered), len(gen.Delivered))
+			}
+			for i := range interp.Delivered {
+				if !bytes.Equal(interp.Delivered[i], gen.Delivered[i]) {
+					t.Fatalf("seed=%d loss=%.2f: delivery %d differs", c.seed, loss, i)
+				}
+			}
+			if interp.Sender.PacketsSent != gen.Sender.PacketsSent || interp.Sender.Retransmits != gen.Sender.Retransmits {
+				t.Errorf("seed=%d loss=%.2f: packets sent/retransmits %d/%d vs %d/%d", c.seed, loss,
+					interp.Sender.PacketsSent, interp.Sender.Retransmits, gen.Sender.PacketsSent, gen.Sender.Retransmits)
+			}
+			t.Logf("seed=%d loss=%.2f: %s, %d packets, %d retransmits",
+				c.seed, loss, gen.SenderState, gen.Sender.PacketsSent, gen.Sender.Retransmits)
 		}
 	}
 }

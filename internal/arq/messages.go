@@ -1,9 +1,10 @@
 // Package arq implements the paper's worked example (§3.4): a simple
 // stop-and-wait transport protocol with automatic repeat request, built
 // entirely on the DSL framework — wire-described packets, a statically
-// checked state machine executed by the fsm interpreter, validation
-// witnesses for received packets, and the typed-state (fsmtyped) variant
-// that carries the transition discipline in Go's type system.
+// checked state machine executed by the fsm interpreter, and validation
+// witnesses for received packets. The typed-state variant, which carries
+// the transition discipline in Go's type system, is generated from the
+// same spec into internal/arq/gen.
 //
 // A go-back-N extension (window > 1) is provided as the "further work"
 // the paper sketches for richer protocols.

@@ -72,19 +72,10 @@ func TestEnginesRunLoadedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := NewTypedSender(sim, ep(), peer, nil, time.Second, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTypedReceiver(sim, ep(), peer)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, c := range map[string]*Codec{
 		"stop-and-wait sender": s.codec, "stop-and-wait receiver": r.codec,
 		"gbn sender": gs.s.codec, "gbn receiver": gr.r.codec,
 		"sr sender": ss.s.codec, "sr receiver": sr.r.codec,
-		"typed sender": ts.codec, "typed receiver": tr.codec,
 	} {
 		if c.PacketProgram() != pktProg || c.AckProgram() != ackProg {
 			t.Errorf("%s: codec does not use the loaded Packet/Ack programs", name)

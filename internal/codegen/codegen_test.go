@@ -94,26 +94,13 @@ func TestGenerateStructure(t *testing.T) {
 	}
 }
 
-// TestGenerateSpecFiles: every .pdsl under examples/specs must pass
-// through the IR backend (the specs are pinned byte-identical to the
-// embedded sources, but this fails at the right place if a new spec
-// lands that the generator cannot lower).
+// TestGenerateSpecFiles: every .pdsl under examples/specs, and the
+// name-collision input in testdata, must lower to a package that
+// type-checks — not merely generate without error.
 func TestGenerateSpecFiles(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "specs", "*.pdsl"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no spec files: %v", err)
-	}
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proto, _, err := dsl.Compile(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if _, err := Generate(proto, Options{Package: "gen"}); err != nil {
-			t.Errorf("%s: generate: %v", path, err)
+	for _, in := range generateInputs(t) {
+		if _, err := checkGenerated(t, in.path+".go", in.src); err != nil {
+			t.Errorf("%s: generated package does not type-check: %v", in.path, err)
 		}
 	}
 }

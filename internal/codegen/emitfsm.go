@@ -2,7 +2,9 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"protodsl/internal/expr"
@@ -48,7 +50,7 @@ func (g *generator) machine(prog *fsm.Program) error {
 		g.p("\tVars %sVars", mName)
 		g.p("}")
 		g.p("")
-		g.p("// StateName identifies the state (it satisfies fsmtyped.State).")
+		g.p("// StateName identifies the state.")
 		g.p("func (%s) StateName() string { return %q }", sName, st.Name)
 		g.p("")
 	}
@@ -108,10 +110,13 @@ func (g *generator) transition(spec *fsm.Spec, mName string, t *fsm.Transition) 
 			spec.Name, t.Name, len(t.Outputs))
 	}
 
+	// The receiver and locals must not shadow an event parameter.
+	recv, vars, out := freeName("s", ev.Params), freeName("vars", ev.Params), freeName("out", ev.Params)
+
 	// Bind machine vars and event params for expression translation.
 	tr := &goTranslator{messages: g.proto.Messages, vars: make(map[string]varBinding)}
 	for _, v := range spec.Vars {
-		tr.vars[v.Name] = varBinding{code: "s.Vars." + goName(v.Name), typ: v.Type}
+		tr.vars[v.Name] = varBinding{code: recv + ".Vars." + goName(v.Name), typ: v.Type}
 	}
 	var params []string
 	var witnessChecks []string
@@ -137,7 +142,7 @@ func (g *generator) transition(spec *fsm.Spec, mName string, t *fsm.Transition) 
 		g.p("// It returns genrt.ErrGuardFailed — and the caller keeps its current")
 		g.p("// state value — when the guard `%s` does not hold.", t.Guard.String())
 	}
-	g.p("func (s %s) %s(%s) %s {", fromT, method, strings.Join(params, ", "), returns)
+	g.p("func (%s %s) %s(%s) %s {", recv, fromT, method, strings.Join(params, ", "), returns)
 	for _, w := range witnessChecks {
 		g.p("\tif !%s.Valid() {", w)
 		g.p("\t\treturn %s, genrt.ErrUnverified", zeroReturn)
@@ -152,25 +157,25 @@ func (g *generator) transition(spec *fsm.Spec, mName string, t *fsm.Transition) 
 		g.p("\t\treturn %s, genrt.ErrGuardFailed", zeroReturn)
 		g.p("\t}")
 	}
-	// Simultaneous assignment: RHS reads s.Vars (pre-state) only.
-	g.p("\tvars := s.Vars")
+	// Simultaneous assignment: RHS reads the receiver's Vars (pre-state) only.
+	g.p("\t%s := %s.Vars", vars, recv)
 	for _, a := range t.Assigns {
 		code, at, err := tr.translate(a.Expr)
 		if err != nil {
 			return fmt.Errorf("codegen: machine %s transition %s assign %s: %w", spec.Name, t.Name, a.Var, err)
 		}
 		v, _ := spec.VarByName(a.Var)
-		g.p("\tvars.%s = %s", goName(a.Var), castTo(code, at, v.Type))
+		g.p("\t%s.%s = %s", vars, goName(a.Var), castTo(code, at, v.Type))
 	}
 	if len(t.Outputs) == 1 {
 		lit, err := g.outputLiteral(spec, tr, t, &t.Outputs[0])
 		if err != nil {
 			return err
 		}
-		g.p("\tout := %s", lit)
-		g.p("\treturn %s{Vars: vars}, out, nil", toT)
+		g.p("\t%s := %s", out, lit)
+		g.p("\treturn %s{Vars: %s}, %s, nil", toT, vars, out)
 	} else {
-		g.p("\treturn %s{Vars: vars}, nil", toT)
+		g.p("\treturn %s{Vars: %s}, nil", toT, vars)
 	}
 	g.p("}")
 	g.p("")
@@ -304,7 +309,7 @@ func (g *generator) flatMachine(prog *fsm.Program) error {
 	g.p("// StateIndex returns the dense index of the current state.")
 	g.p("func (m *%sMachine) StateIndex() int { return int(m.state) }", mName)
 	g.p("")
-	g.p("// StateName identifies the state (it satisfies fsmtyped.State).")
+	g.p("// StateName identifies the state.")
 	g.p("func (m *%sMachine) StateName() string { return %sStateNames[m.state] }", mName, lname)
 	g.p("")
 	g.p("// InFinal reports whether the machine is in an accepting state.")
@@ -342,12 +347,7 @@ func (g *generator) flatEvent(prog *fsm.Program, mName, lname string, e int, trC
 	ev := prog.EventAt(e)
 	evName := goName(ev.Name)
 
-	recv := "m"
-	for _, p := range ev.Params {
-		if p.Name == "m" {
-			recv = "mm"
-		}
-	}
+	recv, fn := freeName("m", ev.Params), freeName("fn", ev.Params)
 	var sigParams, callParams, tabParams []string
 	for _, p := range ev.Params {
 		sigParams = append(sigParams, p.Name+" "+flatParamType(p.Type))
@@ -415,14 +415,25 @@ func (g *generator) flatEvent(prog *fsm.Program, mName, lname string, e int, trC
 	g.p("// event the current state neither handles nor ignores.")
 	g.p("func (%s *%sMachine) %s(%s) (genrt.StepOutcome, error) {", recv, mName, evName, strings.Join(sigParams, ", "))
 	call := strings.Join(append([]string{recv}, callParams...), ", ")
-	g.p("\tif fn := %s%sTab[%s.state]; fn != nil {", lname, evName, recv)
-	g.p("\t\treturn fn(%s)", call)
+	g.p("\tif %s := %s%sTab[%s.state]; %s != nil {", fn, lname, evName, recv, fn)
+	g.p("\t\treturn %s(%s)", fn, call)
 	g.p("\t}")
 	g.p("\treturn genrt.StepNone, genrt.ErrNoTransition")
 	g.p("}")
 	g.p("")
 	_ = spec
 	return nil
+}
+
+// freeName returns base, or base with the smallest numeric suffix that
+// names no event parameter, so generated receivers and locals never
+// shadow a parameter.
+func freeName(base string, params []fsm.Param) string {
+	name := base
+	for i := 2; slices.ContainsFunc(params, func(p fsm.Param) bool { return p.Name == name }); i++ {
+		name = base + strconv.Itoa(i)
+	}
+	return name
 }
 
 func prefixJoin(params []string) string {

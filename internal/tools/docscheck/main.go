@@ -1,7 +1,10 @@
 // Command docscheck fails CI when documentation references rot: every
 // `DESIGN.md §N` citation in the repository's Go sources must name a
 // section that actually exists in DESIGN.md (headings of the form
-// `## §N — title`). It is the docs counterpart of the codegen drift
+// `## §N — title`), and every backticked repository path in a Markdown
+// file (`internal/…`, `cmd/…`, `examples/…`, `bench/…`, `docs/…`, with
+// an optional `:line` suffix or trailing `.Symbol`) must name a file or
+// directory that exists. It is the docs counterpart of the codegen drift
 // tests: the design document is load-bearing, so dangling citations
 // are build failures, not editorial debt.
 //
@@ -24,6 +27,14 @@ import (
 var (
 	refRe     = regexp.MustCompile(`DESIGN\.md\s+§(\d+)`)
 	sectionRe = regexp.MustCompile(`(?m)^##\s+§(\d+)`)
+	pathRe    = regexp.MustCompile("`((?:internal|cmd|examples|bench|docs)/[A-Za-z0-9_./-]*)(?::[0-9][0-9,-]*)?`")
+	symbolRe  = regexp.MustCompile(`\.[A-Za-z_][A-Za-z0-9_]*$`)
+
+	// aboutTree holds the root Markdown files held to the path rule. The
+	// other root documents are history, plans and paper notes: they name
+	// paths that are gone or not yet made, or quote other repositories.
+	// Markdown below the root is always checked.
+	aboutTree = map[string]bool{"DESIGN.md": true, "README.md": true}
 )
 
 func main() {
@@ -42,7 +53,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all DESIGN.md §N references resolve")
+	fmt.Println("docscheck: all DESIGN.md §N references and doc paths resolve")
 }
 
 // sections parses the §N headings out of DESIGN.md text.
@@ -58,7 +69,8 @@ func sections(design string) map[int]bool {
 }
 
 // check scans every .go file under root for DESIGN.md §N references and
-// reports those naming a section DESIGN.md does not declare.
+// every Markdown file for repository paths, and reports the references
+// that do not resolve.
 func check(root string) ([]string, error) {
 	designPath := filepath.Join(root, "DESIGN.md")
 	design, err := os.ReadFile(designPath)
@@ -70,6 +82,31 @@ func check(root string) ([]string, error) {
 		return nil, fmt.Errorf("%s declares no `## §N` sections", designPath)
 	}
 
+	// Build outputs the .gitignore lists may be named though a clean
+	// checkout lacks them.
+	var outputs []string
+	if ignore, err := os.ReadFile(filepath.Join(root, ".gitignore")); err == nil {
+		for _, line := range strings.Split(string(ignore), "\n") {
+			if line = strings.Trim(strings.TrimSpace(line), "/"); line != "" && !strings.HasPrefix(line, "#") {
+				outputs = append(outputs, line)
+			}
+		}
+	}
+	resolves := func(path string) bool {
+		for _, p := range []string{path, symbolRe.ReplaceAllString(path, "")} {
+			p = strings.TrimSuffix(p, "/")
+			if _, err := os.Stat(filepath.Join(root, p)); err == nil {
+				return true
+			}
+			for _, out := range outputs {
+				if p == out || strings.HasPrefix(p, out+"/") {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
 	var problems []string
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -78,6 +115,22 @@ func check(root string) ([]string, error) {
 		if d.IsDir() {
 			if name := d.Name(); name == ".git" || name == "testdata" {
 				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, ".md") && (aboutTree[rel] || strings.ContainsRune(rel, filepath.Separator)) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range pathRe.FindAllStringSubmatch(string(data), -1) {
+				if !resolves(m[1]) {
+					problems = append(problems, fmt.Sprintf("%s names `%s`, which does not exist", rel, m[1]))
+				}
 			}
 			return nil
 		}
@@ -95,10 +148,6 @@ func check(root string) ([]string, error) {
 					continue
 				}
 				if !have[n] {
-					rel, rerr := filepath.Rel(root, path)
-					if rerr != nil {
-						rel = path
-					}
 					problems = append(problems, fmt.Sprintf("%s cites DESIGN.md §%d, which does not exist", rel, n))
 				}
 			}

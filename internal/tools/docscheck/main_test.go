@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,34 @@ func TestCheckFlagsDanglingReference(t *testing.T) {
 	}
 	if len(problems) != 1 {
 		t.Fatalf("want exactly the §6 problem, got %v", problems)
+	}
+}
+
+func TestCheckFlagsStalePath(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"DESIGN.md":         "## §1 — A\n",
+		"internal/pkg/a.go": "package pkg\n",
+		"docs/NOTES.md": "`internal/pkg` `internal/pkg/a.go:3` `internal/pkg.Symbol` `internal/*.go` `protodsl/internal/x`\n" +
+			"stale: `internal/gone.go`\n",
+		"CHANGES.md":      "deleted `internal/old.go`\n",
+		".gitignore":      "# outputs\n/bench/out/\n",
+		"bench/README.md": "traces land in `bench/out/` as `bench/out/run.json`\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	problems, err := check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], "internal/gone.go") {
+		t.Fatalf("want exactly the internal/gone.go problem, got %v", problems)
 	}
 }
 
