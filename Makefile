@@ -12,12 +12,14 @@ test:
 
 # The packages with cross-goroutine surface: the sharded experiment
 # harness, the simulator substrate it fans out over, the real-UDP
-# runtime (whose loopback E2E runs 64 concurrent flows), and the
-# parallel model checker. One engine per goroutine is the contract;
-# -race pins it, including through BenchmarkE11MultiFlow. -shuffle=on
-# surfaces test-order dependencies while we're paying for the rerun.
+# runtime (whose loopback E2E runs 64 concurrent flows) and its session
+# layer, the parallel model checker, and the compiled specs every
+# engine on every shard shares (arq, ipv4, dsl.Load). One engine per
+# goroutine is the contract; -race pins it, including through
+# BenchmarkE11MultiFlow. -shuffle=on surfaces test-order dependencies
+# while we're paying for the rerun. CI's race job runs this target.
 race:
-	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/verify/
+	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/session/ ./internal/verify/ ./internal/ipv4/ ./internal/dsl/
 	$(GO) test -run '^$$' -bench BenchmarkE11MultiFlow -benchtime 1x -race .
 
 # Seeded chaos soak (DESIGN.md §13): 64 loopback flows under

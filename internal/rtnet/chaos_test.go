@@ -33,9 +33,11 @@ type chaosServer struct {
 type count62 struct{ expect uint64 }
 
 // proverPace throttles the crash-prover receivers (flows 28/29) so the
-// server cannot finish their 2000-payload streams before the crash at
-// 400ms lands: at most ~1333 frames can even arrive first, guaranteeing
-// both flows are mid-flight and must ride the snapshot path.
+// server cannot finish their 2000-payload streams before the crash:
+// 2000 frames take at least 600ms of server time, and the kill lands
+// as soon as both provers have delivered something (see
+// awaitProversMidFlight), so both flows are mid-flight and must ride
+// the snapshot path.
 const proverPace = 300 * time.Microsecond
 
 const proverPayloads = 2000
@@ -120,6 +122,26 @@ func serveChaosSessions(node *Node, scfg SessionConfig) (*chaosServer, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// awaitProversMidFlight waits until both crash provers have delivered
+// at least one payload on server: the premise the crash-seam checks
+// rest on.
+func awaitProversMidFlight(t *testing.T, server *Node, srv *chaosServer, client netsim.Addr) {
+	t.Helper()
+	waitFor(t, 10*time.Second, func() bool {
+		for _, id := range []byte{28, 29} {
+			var expect uint64
+			if err := server.Do(id, func() {
+				if r := srv.receiver(client, id); r != nil {
+					expect = r.Expect()
+				}
+			}); err != nil || expect == 0 {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // sessFlow is one client-side session transfer: done closes when its
@@ -277,14 +299,20 @@ func TestChaosSoak(t *testing.T) {
 	provers := startSessionFlows(t, client, peer, 28, 2, proverPayloads, payloadSize)
 
 	// Kill the server at the crash mark, then restart it on the same
-	// port over the same state dir after the outage window.
+	// port over the same state dir after the outage window. The pace
+	// only bounds the provers' progress from above; their handshake can
+	// land on the partition, so the kill also waits until both have
+	// delivered on server1.
+	clientAddr := client.Addr()
 	time.Sleep(time.Until(t0.Add(crash.From)))
+	awaitProversMidFlight(t, server1, srv1, clientAddr)
+	killedAt := time.Now()
 	if err := server1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	server1Obs := server1.Obs()
 
-	time.Sleep(time.Until(t0.Add(crash.Until)))
+	time.Sleep(time.Until(killedAt.Add(crash.Until - crash.From)))
 	server2, err := Listen(serverAddrStr, serverCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +529,6 @@ func TestChaosSoak(t *testing.T) {
 	// Byte-exact delivery across the crash seam: whatever the first
 	// incarnation delivered, the second must continue at exactly that
 	// point — one payload stream per flow, no duplicates, no holes.
-	clientAddr := client.Addr()
 	for id := 0; id < 30; id++ {
 		perFlow := payloadsPerFlow
 		if id >= 28 {
@@ -570,10 +597,10 @@ func TestChaosSoak(t *testing.T) {
 
 	// Overload: establish a session on the slow flow, then flood it from
 	// the client until the shard sheds. Sequenced after the transfer
-	// verification because pool-dry shedding is deliberately global — a
-	// flood hard enough to dry the shared batch pool sheds *every*
-	// shard's traffic, which is the designed overload behaviour but
-	// would make "every transfer completes" a race against the flood.
+	// verification because shedding is per shard, not per flow: the
+	// flood's shard also owns transfer flows, whose frames its full
+	// inbox would shed too, making "every transfer completes" a race
+	// against the flood.
 	floodFlow := establishAux(61)
 	for i := 0; i < 120 && server2.Obs().Total(obs.Sheds) == 0; i++ {
 		if err := floodFlow.Do(func(rt netsim.Runtime, port netsim.Port) {

@@ -17,8 +17,9 @@ import (
 // Close cannot race the in-flight sendmmsg flush, Drain finishes
 // in-flight transfers before reporting quiescence, engine panics are
 // contained to their flow, idle served engines are reaped, and overload
-// sheds batches instead of stalling readers. The chaos soak that
-// exercises all of them at once under seeded faults is chaos_test.go.
+// sheds frames at the shard inbox instead of stalling readers. The
+// chaos soak that exercises all of them at once under seeded faults is
+// chaos_test.go.
 
 // startGBNFlowsFrom attaches count GBN senders on client towards peer,
 // one per flow id in [base, base+count), and returns their senders and
@@ -339,10 +340,11 @@ func TestIdleExpiryReapsAbandonedPeers(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return spawned.Load() == 2 })
 }
 
-// TestOverloadShedsOldestNotReader: flooding a shard whose engine is
-// slow must shed batches (counted) rather than stall the reader, and
-// the node must stay fully responsive for other work afterwards.
-func TestOverloadShedsOldestNotReader(t *testing.T) {
+// TestOverloadTailDropsNotReader: flooding a shard whose engine is slow
+// must shed the frames that arrive at its full inbox (counted) rather
+// than stall the reader, and the node must stay fully responsive for
+// other work afterwards.
+func TestOverloadTailDropsNotReader(t *testing.T) {
 	server, err := Listen("127.0.0.1:0", Config{Shards: 1, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +353,8 @@ func TestOverloadShedsOldestNotReader(t *testing.T) {
 	err = server.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
 		if flow == 1 {
 			// Pathologically slow engine: each frame pins the shard loop
-			// long enough for the reader to exhaust inbox and batch pool.
+			// long enough for the reader to fill the inbox's
+			// inboxFactor × Batch frames.
 			return func(from netsim.Addr, data []byte) { time.Sleep(2 * time.Millisecond) }
 		}
 		return func(from netsim.Addr, data []byte) { _ = port.Send(from, data) }
@@ -416,4 +419,53 @@ func TestOverloadShedsOldestNotReader(t *testing.T) {
 			return false
 		}
 	})
+}
+
+// TestInboxBoundedInFramesNotWakeups: a shard parked inside Node.Do
+// while its reader wakes once per datagram must find every frame
+// waiting when it resumes. The inbox is bounded in frames (inboxFactor
+// × Batch), not in reader wakeups, so sixteen one-frame wakeups — four
+// times the depth of a four-batch queue, far fewer frames than the
+// bound — shed nothing.
+func TestInboxBoundedInFramesNotWakeups(t *testing.T) {
+	server, err := Listen("127.0.0.1:0", Config{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	var got atomic.Int32
+	if err := server.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
+		return func(netsim.Addr, []byte) { got.Add(1) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	doErr := make(chan error, 1)
+	go func() { doErr <- server.Do(1, func() { close(parked); <-release }) }()
+	<-parked
+
+	c, err := net.Dial("udp", string(server.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const frames = 16
+	for i := 0; i < frames; i++ {
+		if _, err := c.Write([]byte{0x01, ^byte(0x01), byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		// Let the reader take each datagram in its own wakeup.
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	if err := <-doErr; err != nil {
+		t.Fatal(err)
+	}
+	sheds := func() uint64 { return server.Obs().Total(obs.Sheds) }
+	waitFor(t, 5*time.Second, func() bool { return uint64(got.Load())+sheds() >= frames })
+	if n := sheds(); n != 0 || got.Load() != frames {
+		t.Fatalf("%d of %d frames queued behind a parked shard delivered, %d shed; want all delivered, 0 shed", got.Load(), frames, n)
+	}
 }

@@ -40,8 +40,9 @@
 // Flow.Do, which run a function inside the loop and wait for it.
 //
 // Robustness (DESIGN.md §13): the node degrades rather than stalls.
-// Readers never block — a full shard inbox sheds its oldest batch and a
-// dry batch pool sheds the frame, both counted as sheds; engine panics
+// Readers never block — a shard inbox already holding inboxFactor ×
+// Config.Batch frames sheds the arriving frame (tail drop, counted as
+// sheds on that shard, no other shard affected); engine panics
 // are contained to the offending flow (panics_recovered); served
 // engines idle past Config.IdleTimeout are reaped (flows_expired); and
 // shutdown is two-phase: Drain (lame duck — no engines for new peers,
@@ -166,19 +167,51 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// pkt is one received frame, mux header still attached; data aliases
-// the owning batch's buffer and is valid until the batch is recycled.
+// inboxFactor bounds every shard inbox at inboxFactor × Config.Batch
+// frames: about what a depth-4 queue of batches, the batch in delivery
+// and the readers' half-filled batches could hold at most, but counted
+// in frames, so a descheduled shard is not charged a whole batch for
+// every reader wakeup it sleeps through.
+const inboxFactor = 8
+
+// pkt is one received frame, mux header still attached, at
+// buf[off:end] of its batch.
 type pkt struct {
-	from netsim.Addr
-	data []byte
+	from     netsim.Addr
+	off, end int
 }
 
-// batch is a reusable bundle of received frames. Buffers are sized so
-// appends never reallocate: readers fill batches, shards drain them
-// and hand them back through the free pool.
+// batch is a reusable bundle of received frames. Its buffers start at
+// Batch frames and grow by append only under load; frames are
+// addressed by offset, so growth never invalidates them.
 type batch struct {
 	pkts []pkt
 	buf  []byte
+}
+
+func newBatch(cfg Config) *batch {
+	return &batch{
+		pkts: make([]pkt, 0, cfg.Batch),
+		buf:  make([]byte, 0, cfg.Batch*cfg.MaxPacket),
+	}
+}
+
+// inbox is one shard's receive queue. Readers append frames to cur
+// under mu and kick wake once per burst and after every Batch frames;
+// the shard swaps cur for its empty spare on every wake, so the queue
+// is bounded in frames, not in reader wakeups.
+type inbox struct {
+	mu     sync.Mutex
+	cur    *batch
+	closed bool          // set after every reader has exited
+	wake   chan struct{} // one slot: a pending kick covers every frame before it
+}
+
+func (in *inbox) kick() {
+	select {
+	case in.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Node is one UDP port carrying many logical flows. Create with
@@ -193,7 +226,6 @@ type Node struct {
 	gro      bool // UDP_GRO active on the sockets
 	cfg      Config
 	shards   []*Shard
-	free     chan *batch
 	done     chan struct{}
 	once     sync.Once
 	wg       sync.WaitGroup
@@ -308,16 +340,6 @@ func Listen(addr string, cfg Config) (*Node, error) {
 			break
 		}
 	}
-	// Enough batches that every reader can hold one pending per shard
-	// while every shard is still chewing on a few.
-	poolSize := cfg.Shards * 2 * (len(conns) + 1)
-	n.free = make(chan *batch, poolSize)
-	for i := 0; i < poolSize; i++ {
-		n.free <- &batch{
-			pkts: make([]pkt, 0, cfg.Batch),
-			buf:  make([]byte, 0, cfg.Batch*cfg.MaxPacket),
-		}
-	}
 	n.shards = make([]*Shard, cfg.Shards)
 	for i := range n.shards {
 		n.shards[i] = newShard(n, i)
@@ -336,7 +358,10 @@ func Listen(addr string, cfg Config) (*Node, error) {
 		defer n.wg.Done()
 		n.readerWg.Wait()
 		for _, s := range n.shards {
-			close(s.in)
+			s.in.mu.Lock()
+			s.in.closed = true
+			s.in.mu.Unlock()
+			s.in.kick()
 		}
 	}()
 	return n, nil
@@ -653,12 +678,12 @@ func (s *Shard) armIdleSweep() {
 
 // readLoop is one socket's reader goroutine: blocking read,
 // opportunistic non-blocking burst behind it (recvmmsg where
-// available), GRO bundles split back into frames, then one batch
-// handoff per destination shard — many packets per wakeup, none copied
-// more than once, no allocation in steady state. With SO_REUSEPORT
-// there is one readLoop per shard socket; any reader may receive any
-// flow's frames (the kernel steers by address hash), so each routes by
-// flow id.
+// available), GRO bundles split back into frames and appended to their
+// shards' inboxes, then one kick per destination shard per burst —
+// many packets per wakeup, none copied more than once, no allocation
+// in steady state. With SO_REUSEPORT there is one readLoop per shard
+// socket; any reader may receive any flow's frames (the kernel steers
+// by address hash), so each routes by flow id.
 func (n *Node) readLoop(idx int, conn *net.UDPConn, raw syscall.RawConn) {
 	defer n.wg.Done()
 	defer n.readerWg.Done()
@@ -669,7 +694,7 @@ func (n *Node) readLoop(idx int, conn *net.UDPConn, raw syscall.RawConn) {
 	// frame is delivered.
 	rs := n.stats.Shard(idx % n.stats.NumShards())
 	names := make(map[netip.AddrPort]netsim.Addr)
-	pending := make([]*batch, len(n.shards))
+	touched := make([]bool, len(n.shards))
 	// One byte past MaxPacket: a larger datagram the kernel would
 	// silently truncate to the buffer size then reads as MaxPacket+1,
 	// so the route() oversize guard catches it instead of delivering a
@@ -699,7 +724,7 @@ func (n *Node) readLoop(idx int, conn *net.UDPConn, raw syscall.RawConn) {
 		if oobn > 0 {
 			seg = parseGROCmsg(oob[:oobn])
 		}
-		n.routeDatagram(pending, names, rs, ap, scratch[:nb], seg)
+		n.routeDatagram(touched, names, rs, ap, scratch[:nb], seg)
 		for {
 			count := br.read(raw)
 			for i := 0; i < count; i++ {
@@ -708,13 +733,18 @@ func (n *Node) readLoop(idx int, conn *net.UDPConn, raw syscall.RawConn) {
 					rs.Inc(obs.DropBadSource)
 					continue
 				}
-				n.routeDatagram(pending, names, rs, from, data, seg)
+				n.routeDatagram(touched, names, rs, from, data, seg)
+			}
+			for si, t := range touched {
+				if t {
+					touched[si] = false
+					n.shards[si].in.kick()
+				}
 			}
 			if count < br.capacity() || count == 0 {
 				break // socket drained (or burst reads unavailable)
 			}
 		}
-		n.dispatch(pending)
 	}
 }
 
@@ -729,9 +759,9 @@ func (n *Node) closed() bool {
 
 // routeDatagram feeds one received datagram to route, splitting
 // GRO-coalesced bundles (seg > 0) back into their wire frames first.
-func (n *Node) routeDatagram(pending []*batch, names map[netip.AddrPort]netsim.Addr, rs *obs.Shard, ap netip.AddrPort, data []byte, seg int) {
+func (n *Node) routeDatagram(touched []bool, names map[netip.AddrPort]netsim.Addr, rs *obs.Shard, ap netip.AddrPort, data []byte, seg int) {
 	if seg <= 0 || len(data) <= seg {
-		n.route(pending, names, rs, ap, data)
+		n.route(touched, names, rs, ap, data)
 		return
 	}
 	rs.Inc(obs.GROBundles)
@@ -741,16 +771,19 @@ func (n *Node) routeDatagram(pending []*batch, names map[netip.AddrPort]netsim.A
 			end = len(data)
 		}
 		rs.Inc(obs.GROSegments)
-		n.route(pending, names, rs, ap, data[off:end])
+		n.route(touched, names, rs, ap, data[off:end])
 	}
 }
 
 // route validates the mux header and appends the frame to the owning
-// shard's pending batch, handing the batch over once full. Oversize
-// frames (possible once GRO widens the receive buffers past MaxPacket)
-// are dropped here like any other malformed input, each under its own
-// drop-reason counter.
-func (n *Node) route(pending []*batch, names map[netip.AddrPort]netsim.Addr, rs *obs.Shard, ap netip.AddrPort, data []byte) {
+// shard's inbox, marking the shard touched for this burst's kick.
+// Oversize frames (possible once GRO widens the receive buffers past
+// MaxPacket) are dropped here like any other malformed input, each
+// under its own drop-reason counter. A full inbox sheds the arriving
+// frame rather than block the reader behind a slow shard: a stalled
+// reader backs traffic up into the kernel buffer and then drops
+// *there*, invisibly and for every shard at once.
+func (n *Node) route(touched []bool, names map[netip.AddrPort]netsim.Addr, rs *obs.Shard, ap netip.AddrPort, data []byte) {
 	if len(data) < 2 || data[1] != ^data[0] {
 		rs.Inc(obs.DropBadHeader)
 		return
@@ -758,22 +791,6 @@ func (n *Node) route(pending []*batch, names map[netip.AddrPort]netsim.Addr, rs 
 	if len(data) > n.cfg.MaxPacket {
 		rs.Inc(obs.DropOversize)
 		return
-	}
-	si := int(data[0]) % len(n.shards)
-	b := pending[si]
-	if b == nil {
-		select {
-		case b = <-n.free:
-			pending[si] = b
-		default:
-			// Pool dry: every batch is queued at or being chewed by some
-			// shard — the node is overloaded. Shed this frame rather than
-			// block the reader behind the slowest shard: a stalled reader
-			// backs traffic up into the kernel buffer and then drops
-			// *there*, invisibly and for every shard at once.
-			n.shards[si].obs.Inc(obs.Sheds)
-			return
-		}
 	}
 	from, ok := names[ap]
 	if !ok {
@@ -787,62 +804,26 @@ func (n *Node) route(pending []*batch, names map[netip.AddrPort]netsim.Addr, rs 
 		from = netsim.Addr(canonical.String())
 		names[ap] = from
 	}
+	si := int(data[0]) % len(n.shards)
+	sh := n.shards[si]
+	sh.in.mu.Lock()
+	b := sh.in.cur
+	if len(b.pkts) >= inboxFactor*n.cfg.Batch {
+		sh.in.mu.Unlock()
+		sh.obs.Inc(obs.Sheds)
+		return
+	}
 	off := len(b.buf)
 	b.buf = append(b.buf, data...)
-	b.pkts = append(b.pkts, pkt{from: from, data: b.buf[off:]})
-	if len(b.pkts) == cap(b.pkts) {
-		n.handOff(si, b)
-		pending[si] = nil
+	b.pkts = append(b.pkts, pkt{from: from, off: off, end: len(b.buf)})
+	full := len(b.pkts)%n.cfg.Batch == 0
+	sh.in.mu.Unlock()
+	if full {
+		// A GRO burst can carry hundreds of frames: let the shard start
+		// on each Batch of them while the reader splits the rest.
+		sh.in.kick()
 	}
-}
-
-// dispatch hands every non-empty pending batch to its shard.
-func (n *Node) dispatch(pending []*batch) {
-	for si, b := range pending {
-		if b == nil {
-			continue
-		}
-		n.handOff(si, b)
-		pending[si] = nil
-	}
-}
-
-// handOff delivers a full batch to shard si without ever blocking the
-// reader. When the shard's inbox is full the oldest queued batch is
-// shed — counted per frame and recycled — to make room for the newest:
-// under overload the freshest traffic carries the acks and
-// retransmissions most likely to still matter, while the oldest has
-// already aged the longest in the queue. If another producer wins the
-// refilled slot, the new batch is shed instead; either way exactly one
-// batch's worth of frames is dropped and the reader never stalls.
-func (n *Node) handOff(si int, b *batch) {
-	sh := n.shards[si]
-	select {
-	case sh.in <- b:
-		return
-	default:
-	}
-	select {
-	case old, ok := <-sh.in:
-		if ok {
-			n.shed(sh, old)
-		}
-	default:
-	}
-	select {
-	case sh.in <- b:
-	default:
-		n.shed(sh, b)
-	}
-}
-
-// shed counts a batch's frames against the overload policy and recycles
-// it.
-func (n *Node) shed(sh *Shard, b *batch) {
-	sh.obs.Add(obs.Sheds, uint64(len(b.pkts)))
-	b.pkts = b.pkts[:0]
-	b.buf = b.buf[:0]
-	n.free <- b
+	touched[si] = true
 }
 
 // outPkt is one staged outbound packet; the payload lives in the
@@ -857,16 +838,17 @@ type outPkt struct {
 // SO_REUSEPORT) and a staging area for this wakeup's outbound packets.
 // Everything in it belongs to its own goroutine.
 type Shard struct {
-	node *Node
-	idx  int
-	loop *Loop
-	obs  *obs.Shard   // this shard's stats block (same index in node.stats)
-	conn *net.UDPConn // the shard's send socket
-	raw  syscall.RawConn
-	in   chan *batch
-	call chan func()
-	mux  *netsim.Mux
-	port *shardPort
+	node  *Node
+	idx   int
+	loop  *Loop
+	obs   *obs.Shard   // this shard's stats block (same index in node.stats)
+	conn  *net.UDPConn // the shard's send socket
+	raw   syscall.RawConn
+	in    inbox  // filled by the readers (route), emptied by take
+	spare *batch // empty; swapped into in on the next take
+	call  chan func()
+	mux   *netsim.Mux
+	port  *shardPort
 
 	// Outbound staging: packets queued by engines during one wakeup,
 	// flushed in one batch before the loop blocks again.
@@ -892,7 +874,8 @@ func newShard(n *Node, idx int) *Shard {
 		obs:    n.stats.Shard(idx),
 		conn:   n.conns[idx%len(n.conns)],
 		raw:    n.raws[idx%len(n.raws)],
-		in:     make(chan *batch, 4),
+		in:     inbox{cur: newBatch(n.cfg), wake: make(chan struct{}, 1)},
+		spare:  newBatch(n.cfg),
 		call:   make(chan func(), 16),
 		out:    make([]outPkt, 0, n.cfg.Batch),
 		outBuf: make([]byte, 0, n.cfg.Batch*n.cfg.MaxPacket),
@@ -957,12 +940,11 @@ func (s *Shard) run() {
 			timerC = tm.C
 		}
 		select {
-		case b, ok := <-s.in:
-			if !ok {
+		case <-s.in.wake:
+			if s.take() {
 				s.flush()
 				return
 			}
-			s.deliver(b)
 		case fn := <-s.call:
 			s.loop.shielded(fn)
 			s.loop.runPosted()
@@ -973,12 +955,11 @@ func (s *Shard) run() {
 		// flush + select round trip.
 		for {
 			select {
-			case b, ok := <-s.in:
-				if !ok {
+			case <-s.in.wake:
+				if s.take() {
 					s.flush()
 					return
 				}
-				s.deliver(b)
 				continue
 			case fn := <-s.call:
 				s.loop.shielded(fn)
@@ -998,26 +979,40 @@ func (s *Shard) run() {
 	}
 }
 
-// deliver feeds one batch of frames to the shard's mux and recycles it,
-// counting every frame against this shard (the owning loop is the
-// single writer of its frames_in/bytes_in, so the adds never contend).
+// take swaps the inbox's batch for the shard's empty spare, delivers
+// every frame in it, and keeps it as the next spare. It reports whether
+// the inbox is closed: then nothing can follow the frames just
+// delivered.
+func (s *Shard) take() (closed bool) {
+	s.in.mu.Lock()
+	b := s.in.cur
+	s.in.cur, closed = s.spare, s.in.closed
+	s.in.mu.Unlock()
+	s.deliver(b)
+	b.pkts = b.pkts[:0]
+	b.buf = b.buf[:0]
+	s.spare = b
+	return closed
+}
+
+// deliver feeds one batch of frames to the shard's mux, counting every
+// frame against this shard (the owning loop is the single writer of
+// its frames_in/bytes_in, so the adds never contend).
 func (s *Shard) deliver(b *batch) {
 	trace := s.node.stats.TraceOn()
 	for i := range b.pkts {
 		p := &b.pkts[i]
+		data := b.buf[p.off:p.end]
 		s.obs.Inc(obs.FramesIn)
-		s.obs.Add(obs.BytesIn, uint64(len(p.data)))
+		s.obs.Add(obs.BytesIn, uint64(len(data)))
 		if trace {
-			s.obs.Ring().Record(s.loop.Now(), obs.KindDeliver, p.data[0], len(p.data), 0, 0)
+			s.obs.Ring().Record(s.loop.Now(), obs.KindDeliver, data[0], len(data), 0, 0)
 		}
 		if h := s.port.handler; h != nil {
-			s.loop.shieldHandler(h, p.from, p.data)
+			s.loop.shieldHandler(h, p.from, data)
 		}
 		s.loop.runPosted()
 	}
-	b.pkts = b.pkts[:0]
-	b.buf = b.buf[:0]
-	s.node.free <- b
 }
 
 // flush writes every staged packet in one burst on the shard's own

@@ -36,13 +36,14 @@ type ClientConfig struct {
 	// pick it randomly; 0 is valid.
 	Nonce uint32
 
-	// RTO seeds the SYN/FIN retransmit estimator; Adaptive/MinRTO/
+	// RTO seeds the SYN/ACK-C/FIN retransmit estimator; Adaptive/MinRTO/
 	// MaxRTO have their arq.FlowConfig meanings (DESIGN.md §13).
 	RTO      time.Duration
 	Adaptive bool
 	MinRTO   time.Duration
 	MaxRTO   time.Duration
-	// MaxRetries bounds SYN (and FIN) retransmissions; default 10.
+	// MaxRetries bounds SYN (and ACK-C, and FIN) retransmissions;
+	// default 10.
 	MaxRetries int
 
 	// HeartbeatEvery is the BEAT interval once established; 0 disables
@@ -252,13 +253,15 @@ func (c *Client) onFrame(from netsim.Addr, data []byte) {
 			return
 		}
 		// Data from the server (ARQ acks) proves our ACK-C landed.
-		c.confirmed, c.awaiting = true, false
+		c.confirm()
+		c.awaiting = false
 		c.dataH(from, data)
 	case KindSynAck:
 		c.onSynAck()
 	case KindBeatAck:
 		if c.m.State() == stateEstablished {
-			c.misses, c.awaiting, c.confirmed = 0, false, true
+			c.misses, c.awaiting = 0, false
+			c.confirm()
 		} else if c.m.State() == stateTimeWait {
 			c.sh.Inc(obs.TimewaitAbsorbed)
 		}
@@ -296,6 +299,10 @@ func (c *Client) onSynAck() {
 		}
 		c.retries = 0
 		c.sh.Inc(obs.HandshakesOK)
+		// The ACK-C went out with the transition. Until the server
+		// shows it holds the session, re-send it on the RTO clock: it
+		// drops every data frame from us until the ACK-C lands.
+		c.retryT = c.rt.After(c.rto.Current(), c.onAckCRetry)
 		if c.cfg.HeartbeatEvery > 0 {
 			c.beatT = c.rt.After(c.cfg.HeartbeatEvery, c.tickFn)
 		}
@@ -328,6 +335,40 @@ func (c *Client) onRetry() {
 	c.retryT = c.rt.After(c.rto.Current(), c.onRetry)
 }
 
+// onAckCRetry is the ACK-C retransmit timer: with backoff, bounded by
+// MaxRetries, and silent once the session is confirmed. After the
+// budget only the heartbeat tick re-answers the cookie.
+func (c *Client) onAckCRetry() {
+	if c.confirmed || c.m.State() != stateEstablished || c.done {
+		return
+	}
+	c.retries++
+	if c.retries > c.cfg.MaxRetries {
+		return
+	}
+	c.rto.Backoff()
+	c.sendAckC()
+	c.retryT = c.rt.After(c.rto.Current(), c.onAckCRetry)
+}
+
+// confirm records that the server demonstrably holds our session and
+// clears any backoff the ACK-C retries left on the estimator.
+func (c *Client) confirm() {
+	if c.confirmed {
+		return
+	}
+	c.confirmed = true
+	if c.retries > 0 {
+		c.rto.Progress()
+	}
+}
+
+// sendAckC re-answers the cookie (idempotent server-side).
+func (c *Client) sendAckC() {
+	c.buf = c.codec.AppendAckC(c.buf[:0], c.nonce, c.cookie)
+	_ = c.port.Send(c.peer, c.buf)
+}
+
 // onTick is the heartbeat timer: miss accounting, then a BEAT through
 // the machine. Steady-state cost is one StepEv, one encode and one
 // send — no allocations.
@@ -351,9 +392,8 @@ func (c *Client) onTick() {
 	c.step(c.evTick)
 	if !c.confirmed {
 		// No ack and no BEAT-ACK yet: keep re-answering the cookie in
-		// case the ACK-C was lost (idempotent server-side).
-		c.buf = c.codec.AppendAckC(c.buf[:0], c.nonce, c.cookie)
-		_ = c.port.Send(c.peer, c.buf)
+		// case the ACK-C was lost.
+		c.sendAckC()
 	}
 	c.awaiting = true
 	c.beatT = c.rt.After(c.cfg.HeartbeatEvery, c.tickFn)
@@ -370,6 +410,7 @@ func (c *Client) Close() {
 		c.step(c.evGiveup)
 		c.finish(nil)
 	case stateEstablished:
+		c.retryT.Cancel() // the ACK-C retry timer, if still armed
 		c.retries = 0
 		c.step(c.evClose)
 		c.retryT = c.rt.After(c.rto.Current(), c.onReclose)

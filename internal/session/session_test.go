@@ -175,6 +175,85 @@ func TestHandshakeTransferTeardown(t *testing.T) {
 	}
 }
 
+// dropFirstAckC is a client port that loses the first ACK-C it sends.
+type dropFirstAckC struct {
+	netsim.Port
+	codec   *Codec
+	dropped bool
+}
+
+func (p *dropFirstAckC) Send(to netsim.Addr, data []byte) error {
+	if !p.dropped && p.codec.Classify(data) == KindAckC {
+		p.dropped = true
+		return nil
+	}
+	return p.Port.Send(to, data)
+}
+
+// TestLostAckCRetriedOnRTO: the server drops every data frame from a
+// peer whose ACK-C it never saw, so a lost ACK-C must be re-sent on the
+// RTO clock, not on the (here 1 s) heartbeat tick. The first payload
+// lands within 3 × RTO.
+func TestLostAckCRetriedOnRTO(t *testing.T) {
+	const rto = 30 * time.Millisecond
+	var recv *arq.GBNReceiver
+	firstAt := time.Duration(-1)
+	sim, cEP, sEP, gate := twoNodeSim(t, 5, netsim.LinkParams{Delay: time.Millisecond}, GateConfig{
+		Accept: func(peer netsim.Addr, resume *Resume) *Engine { return nil },
+	})
+	gate.cfg.Accept = func(peer netsim.Addr, resume *Resume) *Engine {
+		r, err := arq.NewGBNReceiver(sEP, peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv = r
+		return &Engine{Handle: func(from netsim.Addr, data []byte) {
+			r.OnDatagram(from, data)
+			if firstAt < 0 && len(r.Delivered()) > 0 {
+				firstAt = sim.Now()
+			}
+		}, Progress: r.Expect}
+	}
+	codec, err := NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := &dropFirstAckC{Port: cEP, codec: codec}
+	payloads := testPayloads(4, 32)
+	var cli *Client
+	var sender *arq.GBNSender
+	cli, err = Connect(sim, port, sEP.Addr(), ClientConfig{
+		RTO:            rto,
+		HeartbeatEvery: time.Second,
+		OnEstablished: func() {
+			var aerr error
+			sender, aerr = arq.AttachGBNSender(sim, cli.DataPort(), sEP.Addr(), arq.FlowConfig{
+				Window: 4, RTO: 10 * time.Millisecond, MaxRetries: 50,
+			}, payloads, func() { cli.Close() })
+			if aerr != nil {
+				t.Fatal(aerr)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance(sim, 3*rto)
+	if !port.dropped {
+		t.Fatal("the first ACK-C was never sent")
+	}
+	if firstAt < 0 {
+		t.Fatalf("no payload delivered within 3 × RTO (%v) of a lost ACK-C", 3*rto)
+	}
+	advance(sim, 5*time.Second)
+	if sender == nil || !sender.Result().OK || len(recv.Delivered()) != len(payloads) {
+		t.Fatal("transfer did not complete after the ACK-C retry")
+	}
+	if cli.Err() != nil || cli.State() != "Down" {
+		t.Fatalf("client state=%s err=%v after close", cli.State(), cli.Err())
+	}
+}
+
 func TestServerStatelessBeforeCookie(t *testing.T) {
 	accepts := 0
 	sim, cEP, sEP, gate := twoNodeSim(t, 3, netsim.LinkParams{Delay: time.Millisecond}, GateConfig{
