@@ -15,9 +15,10 @@ import (
 //
 // The ARQ harnesses run on the compiled execution engine: the sender and
 // receiver machines execute fsm.Program dispatch tables (slot-indexed
-// compiled guards and actions, see CompileSpec) and the wire path uses
-// the reusable-buffer AppendEncode / DecodeInto codecs, so the
-// steady-state transfer loop is allocation-free.
+// compiled guards and actions, see CompileSpec) and the wire path runs
+// wire.Program slot programs over reusable frames and buffers (DESIGN.md
+// §8), so the steady-state transfer loop is allocation-free. The map
+// codec of wire.Layout is only the differential reference (DESIGN.md §3).
 
 // ---- The paper's ARQ protocol (§3.4) ----
 

@@ -56,8 +56,14 @@ type Report struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 // parseBench parses benchmark output; the cpu: line, if present, is
-// returned separately.
-func parseBench(out string) (results []Result, cpu string) {
+// returned separately. go test appends "-<GOMAXPROCS>" to every name when
+// GOMAXPROCS is not 1; procs is the run's GOMAXPROCS, and that suffix is
+// dropped so names match across hosts (a sub-benchmark's own "-64" stays).
+func parseBench(out string, procs int) (results []Result, cpu string) {
+	suffix := ""
+	if procs != 1 {
+		suffix = "-" + strconv.Itoa(procs)
+	}
 	sc := bufio.NewScanner(strings.NewReader(out))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -70,7 +76,7 @@ func parseBench(out string) (results []Result, cpu string) {
 		if m == nil {
 			continue
 		}
-		r := Result{Name: m[1]}
+		r := Result{Name: strings.TrimSuffix(m[1], suffix)}
 		r.Iterations, _ = strconv.ParseInt(m[2], 10, 64)
 		r.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
 		for _, metric := range []struct {
@@ -118,7 +124,7 @@ func main() {
 	}
 	os.Stderr.Write(raw) // keep the human-readable output visible in CI logs
 
-	results, cpu := parseBench(string(raw))
+	results, cpu := parseBench(string(raw), runtime.GOMAXPROCS(0)) // the child inherits our GOMAXPROCS
 	if len(results) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results parsed")
 		os.Exit(1)

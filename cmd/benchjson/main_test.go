@@ -14,7 +14,7 @@ ok  	protodsl	12.3s
 `
 
 func TestParseBench(t *testing.T) {
-	results, cpu := parseBench(sampleOutput)
+	results, cpu := parseBench(sampleOutput, 1)
 	if cpu != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
 		t.Fatalf("cpu = %q", cpu)
 	}
@@ -32,10 +32,32 @@ func TestParseBench(t *testing.T) {
 	if r := results[2]; r.MBPerS != 95.80 || r.NsPerOp != 5344 || r.AllocsPerOp != 0 {
 		t.Fatalf("third result: %+v", r)
 	}
+
+	// Names recorded at one GOMAXPROCS must match names recorded at
+	// another: the "-N" go test appends goes, a sub-benchmark's own
+	// numeric suffix stays, and at 1 go test appends nothing.
+	for _, tc := range []struct {
+		procs int
+		line  string
+		want  string
+	}{
+		{2, "BenchmarkSum8-2 \t 100\t 1.5 ns/op", "BenchmarkSum8"},
+		{4, "BenchmarkRTNetLoopback-4 \t 100\t 5344 ns/op", "BenchmarkRTNetLoopback"},
+		{2, "BenchmarkAblationChecksums/size-64-2 \t 100\t 9 ns/op", "BenchmarkAblationChecksums/size-64"},
+		{4, "BenchmarkAblationChecksums/size-64-4 \t 100\t 9 ns/op", "BenchmarkAblationChecksums/size-64"},
+		{64, "BenchmarkAblationChecksums/size-64-64 \t 100\t 9 ns/op", "BenchmarkAblationChecksums/size-64"},
+		{1, "BenchmarkAblationChecksums/size-64 \t 100\t 9 ns/op", "BenchmarkAblationChecksums/size-64"},
+		{1, "BenchmarkAblationChecksums/size-1 \t 100\t 9 ns/op", "BenchmarkAblationChecksums/size-1"},
+	} {
+		results, _ := parseBench(tc.line, tc.procs)
+		if len(results) != 1 || results[0].Name != tc.want {
+			t.Errorf("procs=%d %q: parsed %+v, want name %q", tc.procs, tc.line, results, tc.want)
+		}
+	}
 }
 
 func TestParseBenchEmpty(t *testing.T) {
-	results, _ := parseBench("PASS\nok \tprotodsl\t0.1s\n")
+	results, _ := parseBench("PASS\nok \tprotodsl\t0.1s\n", 1)
 	if len(results) != 0 {
 		t.Fatalf("parsed %d results from non-benchmark output", len(results))
 	}

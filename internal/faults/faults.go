@@ -243,10 +243,9 @@ type Injector struct {
 	rng *rand.Rand
 	bad bool // Gilbert-Elliott chain state
 
-	// Counters, for experiment tables and assertions; the substrates
+	// Counter, for experiment tables and assertions; the substrates
 	// additionally count injected drops into their own stats.
 	dropped uint64
-	delayed uint64
 }
 
 // Apply decides one packet at instant now. Draw order is fixed —
@@ -303,18 +302,8 @@ func (inj *Injector) Apply(now time.Duration) Verdict {
 			}
 		}
 	}
-	if extra > 0 {
-		inj.delayed++
-	}
 	return Verdict{Delay: extra}
 }
 
-// Bad reports the current Gilbert-Elliott channel state (for tests and
-// experiment narration).
-func (inj *Injector) Bad() bool { return inj.bad }
-
 // Dropped returns how many packets this injector has discarded.
 func (inj *Injector) Dropped() uint64 { return inj.dropped }
-
-// Delayed returns how many packets received extra delay.
-func (inj *Injector) Delayed() uint64 { return inj.delayed }

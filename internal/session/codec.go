@@ -210,9 +210,3 @@ func (c *Codec) AckCNonce() uint32 { return c.decU32(KindAckC, c.by[KindAckC].no
 
 // AckCCookie reads the last classified ACK-C's returned cookie.
 func (c *Codec) AckCCookie() uint32 { return c.decU32(KindAckC, c.by[KindAckC].cookie) }
-
-// BeatSeq reads the last classified heartbeat's sequence.
-func (c *Codec) BeatSeq() uint32 { return c.decU32(KindBeat, c.by[KindBeat].seq) }
-
-// BeatAckSeq reads the last classified heartbeat echo's sequence.
-func (c *Codec) BeatAckSeq() uint32 { return c.decU32(KindBeatAck, c.by[KindBeatAck].seq) }
