@@ -16,10 +16,13 @@ test:
 # layer, the parallel model checker, and the compiled specs every
 # engine on every shard shares (arq, ipv4, dsl.Load). One engine per
 # goroutine is the contract; -race pins it, including through
-# BenchmarkE11MultiFlow. -shuffle=on surfaces test-order dependencies
+# BenchmarkE11MultiFlow. expr, fsm and wire are here because -race
+# also turns on checkptr, which checks every unsafe conversion of
+# expr.Value's packed representation (DESIGN.md §3) on the paths that
+# build and read it. -shuffle=on surfaces test-order dependencies
 # while we're paying for the rerun. CI's race job runs this target.
 race:
-	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/session/ ./internal/verify/ ./internal/ipv4/ ./internal/dsl/
+	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/session/ ./internal/verify/ ./internal/ipv4/ ./internal/dsl/ ./internal/expr/ ./internal/fsm/ ./internal/wire/
 	$(GO) test -run '^$$' -bench BenchmarkE11MultiFlow -benchtime 1x -race .
 
 # Seeded chaos soak (DESIGN.md §13): 64 loopback flows under

@@ -48,25 +48,23 @@ var ErrCanon = errors.New("expr: bad canonical encoding")
 func (v Value) AppendCanon(dst []byte) []byte {
 	switch v.kind {
 	case KindBool:
-		if v.b {
-			return append(dst, canonBool, 1)
-		}
-		return append(dst, canonBool, 0)
+		return append(dst, canonBool, byte(v.u))
 	case KindUint:
-		dst = append(dst, canonUint, byte(v.bits))
+		dst = append(dst, canonUint, v.bits)
 		return binary.AppendUvarint(dst, v.u)
 	case KindBytes:
 		dst = append(dst, canonBytes)
-		dst = binary.AppendUvarint(dst, uint64(len(v.bs)))
-		return append(dst, v.bs...)
+		dst = binary.AppendUvarint(dst, v.u)
+		return append(dst, v.RawBytes()...)
 	case KindString:
 		dst = append(dst, canonString)
-		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-		return append(dst, v.s...)
+		dst = binary.AppendUvarint(dst, v.u)
+		return append(dst, v.AsString()...)
 	case KindMsg:
+		name := v.MsgName()
 		dst = append(dst, canonMsg)
-		dst = binary.AppendUvarint(dst, uint64(len(v.name)))
-		dst = append(dst, v.name...)
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
 		dst = binary.AppendUvarint(dst, uint64(v.numMsgFields()))
 		for _, k := range v.msgFieldNames() {
 			fv, ok := v.fieldByName(k)

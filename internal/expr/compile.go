@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // This file implements the compiled execution engine for the expression
 // language. Compile lowers a (checked) expression AST into a tree of Go
@@ -156,11 +159,11 @@ func Compile(e Expr, layout *ScopeLayout) Compiled {
 					if fslot, ok := shape.Slot(name); ok {
 						return func(f *Frame) (Value, error) {
 							xv := f.slots[slot]
-							if xv.shape == shape {
-								if fv := xv.fr.slots[fslot]; fv.kind != KindInvalid {
+							if xv.p == unsafe.Pointer(shape) {
+								if fv := (*Frame)(xv.q).slots[fslot]; fv.kind != KindInvalid {
 									return fv, nil
 								}
-								return Value{}, evalErrf(off, fmt.Errorf("message %s has no field %q", xv.name, name))
+								return Value{}, evalErrf(off, fmt.Errorf("message %s has no field %q", shape.name, name))
 							}
 							return fieldAccessSlow(xv, name, idName, off, idOff)
 						}
@@ -183,7 +186,7 @@ func Compile(e Expr, layout *ScopeLayout) Compiled {
 			}
 			fv, ok := xv.fieldByName(name)
 			if !ok {
-				return Value{}, evalErrf(off, fmt.Errorf("message %s has no field %q", xv.name, name))
+				return Value{}, evalErrf(off, fmt.Errorf("message %s has no field %q", xv.MsgName(), name))
 			}
 			return fv, nil
 		}
@@ -199,8 +202,34 @@ func Compile(e Expr, layout *ScopeLayout) Compiled {
 }
 
 // CompileBool compiles an expression expected to produce a boolean,
-// mirroring EvalBool.
+// mirroring EvalBool. The short-circuit operators compose here as bool
+// closures, so a guard chain `a && b && c` builds no intermediate
+// Values; like evalBinary's use of EvalBool, each operand's own
+// position is its error offset.
 func CompileBool(e Expr, layout *ScopeLayout) func(*Frame) (bool, error) {
+	if n, ok := e.(*Binary); ok && (n.Op == OpAnd || n.Op == OpOr) {
+		x := CompileBool(n.X, layout)
+		y := CompileBool(n.Y, layout)
+		if n.Op == OpAnd {
+			return func(f *Frame) (bool, error) {
+				xb, err := x(f)
+				if err != nil || !xb {
+					return false, err
+				}
+				return y(f)
+			}
+		}
+		return func(f *Frame) (bool, error) {
+			xb, err := x(f)
+			if err != nil {
+				return false, err
+			}
+			if xb {
+				return true, nil
+			}
+			return y(f)
+		}
+	}
 	c := Compile(e, layout)
 	pos := e.Pos()
 	return func(f *Frame) (bool, error) {
@@ -211,7 +240,7 @@ func CompileBool(e Expr, layout *ScopeLayout) func(*Frame) (bool, error) {
 		if v.kind != KindBool {
 			return false, evalErrf(pos, fmt.Errorf("expected bool result, got %s", v.Kind()))
 		}
-		return v.b, nil
+		return v.u != 0, nil
 	}
 }
 
@@ -224,7 +253,7 @@ func fieldAccessSlow(xv Value, name, idName string, off, idOff int) (Value, erro
 		if fv, ok := xv.fieldByName(name); ok {
 			return fv, nil
 		}
-		return Value{}, evalErrf(off, fmt.Errorf("message %s has no field %q", xv.name, name))
+		return Value{}, evalErrf(off, fmt.Errorf("message %s has no field %q", xv.MsgName(), name))
 	}
 	if xv.kind == KindInvalid {
 		return Value{}, evalErrf(idOff, fmt.Errorf("undefined variable %q", idName))
@@ -250,7 +279,7 @@ func compileUnary(n *Unary, layout *ScopeLayout) Compiled {
 			if xv.kind != KindBool {
 				return Value{}, evalErrf(off, fmt.Errorf("! requires bool, got %s", xv.Kind()))
 			}
-			return Value{kind: KindBool, b: !xv.b}, nil
+			return Bool(xv.u == 0), nil
 		}
 	case OpNeg:
 		return func(f *Frame) (Value, error) {
@@ -261,7 +290,7 @@ func compileUnary(n *Unary, layout *ScopeLayout) Compiled {
 			if xv.kind != KindUint {
 				return Value{}, evalErrf(off, fmt.Errorf("- requires uint, got %s", xv.Kind()))
 			}
-			return Uint(-xv.u, xv.bits), nil
+			return uintValue(-xv.u, xv.bits), nil
 		}
 	default:
 		op := n.Op
@@ -281,40 +310,15 @@ func compileBinary(n *Binary, layout *ScopeLayout) Compiled {
 		return c
 	}
 
-	// Short-circuit logical operators mirror evalBinary's use of EvalBool:
-	// the operand's own position is the error offset.
+	// The short-circuit operators live in CompileBool; lift its result.
 	if n.Op == OpAnd || n.Op == OpOr {
-		x := CompileBool(n.X, layout)
-		y := CompileBool(n.Y, layout)
-		if n.Op == OpAnd {
-			return func(f *Frame) (Value, error) {
-				xb, err := x(f)
-				if err != nil {
-					return Value{}, err
-				}
-				if !xb {
-					return Value{kind: KindBool, b: false}, nil
-				}
-				yb, err := y(f)
-				if err != nil {
-					return Value{}, err
-				}
-				return Value{kind: KindBool, b: yb}, nil
-			}
-		}
+		b := CompileBool(n, layout)
 		return func(f *Frame) (Value, error) {
-			xb, err := x(f)
+			v, err := b(f)
 			if err != nil {
 				return Value{}, err
 			}
-			if xb {
-				return Value{kind: KindBool, b: true}, nil
-			}
-			yb, err := y(f)
-			if err != nil {
-				return Value{}, err
-			}
-			return Value{kind: KindBool, b: yb}, nil
+			return Bool(v), nil
 		}
 	}
 
@@ -333,7 +337,7 @@ func compileBinary(n *Binary, layout *ScopeLayout) Compiled {
 			if err != nil {
 				return Value{}, err
 			}
-			return Value{kind: KindBool, b: equalValues(xv, yv)}, nil
+			return Bool(equalValues(xv, yv)), nil
 		}
 	case OpNe:
 		return func(f *Frame) (Value, error) {
@@ -345,7 +349,7 @@ func compileBinary(n *Binary, layout *ScopeLayout) Compiled {
 			if err != nil {
 				return Value{}, err
 			}
-			return Value{kind: KindBool, b: !equalValues(xv, yv)}, nil
+			return Bool(!equalValues(xv, yv)), nil
 		}
 	}
 
@@ -369,45 +373,45 @@ func compileBinary(n *Binary, layout *ScopeLayout) Compiled {
 		}
 		switch op {
 		case OpLt:
-			return Value{kind: KindBool, b: a < b}, nil
+			return Bool(a < b), nil
 		case OpLe:
-			return Value{kind: KindBool, b: a <= b}, nil
+			return Bool(a <= b), nil
 		case OpGt:
-			return Value{kind: KindBool, b: a > b}, nil
+			return Bool(a > b), nil
 		case OpGe:
-			return Value{kind: KindBool, b: a >= b}, nil
+			return Bool(a >= b), nil
 		case OpAdd:
-			return Value{kind: KindUint, u: truncate(a+b, bits), bits: bits}, nil
+			return uintValue(a+b, bits), nil
 		case OpSub:
-			return Value{kind: KindUint, u: truncate(a-b, bits), bits: bits}, nil
+			return uintValue(a-b, bits), nil
 		case OpMul:
-			return Value{kind: KindUint, u: truncate(a*b, bits), bits: bits}, nil
+			return uintValue(a*b, bits), nil
 		case OpDiv:
 			if b == 0 {
 				return Value{}, evalErrf(off, ErrDivisionByZero)
 			}
-			return Value{kind: KindUint, u: truncate(a/b, bits), bits: bits}, nil
+			return uintValue(a/b, bits), nil
 		case OpMod:
 			if b == 0 {
 				return Value{}, evalErrf(off, ErrDivisionByZero)
 			}
-			return Value{kind: KindUint, u: truncate(a%b, bits), bits: bits}, nil
+			return uintValue(a%b, bits), nil
 		case OpBitAnd:
-			return Value{kind: KindUint, u: a & b, bits: bits}, nil
+			return uintValue(a&b, bits), nil
 		case OpBitOr:
-			return Value{kind: KindUint, u: a | b, bits: bits}, nil
+			return uintValue(a|b, bits), nil
 		case OpBitXor:
-			return Value{kind: KindUint, u: a ^ b, bits: bits}, nil
+			return uintValue(a^b, bits), nil
 		case OpShl:
 			if b >= 64 {
-				return Value{kind: KindUint, u: 0, bits: xv.bits}, nil
+				return uintValue(0, xv.bits), nil
 			}
-			return Value{kind: KindUint, u: truncate(a<<b, xv.bits), bits: xv.bits}, nil
+			return uintValue(a<<b, xv.bits), nil
 		case OpShr:
 			if b >= 64 {
-				return Value{kind: KindUint, u: 0, bits: xv.bits}, nil
+				return uintValue(0, xv.bits), nil
 			}
-			return Value{kind: KindUint, u: a >> b, bits: xv.bits}, nil
+			return uintValue(a>>b, xv.bits), nil
 		default:
 			return Value{}, evalErrf(off, fmt.Errorf("invalid binary op %s", op))
 		}
@@ -453,7 +457,7 @@ func fuseFieldVarCompare(n *Binary, layout *ScopeLayout) Compiled {
 		}
 		fv, ok := xv.fieldByName(field)
 		if !ok {
-			return Value{}, evalErrf(faOff, fmt.Errorf("message %s has no field %q", xv.name, field))
+			return Value{}, evalErrf(faOff, fmt.Errorf("message %s has no field %q", xv.MsgName(), field))
 		}
 		yv := f.slots[ySlot]
 		if yv.kind == KindInvalid {
@@ -465,7 +469,7 @@ func fuseFieldVarCompare(n *Binary, layout *ScopeLayout) Compiled {
 		} else {
 			eq = fv.Equal(yv)
 		}
-		return Value{kind: KindBool, b: eq != negate}, nil
+		return Bool(eq != negate), nil
 	}
 	// Shape fast path: when the layout declares the message shape of the
 	// accessed ident, the entire guard is three integer-indexed loads and
@@ -474,11 +478,11 @@ func fuseFieldVarCompare(n *Binary, layout *ScopeLayout) Compiled {
 		if fslot, ok := shape.Slot(field); ok {
 			return func(f *Frame) (Value, error) {
 				xv := f.slots[xSlot]
-				if xv.shape == shape {
-					fv := xv.fr.slots[fslot]
+				if xv.p == unsafe.Pointer(shape) {
+					fv := (*Frame)(xv.q).slots[fslot]
 					yv := f.slots[ySlot]
 					if fv.kind == KindUint && yv.kind == KindUint {
-						return Value{kind: KindBool, b: (fv.u == yv.u) != negate}, nil
+						return Bool((fv.u == yv.u) != negate), nil
 					}
 				}
 				return slow(f)
@@ -527,25 +531,25 @@ func fuseVarLitArith(n *Binary, layout *ScopeLayout) Compiled {
 		}
 		switch op {
 		case OpAdd:
-			return Value{kind: KindUint, u: truncate(a+b, bits), bits: bits}, nil
+			return uintValue(a+b, bits), nil
 		case OpSub:
-			return Value{kind: KindUint, u: truncate(a-b, bits), bits: bits}, nil
+			return uintValue(a-b, bits), nil
 		case OpMul:
-			return Value{kind: KindUint, u: truncate(a*b, bits), bits: bits}, nil
+			return uintValue(a*b, bits), nil
 		case OpBitAnd:
-			return Value{kind: KindUint, u: a & b, bits: bits}, nil
+			return uintValue(a&b, bits), nil
 		case OpBitOr:
-			return Value{kind: KindUint, u: a | b, bits: bits}, nil
+			return uintValue(a|b, bits), nil
 		case OpBitXor:
-			return Value{kind: KindUint, u: a ^ b, bits: bits}, nil
+			return uintValue(a^b, bits), nil
 		case OpLt:
-			return Value{kind: KindBool, b: a < b}, nil
+			return Bool(a < b), nil
 		case OpLe:
-			return Value{kind: KindBool, b: a <= b}, nil
+			return Bool(a <= b), nil
 		case OpGt:
-			return Value{kind: KindBool, b: a > b}, nil
+			return Bool(a > b), nil
 		default: // OpGe
-			return Value{kind: KindBool, b: a >= b}, nil
+			return Bool(a >= b), nil
 		}
 	}
 }

@@ -48,6 +48,75 @@ func TestCompileShortCircuitParity(t *testing.T) {
 	if cErr.Error() != eErr.Error() {
 		t.Fatalf("error text mismatch:\n compiled: %v\n eval:     %v", cErr, eErr)
 	}
+
+	// Nested chains: CompileBool composes && and || as bool closures and
+	// Compile lifts them, so both must match EvalBool/Eval in value, error
+	// offset and error identity — including a non-bool operand and a
+	// division by zero on either side of each operator.
+	scope := MapScope{"a": Bool(true), "b": Bool(false), "n": U8(3), "z": U8(0)}
+	l = NewScopeLayout()
+	for _, name := range []string{"a", "b", "n", "z"} {
+		l.Add(name)
+	}
+	f = l.NewFrame()
+	for name, v := range scope {
+		slot, _ := l.Slot(name)
+		f.Set(slot, v)
+	}
+	for _, src := range []string{
+		"a && b || !a",
+		"!(a && b) && (b || a)",
+		"a && (b || !(n < 2))",
+		"!(b || (a && !b)) || (n == 3 && !b)",
+		"(a || 1 / z == 1) && !b", // short-circuits past the division
+		"b && n / z == 1",         // short-circuits past the division
+		"(b || 1 / z == 1) && a",  // division by zero on the left
+		"a && (b || n % z == 1)",  // division by zero on the right
+		"!(n / z == 0) || a",      // under ! on the left
+		"b || !(n % z == 0)",      // under ! on the right
+		"n && a",                  // non-bool left of &&
+		"a && n",                  // non-bool right of &&
+		"n || a",                  // non-bool left of ||
+		"b || (a && n)",           // non-bool, nested on the right
+		"!n && a",                 // ! of a non-bool
+		"!(a && n)",               // non-bool inside a negated chain
+		"a || n",                  // short-circuits past the non-bool
+		"n",                       // a bare non-bool guard
+	} {
+		e := MustParse(src)
+		wantB, wantBErr := EvalBool(e, scope)
+		gotB, gotBErr := CompileBool(e, l)(f)
+		checkParity(t, "CompileBool "+src, Bool(wantB), wantBErr, Bool(gotB), gotBErr)
+		wantV, wantErr := Eval(e, scope)
+		gotV, gotErr := Compile(e, l)(f)
+		checkParity(t, "Compile "+src, wantV, wantErr, gotV, gotErr)
+	}
+}
+
+// checkParity asserts that a compiled result matches Eval's: the same
+// value, or an error with the same text, offset and cause.
+func checkParity(t *testing.T, what string, wantV Value, wantErr error, gotV Value, gotErr error) {
+	t.Helper()
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Errorf("%s: eval err=%v compiled err=%v", what, wantErr, gotErr)
+		return
+	}
+	if wantErr == nil {
+		if !wantV.Equal(gotV) {
+			t.Errorf("%s: eval=%s compiled=%s", what, wantV, gotV)
+		}
+		return
+	}
+	var we, ge *EvalError
+	if !errors.As(wantErr, &we) || !errors.As(gotErr, &ge) {
+		t.Fatalf("%s: errors are not *EvalError: eval=%v compiled=%v", what, wantErr, gotErr)
+	}
+	if we.Offset != ge.Offset || wantErr.Error() != gotErr.Error() {
+		t.Errorf("%s: error mismatch\n eval:     %v\n compiled: %v", what, wantErr, gotErr)
+	}
+	if errors.Is(wantErr, ErrDivisionByZero) != errors.Is(gotErr, ErrDivisionByZero) {
+		t.Errorf("%s: errors.Is(ErrDivisionByZero) differs: eval=%v compiled=%v", what, wantErr, gotErr)
+	}
 }
 
 func TestCompileUnsetSlotIsUndefined(t *testing.T) {
@@ -147,6 +216,38 @@ func TestCompiledFusedShapesParity(t *testing.T) {
 		}
 		if wantV.Kind() == KindUint && wantV.Bits() != gotV.Bits() {
 			t.Errorf("%s: width eval=u%d compiled=u%d", tc.src, wantV.Bits(), gotV.Bits())
+		}
+	}
+}
+
+// TestCompiledShapeFastPathFallsBack: a layout that declares p's shape
+// takes the slot fast path only for a frame of exactly that shape. A
+// map-backed message, or a frame laid out by another shape of the same
+// message, must fall back to the by-name path and match Eval.
+func TestCompiledShapeFastPathFallsBack(t *testing.T) {
+	declared := NewMsgShape("Pkt", []string{"seq", "chk"})
+	swapped := NewMsgShape("Pkt", []string{"chk", "seq"})
+	fr := NewFrame(2)
+	fr.Set(0, U8(9)) // chk under swapped, seq under declared
+	fr.Set(1, U8(4)) // seq under swapped, chk under declared
+	layout := NewScopeLayout()
+	pSlot, seqSlot := layout.Add("p"), layout.Add("seq")
+	layout.SetShape("p", declared)
+	f := layout.NewFrame()
+	f.Set(seqSlot, U8(4))
+	for _, p := range []Value{
+		FrameMsg(declared, fr),
+		FrameMsg(swapped, fr),
+		Msg("Pkt", map[string]Value{"seq": U8(4), "chk": U8(9)}),
+		Msg("Pkt", map[string]Value{"chk": U8(9)}),
+	} {
+		f.Set(pSlot, p)
+		scope := MapScope{"p": p, "seq": U8(4)}
+		for _, src := range []string{"p.seq == seq", "p.seq != seq", "p.chk", "p.seq"} {
+			e := MustParse(src)
+			wantV, wantErr := Eval(e, scope)
+			gotV, gotErr := Compile(e, layout)(f)
+			checkParity(t, src+" over "+p.String(), wantV, wantErr, gotV, gotErr)
 		}
 	}
 }

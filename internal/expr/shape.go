@@ -1,5 +1,7 @@
 package expr
 
+import "unsafe"
+
 // This file implements slot-backed message values: the expression-language
 // view of a wire.Program frame. A MsgShape assigns each field of a message
 // type a fixed slot (its wire-order field index), and FrameMsg wraps a
@@ -72,7 +74,7 @@ func FrameMsg(shape *MsgShape, f *Frame) Value {
 	if f.Len() < len(shape.names) {
 		panic("expr: FrameMsg: frame smaller than shape")
 	}
-	return Value{kind: KindMsg, name: shape.name, shape: shape, fr: f}
+	return Value{kind: KindMsg, bits: msgSlots, p: unsafe.Pointer(shape), q: unsafe.Pointer(f)}
 }
 
 // SameLayout reports whether two shapes describe the same message type
@@ -94,46 +96,55 @@ func (s *MsgShape) SameLayout(o *MsgShape) bool {
 
 // Shape returns the shape of a slot-backed message value (nil for
 // map-backed messages and non-message values).
-func (v Value) Shape() *MsgShape { return v.shape }
+func (v Value) Shape() *MsgShape {
+	if !v.slotBacked() {
+		return nil
+	}
+	return (*MsgShape)(v.p)
+}
 
 // fieldByName resolves a field of a KindMsg value of either
 // representation. Invalid slot values in a frame-backed message read as
-// missing, mirroring a map without the key.
+// missing, mirroring a map without the key. Other kinds have no fields.
 func (v Value) fieldByName(name string) (Value, bool) {
-	if v.shape != nil {
-		slot, ok := v.shape.slots[name]
+	if v.kind != KindMsg {
+		return Value{}, false
+	}
+	if v.bits == msgSlots {
+		slot, ok := (*MsgShape)(v.p).slots[name]
 		if !ok {
 			return Value{}, false
 		}
-		fv := v.fr.slots[slot]
+		fv := (*Frame)(v.q).slots[slot]
 		if fv.kind == KindInvalid {
 			return Value{}, false
 		}
 		return fv, true
 	}
-	f, ok := v.msg[name]
+	f, ok := v.fieldMap()[name]
 	return f, ok
 }
 
-// msgFieldNames returns the value's field names sorted (both
+// msgFieldNames returns the field names of a KindMsg value sorted (both
 // representations), for deterministic rendering and hashing.
 func (v Value) msgFieldNames() []string {
-	if v.shape != nil {
-		return v.shape.sortedNames
+	if v.slotBacked() {
+		return (*MsgShape)(v.p).sortedNames
 	}
-	return sortedKeys(v.msg)
+	return sortedKeys(v.fieldMap())
 }
 
 // numMsgFields returns the number of present fields of a KindMsg value.
 func (v Value) numMsgFields() int {
-	if v.shape != nil {
+	if v.slotBacked() {
+		fr := (*Frame)(v.q)
 		n := 0
-		for i := range v.shape.names {
-			if v.fr.slots[i].kind != KindInvalid {
+		for i := range (*MsgShape)(v.p).names {
+			if fr.slots[i].kind != KindInvalid {
 				n++
 			}
 		}
 		return n
 	}
-	return len(v.msg)
+	return len(v.fieldMap())
 }

@@ -21,10 +21,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime kinds of values.
-type Kind int
+type Kind uint8
 
 // Value kinds. KindInvalid is deliberately the zero value so that
 // uninitialised values are detectably invalid.
@@ -59,29 +60,50 @@ func (k Kind) String() string {
 //
 // The zero value is invalid; construct values with the Bool, Uint, Bytes,
 // Str and Msg helpers.
+//
+// A Value is 32 bytes (DESIGN.md §3), because compiled closures, frames
+// and the model checker copy it by value on every operand:
+//
+//	kind     u                 p                  q
+//	bool     0 or 1            -                  -
+//	uint     the number        -                  -
+//	bytes    length            data               -
+//	string   length            data               -
+//	message  name length       field map          name data   (map-backed)
+//	message  -                 *MsgShape          *Frame      (slot-backed, bits == msgSlots)
+//
+// bits holds a uint's width. Bytes, strings and messages alias the
+// memory they were built from; see BytesView, Str, MsgView and FrameMsg.
 type Value struct {
-	kind Kind
-	b    bool
+	_    [0]func() // not comparable: == would compare p and q by identity, not by content
 	u    uint64
-	bits int
-	bs   []byte
-	s    string
-	msg  map[string]Value
-	name string // message type name when kind == KindMsg
-
-	// Slot-backed message representation (see shape.go): when shape is
-	// non-nil the fields live in fr's slots instead of msg.
-	shape *MsgShape
-	fr    *Frame
+	p    unsafe.Pointer
+	q    unsafe.Pointer
+	kind Kind
+	bits uint8
 }
 
+// msgSlots is the bits value that marks a slot-backed KindMsg value.
+const msgSlots = 1
+
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return Value{kind: KindBool, u: u}
+}
 
 // Uint returns an unsigned integer value of the given bit width
 // (8, 16, 32 or 64). The value is truncated to the width.
 func Uint(v uint64, bits int) Value {
-	return Value{kind: KindUint, u: truncate(v, bits), bits: normBits(bits)}
+	return uintValue(v, uint8(normBits(bits)))
+}
+
+// uintValue builds a uint value whose width is already normalised.
+func uintValue(v uint64, bits uint8) Value {
+	return Value{kind: KindUint, u: v & widthMask(bits), bits: bits}
 }
 
 // U8 returns an 8-bit unsigned value.
@@ -101,17 +123,22 @@ func U64(v uint64) Value { return Uint(v, 64) }
 func Bytes(b []byte) Value {
 	cp := make([]byte, len(b))
 	copy(cp, b)
-	return Value{kind: KindBytes, bs: cp}
+	return BytesView(cp)
 }
 
 // BytesView returns a byte-slice value that aliases b without copying.
 // It is the allocation-free construction path for hot loops (compiled
 // execution, AppendEncode/DecodeInto): the caller must not mutate b while
-// the value is live.
-func BytesView(b []byte) Value { return Value{kind: KindBytes, bs: b} }
+// the value is live. The value keeps b's data and length, not its
+// capacity, so appending to RawBytes never writes into b's spare room.
+func BytesView(b []byte) Value {
+	return Value{kind: KindBytes, u: uint64(len(b)), p: unsafe.Pointer(unsafe.SliceData(b))}
+}
 
-// Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+// Str returns a string value. It aliases the string's (immutable) data.
+func Str(s string) Value {
+	return Value{kind: KindString, u: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
 
 // Msg returns a message value with the given type name and fields.
 // The field map is copied.
@@ -120,7 +147,7 @@ func Msg(name string, fields map[string]Value) Value {
 	for k, v := range fields {
 		cp[k] = v
 	}
-	return Value{kind: KindMsg, name: name, msg: cp}
+	return MsgView(name, cp)
 }
 
 // MsgView returns a message value that aliases the field map without
@@ -128,8 +155,23 @@ func Msg(name string, fields map[string]Value) Value {
 // the caller must not mutate fields while the value is live (in
 // particular, not while a machine variable could still hold it).
 func MsgView(name string, fields map[string]Value) Value {
-	return Value{kind: KindMsg, name: name, msg: fields}
+	// A map value is one pointer word; p keeps that word.
+	return Value{
+		kind: KindMsg,
+		u:    uint64(len(name)),
+		p:    *(*unsafe.Pointer)(unsafe.Pointer(&fields)),
+		q:    unsafe.Pointer(unsafe.StringData(name)),
+	}
 }
+
+// fieldMap returns the field map of a map-backed message value.
+func (v Value) fieldMap() map[string]Value {
+	return *(*map[string]Value)(unsafe.Pointer(&v.p))
+}
+
+// slotBacked reports whether v is a slot-backed message (p is its
+// *MsgShape and q its *Frame).
+func (v Value) slotBacked() bool { return v.kind == KindMsg && v.bits == msgSlots }
 
 // Kind reports the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -138,31 +180,64 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsValid() bool { return v.kind != KindInvalid }
 
 // AsBool returns the boolean payload. It must only be called when
-// Kind() == KindBool.
-func (v Value) AsBool() bool { return v.b }
+// Kind() == KindBool; other kinds read as false.
+func (v Value) AsBool() bool { return v.kind == KindBool && v.u != 0 }
 
-// AsUint returns the unsigned integer payload.
-func (v Value) AsUint() uint64 { return v.u }
+// AsUint returns the unsigned integer payload (0 for other kinds).
+func (v Value) AsUint() uint64 {
+	if v.kind != KindUint {
+		return 0
+	}
+	return v.u
+}
 
-// Bits returns the bit width of an unsigned integer value.
-func (v Value) Bits() int { return v.bits }
+// Bits returns the bit width of an unsigned integer value (0 for other
+// kinds).
+func (v Value) Bits() int {
+	if v.kind != KindUint {
+		return 0
+	}
+	return int(v.bits)
+}
 
 // AsBytes returns the byte payload. The returned slice is a copy.
 func (v Value) AsBytes() []byte {
-	cp := make([]byte, len(v.bs))
-	copy(cp, v.bs)
+	raw := v.RawBytes()
+	cp := make([]byte, len(raw))
+	copy(cp, raw)
 	return cp
 }
 
-// RawBytes returns the byte payload without copying. Callers must not
-// mutate the result.
-func (v Value) RawBytes() []byte { return v.bs }
+// RawBytes returns the byte payload without copying (nil for other
+// kinds). Callers must not mutate the result. Its capacity equals its
+// length, so an append to it always copies.
+func (v Value) RawBytes() []byte {
+	if v.kind != KindBytes {
+		return nil
+	}
+	return unsafe.Slice((*byte)(v.p), v.u)
+}
 
-// AsString returns the string payload.
-func (v Value) AsString() string { return v.s }
+// AsString returns the string payload ("" for other kinds).
+func (v Value) AsString() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), v.u)
+}
 
-// MsgName returns the message type name of a message value.
-func (v Value) MsgName() string { return v.name }
+// MsgName returns the message type name of a message value ("" for
+// other kinds).
+func (v Value) MsgName() string {
+	switch {
+	case v.kind != KindMsg:
+		return ""
+	case v.bits == msgSlots:
+		return (*MsgShape)(v.p).name
+	default:
+		return unsafe.String((*byte)(v.q), v.u)
+	}
+}
 
 // Field returns the named field of a message value (either
 // representation).
@@ -172,17 +247,22 @@ func (v Value) Field(name string) (Value, bool) {
 
 // MsgFields returns a copy of the fields of a message value.
 func (v Value) MsgFields() map[string]Value {
-	if v.shape != nil {
-		cp := make(map[string]Value, len(v.shape.names))
-		for i, name := range v.shape.names {
-			if fv := v.fr.slots[i]; fv.kind != KindInvalid {
+	if v.slotBacked() {
+		shape, fr := (*MsgShape)(v.p), (*Frame)(v.q)
+		cp := make(map[string]Value, len(shape.names))
+		for i, name := range shape.names {
+			if fv := fr.slots[i]; fv.kind != KindInvalid {
 				cp[name] = fv
 			}
 		}
 		return cp
 	}
-	cp := make(map[string]Value, len(v.msg))
-	for k, val := range v.msg {
+	var m map[string]Value
+	if v.kind == KindMsg {
+		m = v.fieldMap()
+	}
+	cp := make(map[string]Value, len(m))
+	for k, val := range m {
 		cp[k] = val
 	}
 	return cp
@@ -203,16 +283,14 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	switch v.kind {
-	case KindBool:
-		return v.b == o.b
-	case KindUint:
+	case KindBool, KindUint:
 		return v.u == o.u
 	case KindBytes:
-		return string(v.bs) == string(o.bs)
+		return string(v.RawBytes()) == string(o.RawBytes())
 	case KindString:
-		return v.s == o.s
+		return v.AsString() == o.AsString()
 	case KindMsg:
-		if v.name != o.name || v.numMsgFields() != o.numMsgFields() {
+		if v.MsgName() != o.MsgName() || v.numMsgFields() != o.numMsgFields() {
 			return false
 		}
 		for _, k := range v.msgFieldNames() {
@@ -235,16 +313,16 @@ func (v Value) Equal(o Value) bool {
 func (v Value) String() string {
 	switch v.kind {
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.u != 0)
 	case KindUint:
 		return fmt.Sprintf("%d:u%d", v.u, v.bits)
 	case KindBytes:
-		return fmt.Sprintf("0x%x", v.bs)
+		return fmt.Sprintf("0x%x", v.RawBytes())
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.AsString())
 	case KindMsg:
 		var sb strings.Builder
-		sb.WriteString(v.name)
+		sb.WriteString(v.MsgName())
 		sb.WriteString("{")
 		first := true
 		for _, k := range v.msgFieldNames() {
@@ -275,20 +353,20 @@ func (v Value) String() string {
 func (v Value) HashKey() string {
 	switch v.kind {
 	case KindBool:
-		if v.b {
+		if v.u != 0 {
 			return "b1"
 		}
 		return "b0"
 	case KindUint:
-		return "u" + strconv.FormatUint(v.u, 16) + "w" + strconv.Itoa(v.bits)
+		return "u" + strconv.FormatUint(v.u, 16) + "w" + strconv.Itoa(int(v.bits))
 	case KindBytes:
-		return "y" + string(v.bs)
+		return "y" + string(v.RawBytes())
 	case KindString:
-		return "s" + v.s
+		return "s" + v.AsString()
 	case KindMsg:
 		var sb strings.Builder
 		sb.WriteString("m")
-		sb.WriteString(v.name)
+		sb.WriteString(v.MsgName())
 		for _, k := range v.msgFieldNames() {
 			fv, ok := v.fieldByName(k)
 			if !ok {
@@ -333,12 +411,11 @@ func normBits(bits int) int {
 }
 
 func truncate(v uint64, bits int) uint64 {
-	bits = normBits(bits)
-	if bits >= 64 {
-		return v
-	}
-	return v & ((1 << uint(bits)) - 1)
+	return v & widthMask(uint8(normBits(bits)))
 }
+
+// widthMask returns the mask of a normalised width (8, 16, 32 or 64).
+func widthMask(bits uint8) uint64 { return ^uint64(0) >> (64 - bits) }
 
 // FitBits returns the smallest normalised width (8, 16, 32, 64) that can
 // represent v. Integer literals adopt this width so byte arithmetic wraps
