@@ -39,9 +39,10 @@ chaos:
 # built-in stop-and-wait / Go-Back-N / selective-repeat models against
 # their expected verdicts — clean configurations must stay clean,
 # seeded bugs must keep being found. `verify-full` adds the flagship
-# 749k-state GBN configuration (8.6s at one worker, 4.9s at two on a
-# 2-vCPU Xeon) that the sequential checker cannot finish in comparable
-# time; CI runs the full set.
+# 749k-state GBN configuration that the sequential checker cannot
+# finish in comparable time; CI runs the full set. The whole `-full`
+# run took 10.2-10.8s at one worker and 6.0-6.5s at two (3 runs each,
+# 2-vCPU Intel Xeon, go1.24.0).
 verify:
 	$(GO) run ./cmd/protoverify
 

@@ -5,13 +5,13 @@ import (
 	"protodsl/internal/arq"
 	"protodsl/internal/ipv4"
 	"protodsl/internal/trust"
-	"protodsl/internal/tuning"
 )
 
 // This file exposes the behavioural subsystems of the library: the
-// paper's §3.4 ARQ protocol as a ready-to-run transfer harness, and the
-// three §1.1 behavioural hooks (fuzzy adaptation, trust routing, timer
-// tuning).
+// paper's §3.4 ARQ protocol as a ready-to-run transfer harness, and two
+// of the three §1.1 behavioural hooks (fuzzy adaptation, trust routing).
+// The third, timer tuning, is the window engines' own RFC 6298
+// estimator, armed by GBNConfig's Adaptive flag.
 //
 // The ARQ harnesses run on the compiled execution engine: the sender and
 // receiver machines execute fsm.Program dispatch tables (slot-indexed
@@ -97,15 +97,6 @@ const (
 
 // RunTrustRouting delivers messages through partially adversarial relays.
 func RunTrustRouting(cfg TrustConfig) (*TrustResult, error) { return trust.Run(cfg) }
-
-// ---- Timer tuning (§1.1, ref [5]) ----
-
-// RTOEstimator is an RFC 6298 adaptive retransmission-timeout estimator.
-type RTOEstimator = tuning.RTOEstimator
-
-// NewRTOEstimator creates an estimator with the given initial value and
-// clamp bounds.
-var NewRTOEstimator = tuning.NewRTOEstimator
 
 // ---- Figure 1 (RFC 791) ----
 

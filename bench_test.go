@@ -1,4 +1,4 @@
-// Benchmark harness: one benchmark per experiment of EXPERIMENTS.md
+// Benchmark harness: one benchmark per experiment of DESIGN.md §4
 // (E1..E10) plus the design-choice ablations of DESIGN.md §6. Run with
 //
 //	go test -bench=. -benchmem
@@ -248,12 +248,12 @@ func BenchmarkE8TimerTuning(b *testing.B) {
 	})
 	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			est, err := tuning.NewRTOEstimator(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
+			policy, err := tuning.NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if _, err := tuning.Run(tuning.Config{
-				Regime: regime, Policy: tuning.AdaptiveTimer{E: est},
+				Regime: regime, Policy: policy,
 				LossProb: 0.1, Seed: int64(i),
 			}); err != nil {
 				b.Fatal(err)

@@ -97,11 +97,7 @@ func runE8(_ *ctx, out io.Writer) error {
 			func() (tuning.TimerPolicy, error) { return tuning.FixedTimer{D: 30 * time.Millisecond}, nil },
 			func() (tuning.TimerPolicy, error) { return tuning.FixedTimer{D: 500 * time.Millisecond}, nil },
 			func() (tuning.TimerPolicy, error) {
-				e, err := tuning.NewRTOEstimator(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
-				if err != nil {
-					return nil, err
-				}
-				return tuning.AdaptiveTimer{E: e}, nil
+				return tuning.NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
 			},
 		}
 		for _, mk := range policies {

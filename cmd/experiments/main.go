@@ -1,4 +1,4 @@
-// Command experiments regenerates every table in EXPERIMENTS.md: one
+// Command experiments prints every experiment table to stdout: one
 // experiment per claim of the paper (the paper, a position paper, has no
 // tables of its own — see DESIGN.md §4 for the mapping).
 //

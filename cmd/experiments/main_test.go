@@ -7,8 +7,9 @@ import (
 )
 
 // TestAllExperimentsRun executes the full harness (the same code path
-// that regenerates EXPERIMENTS.md) and sanity-checks each table's
-// presence. The repository root is two levels up from this package.
+// as `go run ./cmd/experiments`, which prints the tables) and
+// sanity-checks each table's presence. The repository root is two
+// levels up from this package.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment harness in -short mode")

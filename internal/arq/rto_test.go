@@ -53,6 +53,12 @@ func TestRTOFirstSampleSeedsEstimator(t *testing.T) {
 	if got := r.current(); got != 30*time.Millisecond {
 		t.Fatalf("after first 10ms sample current = %s, want 30ms", got)
 	}
+	// Second sample pins both gains: RTTVAR = (3·5 + |10−50|)/4 = 13.75ms,
+	// SRTT = (7·10 + 50)/8 = 15ms, so base = 15 + 4·13.75 = 70ms.
+	r.sample(50 * time.Millisecond)
+	if got := r.current(); got != 70*time.Millisecond {
+		t.Fatalf("after a 50ms second sample current = %s, want 70ms", got)
+	}
 }
 
 func TestRTOConvergesOnSteadyRTT(t *testing.T) {
@@ -67,6 +73,30 @@ func TestRTOConvergesOnSteadyRTT(t *testing.T) {
 	want := rtt + rtoGranularity
 	if got := r.current(); got < rtt || got > want+2*time.Millisecond {
 		t.Fatalf("steady 10ms RTT converged to %s, want ≈ %s", got, want)
+	}
+}
+
+// TestRTOTracksIncrease steps the RTT from 20 to 120 ms: within as many
+// samples as it took to settle on 20 ms, the armed RTO must rise above
+// the new RTT, or every probe after the step would time out spuriously.
+func TestRTOTracksIncrease(t *testing.T) {
+	r, err := NewRTO(FlowConfig{
+		RTO: 100 * time.Millisecond, Adaptive: true,
+		MinRTO: 10 * time.Millisecond, MaxRTO: time.Minute,
+	}, obs.Of(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samples = 20
+	for i := 0; i < samples; i++ {
+		r.Sample(20 * time.Millisecond)
+	}
+	low := r.Current()
+	for i := 0; i < samples; i++ {
+		r.Sample(120 * time.Millisecond)
+	}
+	if got := r.Current(); got <= 120*time.Millisecond {
+		t.Fatalf("RTO after %d samples of a 20→120ms step = %s (was %s), want > 120ms", samples, got, low)
 	}
 }
 

@@ -1,12 +1,15 @@
 // Command docscheck fails CI when documentation references rot: every
 // `DESIGN.md §N` citation in the repository's Go sources must name a
 // section that actually exists in DESIGN.md (headings of the form
-// `## §N — title`), and every backticked repository path in a Markdown
+// `## §N — title`), every backticked repository path in a Markdown
 // file (`internal/…`, `cmd/…`, `examples/…`, `bench/…`, `docs/…`, with
 // an optional `:line` suffix or trailing `.Symbol`) must name a file or
-// directory that exists. It is the docs counterpart of the codegen drift
-// tests: the design document is load-bearing, so dangling citations
-// are build failures, not editorial debt.
+// directory that exists, and every Markdown document named by its file
+// name (with any relative path prefix) in a non-test Go comment or a
+// checked Markdown file must exist, relative to the repository root or
+// to the naming file's own directory. It is the docs counterpart of the
+// codegen drift tests: the design document is load-bearing, so dangling
+// citations are build failures, not editorial debt.
 //
 // Run from the repository root (CI does, via `make docscheck`):
 //
@@ -15,6 +18,8 @@ package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,6 +34,9 @@ var (
 	sectionRe = regexp.MustCompile(`(?m)^##\s+§(\d+)`)
 	pathRe    = regexp.MustCompile("`((?:internal|cmd|examples|bench|docs)/[A-Za-z0-9_./-]*)(?::[0-9][0-9,-]*)?`")
 	symbolRe  = regexp.MustCompile(`\.[A-Za-z_][A-Za-z0-9_]*$`)
+	// docRe matches a Markdown document name with an optional relative
+	// path prefix; a name inside a URL or a longer path is not matched.
+	docRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9_-]+\.md)\b`)
 
 	// aboutTree holds the root Markdown files held to the path rule. The
 	// other root documents are history, plans and paper notes: they name
@@ -53,7 +61,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all DESIGN.md §N references and doc paths resolve")
+	fmt.Println("docscheck: all DESIGN.md §N references, doc paths and document names resolve")
 }
 
 // sections parses the §N headings out of DESIGN.md text.
@@ -68,9 +76,27 @@ func sections(design string) map[int]bool {
 	return out
 }
 
-// check scans every .go file under root for DESIGN.md §N references and
-// every Markdown file for repository paths, and reports the references
-// that do not resolve.
+// goComments returns the text of every comment in a Go source file.
+func goComments(src []byte) string {
+	var s scanner.Scanner
+	s.Init(token.NewFileSet().AddFile("", -1, len(src)), src, nil, scanner.ScanComments)
+	var b strings.Builder
+	for {
+		_, tok, lit := s.Scan()
+		if tok == token.EOF {
+			return b.String()
+		}
+		if tok == token.COMMENT {
+			b.WriteString(lit)
+			b.WriteByte('\n')
+		}
+	}
+}
+
+// check scans every .go file under root for DESIGN.md §N references,
+// non-test Go comments for document names, and every Markdown file for
+// repository paths and document names, and reports the references that
+// do not resolve.
 func check(root string) ([]string, error) {
 	designPath := filepath.Join(root, "DESIGN.md")
 	design, err := os.ReadFile(designPath)
@@ -106,8 +132,18 @@ func check(root string) ([]string, error) {
 		}
 		return false
 	}
-
+	// missingDocs reports each document name in text that exists neither
+	// under root nor beside rel, the file that names it.
 	var problems []string
+	missingDocs := func(rel, text string) {
+		for _, m := range docRe.FindAllStringSubmatch(text, -1) {
+			_, errRoot := os.Stat(filepath.Join(root, m[1]))
+			_, errDir := os.Stat(filepath.Join(root, filepath.Dir(rel), m[1]))
+			if errRoot != nil && errDir != nil {
+				problems = append(problems, fmt.Sprintf("%s names %s, which does not exist", rel, m[1]))
+			}
+		}
+	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -132,6 +168,7 @@ func check(root string) ([]string, error) {
 					problems = append(problems, fmt.Sprintf("%s names `%s`, which does not exist", rel, m[1]))
 				}
 			}
+			missingDocs(rel, string(data))
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") {
@@ -140,6 +177,9 @@ func check(root string) ([]string, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			missingDocs(rel, goComments(data))
 		}
 		for _, line := range strings.Split(string(data), "\n") {
 			for _, m := range refRe.FindAllStringSubmatch(line, -1) {

@@ -72,6 +72,41 @@ func TestCheckFlagsStalePath(t *testing.T) {
 	}
 }
 
+func TestCheckFlagsMissingDocument(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"DESIGN.md":          "## §1 — A\n\nTables: EXPERIMENTS.md; see README.md and https://example.org/GUIDE.md.\n",
+		"README.md":          "see DESIGN.md\n",
+		"bench/README.md":    "the ruler\n",
+		"bench/run.go":       "package bench\n\n// See README.md and bench/README.md.\nvar s = \"LITERAL.md\"\n",
+		"bench/run_test.go":  "package bench\n\n// Tests may name TESTONLY.md.\n",
+		"docs/NOTES.md":      "[design](../DESIGN.md), docs/NOTES.md and `bench/README.md`; plan in PLAN.md\n",
+		"CHANGES.md":         "history names OLD.md\n",
+		"cmd/tool/main.go":   "// Command tool prints the tables of TABLES.md.\npackage main\n",
+		"cmd/tool/README.md": "local docs\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	problems, err := check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"DESIGN.md names EXPERIMENTS.md, which does not exist",
+		filepath.Join("cmd", "tool", "main.go") + " names TABLES.md, which does not exist",
+		filepath.Join("docs", "NOTES.md") + " names PLAN.md, which does not exist",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestCheckErrorsWithoutDesign(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := check(dir); err == nil {

@@ -2,12 +2,13 @@
 // "tuning protocol operation for improved performance … adaptation of
 // protocol timers to reduce overhead in dynamic MANET routing [5]".
 //
-// It provides an RFC 6298-style adaptive retransmission-timeout
-// estimator (SRTT/RTTVAR smoothing, Karn's algorithm, exponential
-// backoff) and a probe/response experiment over the simulator that
-// compares adaptive and fixed timers across RTT regimes — experiment E8.
+// It runs a probe/response experiment over the simulator that compares
+// fixed timers with an adaptive one across RTT regimes — experiment E8.
+// The adaptive policy is arq.RTO, the RFC 6298 estimator (SRTT/RTTVAR
+// smoothing, exponential backoff) that the window engines and the
+// session client ship; the probe driver applies Karn's rule.
 //
-// Concurrency: estimators and probe runs are single-owner inside their
+// Concurrency: policies and probe runs are single-owner inside their
 // simulator's event loop; distinct experiments may run concurrently.
 package tuning
 
@@ -16,86 +17,10 @@ import (
 	"fmt"
 	"time"
 
+	"protodsl/internal/arq"
 	"protodsl/internal/netsim"
+	"protodsl/internal/obs"
 )
-
-// RTOEstimator implements RFC 6298 retransmission-timeout estimation.
-// The zero value is not usable; construct with NewRTOEstimator.
-type RTOEstimator struct {
-	srtt        time.Duration
-	rttvar      time.Duration
-	rto         time.Duration
-	min, max    time.Duration
-	backoffMult int
-	initialized bool
-}
-
-// NewRTOEstimator creates an estimator with the given initial RTO and
-// clamp bounds.
-func NewRTOEstimator(initial, min, max time.Duration) (*RTOEstimator, error) {
-	if min <= 0 || max < min || initial < min || initial > max {
-		return nil, fmt.Errorf("tuning: invalid RTO bounds initial=%s min=%s max=%s", initial, min, max)
-	}
-	return &RTOEstimator{rto: initial, min: min, max: max, backoffMult: 1}, nil
-}
-
-// Observe feeds one round-trip-time sample from a *non-retransmitted*
-// exchange (Karn's algorithm: callers must not feed samples from
-// retransmitted probes — acknowledgement ambiguity would corrupt the
-// estimate).
-func (e *RTOEstimator) Observe(rtt time.Duration) {
-	if !e.initialized {
-		e.srtt = rtt
-		e.rttvar = rtt / 2
-		e.initialized = true
-	} else {
-		// RFC 6298: RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - RTT|
-		//           SRTT   = 7/8 SRTT + 1/8 RTT
-		diff := e.srtt - rtt
-		if diff < 0 {
-			diff = -diff
-		}
-		e.rttvar = (3*e.rttvar + diff) / 4
-		e.srtt = (7*e.srtt + rtt) / 8
-	}
-	e.backoffMult = 1
-	// RFC 6298: RTO = SRTT + max(G, 4*RTTVAR). The granularity term G
-	// (we use the configured minimum) keeps the deadline strictly above a
-	// perfectly stable RTT — without it the timer races the response.
-	slack := 4 * e.rttvar
-	if slack < e.min {
-		slack = e.min
-	}
-	e.rto = clampDur(e.srtt+slack, e.min, e.max)
-}
-
-// Backoff doubles the timeout after a retransmission (bounded by max).
-func (e *RTOEstimator) Backoff() {
-	if e.backoffMult < 64 {
-		e.backoffMult *= 2
-	}
-}
-
-// RTO returns the current retransmission timeout.
-func (e *RTOEstimator) RTO() time.Duration {
-	return clampDur(e.rto*time.Duration(e.backoffMult), e.min, e.max)
-}
-
-// SRTT returns the smoothed round-trip time (0 before the first sample).
-func (e *RTOEstimator) SRTT() time.Duration { return e.srtt }
-
-// RTTVar returns the RTT variance estimate.
-func (e *RTOEstimator) RTTVar() time.Duration { return e.rttvar }
-
-func clampDur(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
-}
 
 // TimerPolicy chooses the probe timeout; the two implementations are the
 // E8 comparanda.
@@ -126,17 +51,28 @@ func (FixedTimer) OnTimeout() {}
 // Name implements TimerPolicy.
 func (f FixedTimer) Name() string { return fmt.Sprintf("fixed(%s)", f.D) }
 
-// AdaptiveTimer adapts through an RTOEstimator.
-type AdaptiveTimer struct{ E *RTOEstimator }
+// AdaptiveTimer adapts through arq.RTO, the RFC 6298 estimator that the
+// window engines and the session client run.
+type AdaptiveTimer struct{ R *arq.RTO }
+
+// NewAdaptiveTimer builds an adaptive policy with the given initial RTO
+// and clamp bounds; arq clamps an initial RTO outside [min, max].
+func NewAdaptiveTimer(initial, min, max time.Duration) (AdaptiveTimer, error) {
+	r, err := arq.NewRTO(arq.FlowConfig{RTO: initial, Adaptive: true, MinRTO: min, MaxRTO: max}, obs.Of(nil))
+	if err != nil {
+		return AdaptiveTimer{}, fmt.Errorf("tuning: %w", err)
+	}
+	return AdaptiveTimer{R: r}, nil
+}
 
 // Timeout implements TimerPolicy.
-func (a AdaptiveTimer) Timeout() time.Duration { return a.E.RTO() }
+func (a AdaptiveTimer) Timeout() time.Duration { return a.R.Current() }
 
 // OnSample implements TimerPolicy.
-func (a AdaptiveTimer) OnSample(rtt time.Duration) { a.E.Observe(rtt) }
+func (a AdaptiveTimer) OnSample(rtt time.Duration) { a.R.Sample(rtt) }
 
 // OnTimeout implements TimerPolicy.
-func (a AdaptiveTimer) OnTimeout() { a.E.Backoff() }
+func (a AdaptiveTimer) OnTimeout() { a.R.Backoff() }
 
 // Name implements TimerPolicy.
 func (AdaptiveTimer) Name() string { return "adaptive(rfc6298)" }
@@ -222,10 +158,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	firstDelay := cfg.Regime.Delays[0] / 2
-	sim.Connect(client, server, netsim.LinkParams{
-		Delay: firstDelay, Jitter: cfg.Regime.Jitter / 2, LossProb: cfg.LossProb,
-	})
+	sim.Connect(client, server, netsim.LinkParams{}) // applyPhase sets them per probe
 
 	server.SetHandler(func(from netsim.Addr, data []byte) {
 		_ = server.Send(from, data) // echo
@@ -302,13 +235,7 @@ func (r *proberun) onResponse(_ netsim.Addr, data []byte) {
 	}
 	probe := int(data[0])<<8 | int(data[1])
 	if probe != r.probe || r.acked {
-		if probe == r.probe && r.acked {
-			return // duplicate response after completion
-		}
-		// A response to an earlier attempt of the current probe, or to a
-		// previous probe: if it answers the probe's first attempt after
-		// we already retransmitted, the retransmission was spurious.
-		return
+		return // a previous probe's response, or a duplicate after completion
 	}
 	r.acked = true
 	if r.timer != nil {

@@ -5,95 +5,14 @@ import (
 	"time"
 )
 
-func TestRTOEstimatorConverges(t *testing.T) {
-	e, err := NewRTOEstimator(1*time.Second, 10*time.Millisecond, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.RTO() != time.Second {
-		t.Errorf("initial RTO = %s", e.RTO())
-	}
-	for i := 0; i < 50; i++ {
-		e.Observe(100 * time.Millisecond)
-	}
-	// With constant RTT, RTTVAR decays and RTO approaches SRTT.
-	if e.SRTT() < 95*time.Millisecond || e.SRTT() > 105*time.Millisecond {
-		t.Errorf("SRTT = %s, want ~100ms", e.SRTT())
-	}
-	if e.RTO() > 200*time.Millisecond {
-		t.Errorf("RTO = %s, want < 200ms after convergence", e.RTO())
-	}
-	if e.RTO() < 10*time.Millisecond {
-		t.Errorf("RTO below floor: %s", e.RTO())
-	}
-}
-
-func TestRTOTracksIncrease(t *testing.T) {
-	e, err := NewRTOEstimator(100*time.Millisecond, 10*time.Millisecond, 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		e.Observe(20 * time.Millisecond)
-	}
-	low := e.RTO()
-	for i := 0; i < 20; i++ {
-		e.Observe(200 * time.Millisecond)
-	}
-	if e.RTO() <= low {
-		t.Errorf("RTO did not rise with RTT: %s -> %s", low, e.RTO())
-	}
-}
-
-func TestBackoffDoublesAndResets(t *testing.T) {
-	e, err := NewRTOEstimator(100*time.Millisecond, 10*time.Millisecond, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Observe(100 * time.Millisecond)
-	base := e.RTO()
-	e.Backoff()
-	if e.RTO() != 2*base {
-		t.Errorf("after backoff RTO = %s, want %s", e.RTO(), 2*base)
-	}
-	e.Backoff()
-	if e.RTO() != 4*base {
-		t.Errorf("after 2nd backoff RTO = %s, want %s", e.RTO(), 4*base)
-	}
-	// A clean sample resets the multiplier.
-	e.Observe(100 * time.Millisecond)
-	if e.RTO() > 2*base {
-		t.Errorf("backoff not reset by sample: %s", e.RTO())
-	}
-	// Backoff clamps at max.
-	for i := 0; i < 20; i++ {
-		e.Backoff()
-	}
-	if e.RTO() != 10*time.Second {
-		t.Errorf("backoff exceeded max: %s", e.RTO())
-	}
-}
-
-func TestRTOValidation(t *testing.T) {
-	if _, err := NewRTOEstimator(1, 0, 10); err == nil {
-		t.Error("zero min accepted")
-	}
-	if _, err := NewRTOEstimator(20, 1, 10); err == nil {
-		t.Error("initial above max accepted")
-	}
-	if _, err := NewRTOEstimator(0, 1, 10); err == nil {
-		t.Error("initial below min accepted")
-	}
-}
-
 func TestStableRegimeBothPoliciesComplete(t *testing.T) {
-	est, err := NewRTOEstimator(200*time.Millisecond, 5*time.Millisecond, 5*time.Second)
+	adaptive, err := NewAdaptiveTimer(200*time.Millisecond, 5*time.Millisecond, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, policy := range []TimerPolicy{
 		FixedTimer{D: 100 * time.Millisecond},
-		AdaptiveTimer{E: est},
+		adaptive,
 	} {
 		res, err := Run(Config{
 			Regime: StableRegime(20*time.Millisecond, 100),
@@ -125,12 +44,12 @@ func TestE8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := NewRTOEstimator(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
+	policy, err := NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adaptive, err := Run(Config{
-		Regime: regime, Policy: AdaptiveTimer{E: est}, Seed: 2,
+		Regime: regime, Policy: policy, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +64,13 @@ func TestE8Shape(t *testing.T) {
 
 	// Under genuine loss, the adaptive timer completes faster than a
 	// conservative fixed timer because its deadline tracks the true RTT.
-	est2, err := NewRTOEstimator(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
+	policy2, err := NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lossRegime := StableRegime(20*time.Millisecond, 100)
 	adaptiveLoss, err := Run(Config{
-		Regime: lossRegime, Policy: AdaptiveTimer{E: est2}, LossProb: 0.2, Seed: 3,
+		Regime: lossRegime, Policy: policy2, LossProb: 0.2, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,13 +117,13 @@ func TestRunValidation(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() (*Result, error) {
-		est, err := NewRTOEstimator(100*time.Millisecond, 5*time.Millisecond, time.Second)
+		policy, err := NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, time.Second)
 		if err != nil {
 			return nil, err
 		}
 		return Run(Config{
 			Regime: VolatileRegime(20*time.Millisecond, 30*time.Millisecond, 80),
-			Policy: AdaptiveTimer{E: est}, LossProb: 0.1, Seed: 9,
+			Policy: policy, LossProb: 0.1, Seed: 9,
 		})
 	}
 	a, err := mk()

@@ -15,7 +15,6 @@ import (
 // orphanExempt lists the internal packages that may have no importer,
 // each with the reason it is kept anyway.
 var orphanExempt = map[string]string{
-	"internal/asn1s":    "ROADMAP 1(a): the §2.1 ASN.1 baseline, to be deleted next",
 	"internal/ipv4/gen": "generated tier, pinned by TestGeneratedFilesAreCurrent and its diff tests",
 }
 

@@ -170,15 +170,6 @@ func TestFacadeBehaviourHooks(t *testing.T) {
 		t.Errorf("attempts = %d", tres.Attempts)
 	}
 
-	est, err := NewRTOEstimator(time.Second, time.Millisecond, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est.Observe(20 * time.Millisecond)
-	if est.RTO() <= 0 {
-		t.Error("RTO not positive")
-	}
-
 	codec, err := NewIPv4Codec()
 	if err != nil {
 		t.Fatal(err)
