@@ -64,8 +64,11 @@ e2e-compare:
 	sh bench/run.sh -compare $(OLD) $(NEW)
 
 # Documentation references must resolve: every `DESIGN.md §N` citation
-# in Go sources names a real section of DESIGN.md, and every backticked
-# repository path in a Markdown file names a real file or directory.
+# in Go sources names a real section of DESIGN.md, every backticked
+# repository path in a Markdown file names a real file or directory, and
+# every backticked `pkg.Name` or `pkg.Type.Member` in DESIGN.md, README.md
+# and docs/ whose pkg is an internal package (or protodsl) names an
+# exported declaration, method or field that exists.
 docscheck:
 	$(GO) run ./internal/tools/docscheck
 

@@ -28,7 +28,6 @@ import (
 	"protodsl/internal/sockets"
 	"protodsl/internal/testgen"
 	"protodsl/internal/trust"
-	"protodsl/internal/tuning"
 	"protodsl/internal/verify"
 	"protodsl/internal/wire"
 )
@@ -230,36 +229,6 @@ func BenchmarkE7TrustRouting(b *testing.B) {
 			}
 		})
 	}
-}
-
-// ---- E8: timer tuning ----
-
-func BenchmarkE8TimerTuning(b *testing.B) {
-	regime := tuning.StepRegime(50, 10*time.Millisecond, 120*time.Millisecond)
-	b.Run("fixed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tuning.Run(tuning.Config{
-				Regime: regime, Policy: tuning.FixedTimer{D: 30 * time.Millisecond},
-				LossProb: 0.1, Seed: int64(i),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			policy, err := tuning.NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tuning.Run(tuning.Config{
-				Regime: regime, Policy: policy,
-				LossProb: 0.1, Seed: int64(i),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // ---- E9: behavioural test generation ----

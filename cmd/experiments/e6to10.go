@@ -13,7 +13,6 @@ import (
 	"protodsl/internal/metrics"
 	"protodsl/internal/testgen"
 	"protodsl/internal/trust"
-	"protodsl/internal/tuning"
 	"protodsl/internal/wire"
 )
 
@@ -85,19 +84,19 @@ func runE7(_ *ctx, out io.Writer) error {
 
 // runE8 compares timer policies across RTT regimes.
 func runE8(_ *ctx, out io.Writer) error {
-	regimes := []tuning.RTTRegime{
-		tuning.StableRegime(20*time.Millisecond, 150),
-		tuning.VolatileRegime(20*time.Millisecond, 40*time.Millisecond, 150),
-		tuning.StepRegime(50, 10*time.Millisecond, 120*time.Millisecond, 30*time.Millisecond),
+	regimes := []rttRegime{
+		stableRegime(20*time.Millisecond, 150),
+		volatileRegime(20*time.Millisecond, 40*time.Millisecond, 150),
+		stepRegime(50, 10*time.Millisecond, 120*time.Millisecond, 30*time.Millisecond),
 	}
 	tb := metrics.NewTable("E8: timer policies across RTT regimes (with 10% genuine loss)",
 		"regime", "policy", "completed", "retransmits", "spurious", "mean latency")
 	for _, regime := range regimes {
-		policies := []func() (tuning.TimerPolicy, error){
-			func() (tuning.TimerPolicy, error) { return tuning.FixedTimer{D: 30 * time.Millisecond}, nil },
-			func() (tuning.TimerPolicy, error) { return tuning.FixedTimer{D: 500 * time.Millisecond}, nil },
-			func() (tuning.TimerPolicy, error) {
-				return tuning.NewAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
+		policies := []func() (timerPolicy, error){
+			func() (timerPolicy, error) { return fixedTimer{D: 30 * time.Millisecond}, nil },
+			func() (timerPolicy, error) { return fixedTimer{D: 500 * time.Millisecond}, nil },
+			func() (timerPolicy, error) {
+				return newAdaptiveTimer(100*time.Millisecond, 5*time.Millisecond, 5*time.Second)
 			},
 		}
 		for _, mk := range policies {
@@ -105,7 +104,7 @@ func runE8(_ *ctx, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			res, err := tuning.Run(tuning.Config{
+			res, err := runProbes(probeConfig{
 				Regime: regime, Policy: policy, LossProb: 0.1, Seed: 4,
 			})
 			if err != nil {

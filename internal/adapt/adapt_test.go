@@ -18,14 +18,6 @@ func TestMembershipShapes(t *testing.T) {
 			t.Errorf("Triangle(%g) = %g, want %g", c.x, got, c.want)
 		}
 	}
-	trap := Trapezoid(0, 2, 8, 10)
-	for _, c := range []struct{ x, want float64 }{
-		{1, 0.5}, {2, 1}, {5, 1}, {8, 1}, {9, 0.5}, {10, 0},
-	} {
-		if got := trap(c.x); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Trapezoid(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
 	sl := ShoulderLeft(2, 4)
 	if sl(1) != 1 || sl(5) != 0 || math.Abs(sl(3)-0.5) > 1e-9 {
 		t.Error("ShoulderLeft wrong")
@@ -39,7 +31,7 @@ func TestMembershipShapes(t *testing.T) {
 // Property: all membership functions stay within [0, 1].
 func TestQuickMembershipBounded(t *testing.T) {
 	fns := []MemberFn{
-		Triangle(0, 1, 2), Trapezoid(0, 1, 2, 3), ShoulderLeft(1, 2), ShoulderRight(1, 2),
+		Triangle(0, 1, 2), ShoulderLeft(1, 2), ShoulderRight(1, 2),
 	}
 	f := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -188,7 +180,7 @@ func TestRateControllerReactsToLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Clean network: the rate should creep up.
-	r0 := c.Rate()
+	r0 := c.rate
 	var r float64
 	for i := 0; i < 10; i++ {
 		r, err = c.Observe(0)
@@ -200,7 +192,7 @@ func TestRateControllerReactsToLoss(t *testing.T) {
 		t.Errorf("rate did not increase on clean network: %g -> %g", r0, r)
 	}
 	// Heavy loss: the rate must fall sharply.
-	before := c.Rate()
+	before := c.rate
 	r, err = c.Observe(0.4)
 	if err != nil {
 		t.Fatal(err)

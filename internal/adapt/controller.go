@@ -90,9 +90,6 @@ func NewRateController(minRate, maxRate, initial float64) (*RateController, erro
 	return &RateController{engine: e, rate: initial, min: minRate, max: maxRate}, nil
 }
 
-// Rate returns the current send rate.
-func (c *RateController) Rate() float64 { return c.rate }
-
 // Observe feeds one measurement interval's loss fraction into the
 // controller and returns the adapted rate.
 func (c *RateController) Observe(lossRate float64) (float64, error) {

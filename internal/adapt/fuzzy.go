@@ -4,7 +4,7 @@
 // conditions [1] to allow media-stream adaptation."
 //
 // It provides a small Mamdani fuzzy-inference engine (triangular and
-// trapezoidal memberships, min-AND rules, max aggregation, centroid
+// shoulder memberships, min-AND rules, max aggregation, centroid
 // defuzzification) and a media-rate controller built on it, plus the
 // synthetic varying-bandwidth stream simulation experiment E6 measures.
 //
@@ -33,23 +33,6 @@ func Triangle(a, b, c float64) MemberFn {
 			return (x - a) / (b - a)
 		default:
 			return (c - x) / (c - b)
-		}
-	}
-}
-
-// Trapezoid returns a trapezoidal membership with feet a and d and
-// plateau [b, c].
-func Trapezoid(a, b, c, d float64) MemberFn {
-	return func(x float64) float64 {
-		switch {
-		case x <= a || x >= d:
-			return 0
-		case x >= b && x <= c:
-			return 1
-		case x < b:
-			return (x - a) / (b - a)
-		default:
-			return (d - x) / (d - c)
 		}
 	}
 }
@@ -88,7 +71,6 @@ type Variable struct {
 	Name     string
 	Min, Max float64
 	terms    map[string]MemberFn
-	order    []string
 }
 
 // NewVariable creates a linguistic variable over [min, max].
@@ -105,15 +87,7 @@ func (v *Variable) AddTerm(name string, fn MemberFn) error {
 		return fmt.Errorf("adapt: variable %s: duplicate term %q", v.Name, name)
 	}
 	v.terms[name] = fn
-	v.order = append(v.order, name)
 	return nil
-}
-
-// Terms returns the term names in registration order.
-func (v *Variable) Terms() []string {
-	out := make([]string, len(v.order))
-	copy(out, v.order)
-	return out
 }
 
 // Membership evaluates the named term at x (clamped to the range).

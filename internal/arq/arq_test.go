@@ -60,11 +60,11 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Error("certificate missing checksum-verified")
 	}
 
-	aenc, err := c.EncodeAck(9)
+	aenc, err := c.AppendEncodeAck(nil, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := c.DecodeAck(aenc)
+	ack, err := c.DecodeAckInPlace(aenc)
 	if err != nil {
 		t.Fatal(err)
 	}

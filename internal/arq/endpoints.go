@@ -327,9 +327,6 @@ func (r *Receiver) Stats() ReceiverStats { return r.stats }
 // Err returns the first internal error (nil in healthy runs).
 func (r *Receiver) Err() error { return r.err }
 
-// State returns the machine's current state name.
-func (r *Receiver) State() string { return r.machine.State() }
-
 // Close raises the CLOSE event, moving the machine to its final state.
 func (r *Receiver) Close() error {
 	_, err := r.machine.StepEv(r.evClose)

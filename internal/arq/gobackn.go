@@ -474,14 +474,6 @@ func (r *GBNReceiver) SeedExpect(expect uint64) { r.r.expect = int(expect) }
 // call from the owning shard loop (Node.Do).
 func (r *GBNReceiver) Delivered() [][]byte { return r.r.delivered }
 
-// Err returns the receiver's first internal error.
-func (r *GBNReceiver) Err() error {
-	if r.r.err != nil {
-		return fmt.Errorf("arq gbn: receiver: %w", r.r.err)
-	}
-	return nil
-}
-
 // RunTransferGBN runs a go-back-N transfer. Window 0 selects 8.
 func RunTransferGBN(cfg GBNConfig, payloads [][]byte) (*GBNResult, error) {
 	fcfg := FlowConfig{Window: cfg.Window, RTO: cfg.RTO, MaxRetries: cfg.MaxRetries, Adaptive: cfg.Adaptive}

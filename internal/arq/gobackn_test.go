@@ -186,7 +186,7 @@ func TestGBNStaleAckOutsideWindowIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, stale := range []uint8{5, 100, 200, 255} {
-		enc, err := codec.EncodeAck(stale)
+		enc, err := codec.AppendEncodeAck(nil, stale)
 		if err != nil {
 			t.Fatal(err)
 		}

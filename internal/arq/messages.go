@@ -201,20 +201,6 @@ func (c *Codec) DecodeAckFrame(data []byte) (*expr.Frame, error) {
 // field (for engines reading payloads straight from a decoded frame).
 func (c *Codec) PacketPayloadSlot() int { return c.pktPayload }
 
-// EncodeAck serialises an acknowledgement.
-func (c *Codec) EncodeAck(seq uint8) ([]byte, error) {
-	return c.Ack.Encode(map[string]expr.Value{"seq": expr.U8(uint64(seq))})
-}
-
-// DecodeAck parses and validates a received acknowledgement.
-func (c *Codec) DecodeAck(data []byte) (CheckedAck, error) {
-	vals, err := c.Ack.Decode(data)
-	if err != nil {
-		return CheckedAck{}, err
-	}
-	return ackWitness.Validate(Ack{Seq: uint8(vals["seq"].AsUint())})
-}
-
 // DecodeAckInPlace parses and validates an acknowledgement using the
 // codec's reusable scratch frame (no allocations on the success path).
 func (c *Codec) DecodeAckInPlace(data []byte) (CheckedAck, error) {

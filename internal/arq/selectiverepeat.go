@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"protodsl/internal/faults"
 	"protodsl/internal/netsim"
 	"protodsl/internal/obs"
 )
@@ -20,20 +19,6 @@ import (
 // The 8-bit sequence space caps the window at 127 (< 256/2), which keeps
 // old and new sequence numbers distinguishable after wrap on both sides.
 
-// SRConfig parameterises a selective-repeat transfer.
-type SRConfig struct {
-	Link        netsim.LinkParams
-	RTO         time.Duration
-	Adaptive    bool // RFC-6298 adaptive RTO (see FlowConfig.Adaptive)
-	MaxRetries  int  // per-packet retransmissions before giving up
-	Window      int
-	Seed        int64
-	EventBudget int
-	// Faults, if non-nil, layers the fault schedule over the link, one
-	// private injector per direction (instance ids 0 and 1).
-	Faults *faults.Schedule
-}
-
 // SRResult reports a selective-repeat transfer.
 type SRResult struct {
 	OK          bool
@@ -41,18 +26,6 @@ type SRResult struct {
 	PacketsSent int
 	Retransmits int
 	Duration    time.Duration
-}
-
-// Goodput returns delivered payload bytes per virtual second.
-func (r *SRResult) Goodput() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	var bytes int
-	for _, p := range r.Delivered {
-		bytes += len(p)
-	}
-	return float64(bytes) / r.Duration.Seconds()
 }
 
 // srPacket is the sender's in-flight bookkeeping for one payload.
@@ -419,47 +392,3 @@ func (r *SRReceiver) SeedExpect(expect uint64) { r.r.expect = int(expect) }
 // Delivered returns the in-order payloads accepted so far. Under rtnet,
 // call from the owning shard loop (Node.Do).
 func (r *SRReceiver) Delivered() [][]byte { return r.r.delivered }
-
-// Err returns the receiver's first internal error.
-func (r *SRReceiver) Err() error {
-	if r.r.err != nil {
-		return fmt.Errorf("arq sr: receiver: %w", r.r.err)
-	}
-	return nil
-}
-
-// RunTransferSR runs a selective-repeat transfer over its own simulator.
-// Window 0 selects 8.
-func RunTransferSR(cfg SRConfig, payloads [][]byte) (*SRResult, error) {
-	fcfg := FlowConfig{Window: cfg.Window, RTO: cfg.RTO, MaxRetries: cfg.MaxRetries, Adaptive: cfg.Adaptive}
-	if err := fcfg.applyDefaults(); err != nil {
-		return nil, err
-	}
-	if cfg.EventBudget == 0 {
-		cfg.EventBudget = 20000 + 100*len(payloads)*(fcfg.MaxRetries+2)
-	}
-	sim := netsim.New(cfg.Seed)
-	sEP, err := sim.NewEndpoint("sender")
-	if err != nil {
-		return nil, err
-	}
-	rEP, err := sim.NewEndpoint("receiver")
-	if err != nil {
-		return nil, err
-	}
-	if err := connectWithFaults(sim, sEP, rEP, cfg.Link, cfg.Faults); err != nil {
-		return nil, err
-	}
-
-	flow, err := StartSR(sim, sEP, rEP, fcfg, payloads)
-	if err != nil {
-		return nil, err
-	}
-	if err := sim.RunUntilIdle(cfg.EventBudget); err != nil {
-		return nil, fmt.Errorf("arq sr: %w", err)
-	}
-	if err := flow.Err(); err != nil {
-		return nil, err
-	}
-	return flow.Result(), nil
-}

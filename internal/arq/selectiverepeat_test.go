@@ -2,9 +2,11 @@ package arq
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"protodsl/internal/faults"
 	"protodsl/internal/netsim"
 )
 
@@ -157,4 +159,54 @@ func TestSRExactDurationNoTrailingRTO(t *testing.T) {
 	if res.Duration != 2*d {
 		t.Errorf("Duration = %s, want exactly %s (ack delivery, no trailing RTO)", res.Duration, 2*d)
 	}
+}
+
+// SRConfig parameterises a selective-repeat transfer.
+type SRConfig struct {
+	Link        netsim.LinkParams
+	RTO         time.Duration
+	Adaptive    bool // RFC-6298 adaptive RTO (see FlowConfig.Adaptive)
+	MaxRetries  int  // per-packet retransmissions before giving up
+	Window      int
+	Seed        int64
+	EventBudget int
+	// Faults, if non-nil, layers the fault schedule over the link, one
+	// private injector per direction (instance ids 0 and 1).
+	Faults *faults.Schedule
+}
+
+// RunTransferSR runs a selective-repeat transfer over its own simulator.
+// Window 0 selects 8.
+func RunTransferSR(cfg SRConfig, payloads [][]byte) (*SRResult, error) {
+	fcfg := FlowConfig{Window: cfg.Window, RTO: cfg.RTO, MaxRetries: cfg.MaxRetries, Adaptive: cfg.Adaptive}
+	if err := fcfg.applyDefaults(); err != nil {
+		return nil, err
+	}
+	if cfg.EventBudget == 0 {
+		cfg.EventBudget = 20000 + 100*len(payloads)*(fcfg.MaxRetries+2)
+	}
+	sim := netsim.New(cfg.Seed)
+	sEP, err := sim.NewEndpoint("sender")
+	if err != nil {
+		return nil, err
+	}
+	rEP, err := sim.NewEndpoint("receiver")
+	if err != nil {
+		return nil, err
+	}
+	if err := connectWithFaults(sim, sEP, rEP, cfg.Link, cfg.Faults); err != nil {
+		return nil, err
+	}
+
+	flow, err := StartSR(sim, sEP, rEP, fcfg, payloads)
+	if err != nil {
+		return nil, err
+	}
+	if err := sim.RunUntilIdle(cfg.EventBudget); err != nil {
+		return nil, fmt.Errorf("arq sr: %w", err)
+	}
+	if err := flow.Err(); err != nil {
+		return nil, err
+	}
+	return flow.Result(), nil
 }

@@ -13,13 +13,11 @@ import (
 const (
 	// Sender states (the paper's SendSt).
 	StReady   = "Ready"
-	StWait    = "Wait"
 	StTimeout = "Timeout"
 	StSent    = "Sent"
 
 	// Receiver states.
-	StReadyFor = "ReadyFor"
-	StClosed   = "Closed"
+	StClosed = "Closed"
 
 	// Sender events (the paper's SendTrans constructors).
 	EvSend    = "SEND"

@@ -10,27 +10,27 @@ type Op int
 
 // Operators. Precedence follows Go.
 const (
-	OpInvalid Op = iota
-	OpOr         // ||
-	OpAnd        // &&
-	OpEq         // ==
-	OpNe         // !=
-	OpLt         // <
-	OpLe         // <=
-	OpGt         // >
-	OpGe         // >=
-	OpAdd        // +
-	OpSub        // -
-	OpMul        // *
-	OpDiv        // /
-	OpMod        // %
-	OpBitAnd     // &
-	OpBitOr      // |
-	OpBitXor     // ^
-	OpShl        // <<
-	OpShr        // >>
-	OpNot        // ! (unary)
-	OpNeg        // - (unary; two's-complement at operand width)
+	_        Op = iota // the zero Op is invalid
+	OpOr               // ||
+	OpAnd              // &&
+	OpEq               // ==
+	OpNe               // !=
+	OpLt               // <
+	OpLe               // <=
+	OpGt               // >
+	OpGe               // >=
+	OpAdd              // +
+	OpSub              // -
+	OpMul              // *
+	OpDiv              // /
+	OpMod              // %
+	OpBitAnd           // &
+	OpBitOr            // |
+	OpBitXor           // ^
+	OpShl              // <<
+	OpShr              // >>
+	OpNot              // ! (unary)
+	OpNeg              // - (unary; two's-complement at operand width)
 )
 
 var opNames = map[Op]string{
@@ -165,29 +165,4 @@ func parenIfBinary(e Expr) string {
 		return "(" + e.String() + ")"
 	}
 	return e.String()
-}
-
-// Vars returns the set of free variable names referenced by the expression.
-func Vars(e Expr) map[string]bool {
-	out := make(map[string]bool)
-	collectVars(e, out)
-	return out
-}
-
-func collectVars(e Expr, out map[string]bool) {
-	switch n := e.(type) {
-	case *Ident:
-		out[n.Name] = true
-	case *FieldAccess:
-		collectVars(n.X, out)
-	case *Unary:
-		collectVars(n.X, out)
-	case *Binary:
-		collectVars(n.X, out)
-		collectVars(n.Y, out)
-	case *Call:
-		for _, a := range n.Args {
-			collectVars(a, out)
-		}
-	}
 }

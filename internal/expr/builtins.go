@@ -36,20 +36,6 @@ func LookupBuiltin(name string) (*Builtin, bool) {
 	return b, ok
 }
 
-// BuiltinNames returns the names of all builtins (sorted).
-func BuiltinNames() []string {
-	names := make([]string, 0, len(builtins))
-	for n := range builtins {
-		names = append(names, n)
-	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
-}
-
 var builtinLen = &Builtin{
 	Name: "len",
 	CheckArgs: func(args []Type) (Type, error) {

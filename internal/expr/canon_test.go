@@ -15,8 +15,8 @@ func canonValues() []Value {
 	return []Value{
 		Bool(false), Bool(true),
 		U8(0), U8(1), U8(255),
-		U16(1), U32(1), U64(1), // same number, distinct widths
-		U16(0xFFFF), U32(0xFFFFFFFF), U64(^uint64(0)),
+		U16(1), U32(1), Uint(1, 64), // same number, distinct widths
+		U16(0xFFFF), U32(0xFFFFFFFF), Uint(^uint64(0), 64),
 		Bytes(nil), Bytes([]byte{0}), Bytes([]byte{0, 0}), Bytes([]byte{1, 2, 3}),
 		Str(""), Str("x"), Str("xy"),
 		Msg("M", nil),

@@ -74,9 +74,6 @@ func (l *ScopeLayout) SetShape(name string, shape *MsgShape) {
 // ShapeOf returns the shape declared for name, if any.
 func (l *ScopeLayout) ShapeOf(name string) *MsgShape { return l.shapes[name] }
 
-// Size returns the number of slots a frame for this layout needs.
-func (l *ScopeLayout) Size() int { return l.size }
-
 // Clone returns an independent copy of the layout.
 func (l *ScopeLayout) Clone() *ScopeLayout {
 	cp := &ScopeLayout{slots: make(map[string]int, len(l.slots)), size: l.size}

@@ -9,16 +9,16 @@ func TestScopeLayoutBasics(t *testing.T) {
 	l := NewScopeLayout()
 	a := l.Add("a")
 	b := l.Add("b")
-	if a != 0 || b != 1 || l.Size() != 2 {
-		t.Fatalf("slots a=%d b=%d size=%d", a, b, l.Size())
+	if a != 0 || b != 1 || l.size != 2 {
+		t.Fatalf("slots a=%d b=%d size=%d", a, b, l.size)
 	}
 	if again := l.Add("a"); again != a {
 		t.Errorf("re-adding a moved it to slot %d", again)
 	}
 	cl := l.Clone()
 	cl.Bind("a", 5) // shadow in the clone only
-	if s, _ := cl.Slot("a"); s != 5 || cl.Size() != 6 {
-		t.Errorf("clone bind: slot=%d size=%d", s, cl.Size())
+	if s, _ := cl.Slot("a"); s != 5 || cl.size != 6 {
+		t.Errorf("clone bind: slot=%d size=%d", s, cl.size)
 	}
 	if s, _ := l.Slot("a"); s != 0 {
 		t.Errorf("original layout mutated by clone: slot=%d", s)

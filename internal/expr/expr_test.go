@@ -336,30 +336,6 @@ func TestValueHashKeyInjective(t *testing.T) {
 	}
 }
 
-func TestVars(t *testing.T) {
-	got := Vars(MustParse("a + p.f + len(b) + min(c, 2)"))
-	for _, want := range []string{"a", "p", "b", "c"} {
-		if !got[want] {
-			t.Errorf("Vars missing %q: %v", want, got)
-		}
-	}
-	if len(got) != 4 {
-		t.Errorf("Vars = %v, want exactly {a,p,b,c}", got)
-	}
-}
-
-func TestBuiltinNamesSorted(t *testing.T) {
-	names := BuiltinNames()
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Errorf("BuiltinNames not sorted: %v", names)
-		}
-	}
-	if len(names) == 0 {
-		t.Error("no builtins registered")
-	}
-}
-
 func TestValueCopySemantics(t *testing.T) {
 	src := []byte{1, 2, 3}
 	v := Bytes(src)

@@ -41,7 +41,7 @@ func TestQuickEvalNeverPanics(t *testing.T) {
 			}
 		}()
 		scope := MapScope{
-			"a":    U64(av),
+			"a":    Uint(av, 64),
 			"b":    U8(bv),
 			"flag": Bool(flag),
 			"x":    Bytes(xs),

@@ -94,15 +94,6 @@ func (s *MsgShape) SameLayout(o *MsgShape) bool {
 	return true
 }
 
-// Shape returns the shape of a slot-backed message value (nil for
-// map-backed messages and non-message values).
-func (v Value) Shape() *MsgShape {
-	if !v.slotBacked() {
-		return nil
-	}
-	return (*MsgShape)(v.p)
-}
-
 // fieldByName resolves a field of a KindMsg value of either
 // representation. Invalid slot values in a frame-backed message read as
 // missing, mirroring a map without the key. Other kinds have no fields.

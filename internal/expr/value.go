@@ -115,9 +115,6 @@ func U16(v uint64) Value { return Uint(v, 16) }
 // U32 returns a 32-bit unsigned value.
 func U32(v uint64) Value { return Uint(v, 32) }
 
-// U64 returns a 64-bit unsigned value.
-func U64(v uint64) Value { return Uint(v, 64) }
-
 // Bytes returns a byte-slice value. The slice is copied so later caller
 // mutations cannot alias into the value.
 func Bytes(b []byte) Value {

@@ -304,6 +304,3 @@ func (inj *Injector) Apply(now time.Duration) Verdict {
 	}
 	return Verdict{Delay: extra}
 }
-
-// Dropped returns how many packets this injector has discarded.
-func (inj *Injector) Dropped() uint64 { return inj.dropped }

@@ -45,8 +45,8 @@ func TestPartitionWindowDropsEverything(t *testing.T) {
 			t.Errorf("at %s: drop=%v, want %v", tc.at, v.Drop, tc.drop)
 		}
 	}
-	if inj.Dropped() != 3 {
-		t.Errorf("Dropped() = %d, want 3", inj.Dropped())
+	if inj.dropped != 3 {
+		t.Errorf("Dropped() = %d, want 3", inj.dropped)
 	}
 }
 

@@ -97,17 +97,6 @@ func (r *Report) Warnings() []Issue {
 	return out
 }
 
-// ByClass returns the issues of the given class.
-func (r *Report) ByClass(class string) []Issue {
-	var out []Issue
-	for _, i := range r.Issues {
-		if i.Class == class {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // CheckSpecError is returned when a spec with check errors is used where a
 // checked spec is required (NewMachine, codegen).
 type CheckSpecError struct {

@@ -79,8 +79,8 @@ func TestProgramReuseAcrossMachines(t *testing.T) {
 	if seen, _ := b.Var("seen"); seen.AsUint() != 0 {
 		t.Errorf("machine b saw machine a's state: seen = %s", seen)
 	}
-	if a.Steps() != 1 || b.Steps() != 0 {
-		t.Errorf("steps: a=%d b=%d, want 1 and 0", a.Steps(), b.Steps())
+	if a.steps != 1 || b.steps != 0 {
+		t.Errorf("steps: a=%d b=%d, want 1 and 0", a.steps, b.steps)
 	}
 }
 

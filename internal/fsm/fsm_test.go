@@ -414,8 +414,8 @@ func TestMachineCloneAndReset(t *testing.T) {
 		t.Error("diverged machines share a state key")
 	}
 	m.Reset()
-	if m.State() != "Ready" || m.Steps() != 0 {
-		t.Errorf("Reset: state=%s steps=%d", m.State(), m.Steps())
+	if m.State() != "Ready" || m.steps != 0 {
+		t.Errorf("Reset: state=%s steps=%d", m.State(), m.steps)
 	}
 	if seq, _ := m.Var("seq"); seq.AsUint() != 0 {
 		t.Errorf("Reset seq = %d", seq.AsUint())
@@ -477,4 +477,15 @@ func TestSimultaneousAssignment(t *testing.T) {
 	if a.AsUint() != 2 || b.AsUint() != 1 {
 		t.Errorf("after swap a=%d b=%d, want 2,1", a.AsUint(), b.AsUint())
 	}
+}
+
+// ByClass returns the issues of the given class.
+func (r *Report) ByClass(class string) []Issue {
+	var out []Issue
+	for _, i := range r.Issues {
+		if i.Class == class {
+			out = append(out, i)
+		}
+	}
+	return out
 }

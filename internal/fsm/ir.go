@@ -14,9 +14,6 @@ func (p *Program) NumStates() int { return len(p.states) }
 // StateName returns the name of state index i.
 func (p *Program) StateName(i int) string { return p.states[i] }
 
-// InitStateIndex returns the index of the initial state.
-func (p *Program) InitStateIndex() int { return p.initIdx }
-
 // FinalState reports whether state index i is accepting.
 func (p *Program) FinalState(i int) bool { return p.finals[i] }
 

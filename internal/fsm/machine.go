@@ -134,9 +134,6 @@ func (m *Machine) Vars() map[string]expr.Value {
 	return out
 }
 
-// Steps returns the number of Step calls that fired or ignored an event.
-func (m *Machine) Steps() uint64 { return m.steps }
-
 // Clone returns an independent copy of the machine (used by the model
 // checker to branch the state space). The compiled program is shared —
 // it is immutable after compilation.

@@ -149,9 +149,6 @@ func NewCodec() (*Codec, error) {
 	}, nil
 }
 
-// Layout exposes the compiled layout (for diagrams and offsets).
-func (c *Codec) Layout() *wire.Layout { return c.layout }
-
 // Encode serialises the header; the checksum is computed automatically.
 // The supplied header's semantic constraints are enforced first, so
 // invalid headers cannot be put on the wire.
@@ -286,9 +283,4 @@ func addrToUint(a [4]byte) uint64 {
 
 func uintToAddr(v uint64) [4]byte {
 	return [4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
-// FormatAddr renders a dotted-quad address.
-func FormatAddr(a [4]byte) string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
 }

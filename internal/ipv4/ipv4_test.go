@@ -82,8 +82,8 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if h.Version != 4 || h.IHL != 5 || h.TTL != 64 || h.Protocol != 6 {
 		t.Errorf("decoded %+v", h)
 	}
-	if FormatAddr(h.Source) != "192.168.1.1" || FormatAddr(h.Destination) != "10.0.0.1" {
-		t.Errorf("addresses %s -> %s", FormatAddr(h.Source), FormatAddr(h.Destination))
+	if h.Source != [4]byte{192, 168, 1, 1} || h.Destination != [4]byte{10, 0, 0, 1} {
+		t.Errorf("addresses %v -> %v", h.Source, h.Destination)
 	}
 	for _, check := range []string{"version-is-4", "ihl-minimum", "total-length-covers-header"} {
 		if !checked.Certificate().Establishes(check) {

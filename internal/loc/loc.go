@@ -42,12 +42,6 @@ func (r Report) Fraction() float64 {
 	return float64(r.OverheadLines) / float64(r.CodeLines)
 }
 
-// Add accumulates another report.
-func (r *Report) Add(o Report) {
-	r.CodeLines += o.CodeLines
-	r.OverheadLines += o.OverheadLines
-}
-
 // String renders the report.
 func (r Report) String() string {
 	return fmt.Sprintf("code=%d overhead=%d (%.1f%%)", r.CodeLines, r.OverheadLines, 100*r.Fraction())

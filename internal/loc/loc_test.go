@@ -105,13 +105,8 @@ func TestE2DSLHasNoErrorHandling(t *testing.T) {
 	}
 }
 
-func TestReportAddAndString(t *testing.T) {
-	a := Report{CodeLines: 10, OverheadLines: 5}
-	b := Report{CodeLines: 10, OverheadLines: 1}
-	a.Add(b)
-	if a.CodeLines != 20 || a.OverheadLines != 6 {
-		t.Errorf("Add: %+v", a)
-	}
+func TestReportFractionAndString(t *testing.T) {
+	a := Report{CodeLines: 20, OverheadLines: 6}
 	if a.Fraction() != 0.3 {
 		t.Errorf("fraction = %f", a.Fraction())
 	}

@@ -1,10 +1,10 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: streaming summaries, fixed-bucket histograms and table
+// harness uses: streaming summaries, percentiles, fairness and table
 // rendering. Everything is deterministic and allocation-light.
 //
-// Concurrency: summaries, histograms and tables are single-owner
-// accumulators — one goroutine adds observations (harness workers
-// aggregate per shard, then merge results); rendering is read-only.
+// Concurrency: summaries and tables are single-owner accumulators — one
+// goroutine adds observations (harness workers aggregate per shard, then
+// merge results); rendering is read-only.
 package metrics
 
 import (
@@ -44,12 +44,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Sum returns the total.
 func (s *Summary) Sum() float64 { return s.sum }
@@ -119,52 +113,6 @@ func JainFairness(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// Histogram counts observations into equal-width buckets over [Lo, Hi);
-// out-of-range values land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	buckets   []uint64
-	underflow uint64
-	overflow  uint64
-}
-
-// NewHistogram creates a histogram with n equal-width buckets.
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n < 1 || hi <= lo {
-		return nil, fmt.Errorf("metrics: invalid histogram [%g,%g)/%d", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, buckets: make([]uint64, n)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	switch {
-	case v < h.Lo:
-		h.underflow++
-	case v >= h.Hi:
-		h.overflow++
-	default:
-		idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.buckets)))
-		if idx >= len(h.buckets) {
-			idx = len(h.buckets) - 1
-		}
-		h.buckets[idx]++
-	}
-}
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns a copy of the bucket counts.
-func (h *Histogram) Buckets() []uint64 {
-	out := make([]uint64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over uint64) { return h.underflow, h.overflow }
-
 // Table renders aligned experiment tables: a header row plus data rows.
 type Table struct {
 	Title  string
@@ -190,9 +138,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

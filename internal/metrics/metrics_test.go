@@ -24,8 +24,8 @@ func TestSummary(t *testing.T) {
 	if math.Abs(s.StdDev()-2) > 1e-9 {
 		t.Errorf("stddev = %f, want 2", s.StdDev())
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("min=%f max=%f", s.Min(), s.Max())
+	if s.min != 2 || s.max != 9 {
+		t.Errorf("min=%f max=%f", s.min, s.max)
 	}
 	if !strings.Contains(s.String(), "n=8") {
 		t.Error("String misses n")
@@ -58,40 +58,6 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("under=%d over=%d", under, over)
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 { // 2
-		t.Errorf("bucket 1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(4) != 1 { // 9.99
-		t.Errorf("bucket 4 = %d", h.Bucket(4))
-	}
-	b := h.Buckets()
-	b[0] = 999
-	if h.Bucket(0) == 999 {
-		t.Error("Buckets exposed internals")
-	}
-	if _, err := NewHistogram(10, 0, 5); err == nil {
-		t.Error("inverted range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
 func TestQuickSummaryMeanBounds(t *testing.T) {
 	f := func(vals []float64) bool {
 		var s Summary
@@ -109,7 +75,7 @@ func TestQuickSummaryMeanBounds(t *testing.T) {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9
+		return m >= s.min-1e-9 && m <= s.max+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -143,8 +109,8 @@ func TestTable(t *testing.T) {
 	tb := NewTable("E5: loss sweep", "loss", "goodput", "ok")
 	tb.AddRow("0%", 1234.5678, true)
 	tb.AddRow("50%", 12.3, false)
-	if tb.Rows() != 2 {
-		t.Errorf("rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 	out := tb.String()
 	if !strings.Contains(out, "E5: loss sweep") {

@@ -72,12 +72,6 @@ func (s *Sim) NewEndpoint(name string) (*Endpoint, error) {
 // Addr returns the endpoint's address.
 func (e *Endpoint) Addr() Addr { return e.addr }
 
-// Sent returns the number of packets sent from this endpoint.
-func (e *Endpoint) Sent() uint64 { return e.sent }
-
-// Received returns the number of packets delivered to this endpoint.
-func (e *Endpoint) Received() uint64 { return e.received }
-
 // SetHandler installs the receive callback. A nil handler discards
 // incoming packets.
 func (e *Endpoint) SetHandler(fn func(from Addr, data []byte)) { e.handler = fn }

@@ -50,8 +50,8 @@ func TestPerfectDelivery(t *testing.T) {
 	if s.Now() != 10*time.Millisecond {
 		t.Errorf("Now = %s, want 10ms", s.Now())
 	}
-	if a.Sent() != 10 || b.Received() != 10 {
-		t.Errorf("counters sent=%d recv=%d", a.Sent(), b.Received())
+	if a.sent != 10 || b.received != 10 {
+		t.Errorf("counters sent=%d recv=%d", a.sent, b.received)
 	}
 }
 
@@ -213,6 +213,13 @@ func TestNoRoute(t *testing.T) {
 	}
 	if err := a.Send("B", []byte{1}); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("Send err = %v, want ErrNoRoute", err)
+	}
+	// An endpoint that exists but has no link from a is no route either.
+	if _, err := s.NewEndpoint("C"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send("C", []byte{1}); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("unlinked Send err = %v, want ErrNoRoute", err)
 	}
 }
 

@@ -127,9 +127,6 @@ func (s *Sim) EnableTrace() {
 	s.obs.SetTrace(true)
 }
 
-// DisableTrace stops recording; the ring keeps what it holds.
-func (s *Sim) DisableTrace() { s.obs.SetTrace(false) }
-
 // Trace returns a copy of the recorded trace, decoded from the ring
 // (oldest surviving event first).
 func (s *Sim) Trace() []TraceEvent {
@@ -270,9 +267,6 @@ func (s *Sim) RunUntilIdle(maxEvents int) error {
 		s.processed++
 	}
 }
-
-// Idle reports whether no events are pending.
-func (s *Sim) Idle() bool { return s.wheel.Len() == 0 }
 
 // Rand exposes the simulation PRNG so protocol components (e.g. random
 // relay choice) share the deterministic seed.

@@ -12,7 +12,7 @@ func TestCancelledTimerDoesNotAdvanceTime(t *testing.T) {
 	s := New(1)
 	tm := s.After(100*time.Millisecond, func() { t.Error("cancelled timer fired") })
 	tm.Cancel()
-	if !s.Idle() {
+	if s.wheel.Len() != 0 {
 		t.Error("queue not empty after cancelling the only timer")
 	}
 	if err := s.RunUntilIdle(10); err != nil {

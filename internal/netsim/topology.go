@@ -7,13 +7,8 @@ import (
 	"protodsl/internal/obs"
 )
 
-// Topology errors.
-var (
-	// ErrTopology is returned by the builders on invalid shapes.
-	ErrTopology = errors.New("invalid topology")
-	// ErrFlowInUse is returned when a mux flow id is claimed twice.
-	ErrFlowInUse = errors.New("mux flow id already in use")
-)
+// ErrFlowInUse is returned when a mux flow id is claimed twice.
+var ErrFlowInUse = errors.New("mux flow id already in use")
 
 // Port is anything a protocol engine can attach to: a physical Endpoint
 // or a logical flow carved out of one by a Mux. All implementations
@@ -29,75 +24,15 @@ type Port interface {
 
 var _ Port = (*Endpoint)(nil)
 
-// Star builds a hub-and-spoke topology: one hub endpoint plus one leaf
-// per name, each leaf connected to the hub bidirectionally with the
-// given access-link parameters. It returns the hub and the leaves in
-// input order.
-func Star(s *Sim, hub string, leaves []string, access LinkParams) (*Endpoint, []*Endpoint, error) {
-	if len(leaves) == 0 {
-		return nil, nil, fmt.Errorf("%w: star needs at least one leaf", ErrTopology)
-	}
-	h, err := s.NewEndpoint(hub)
-	if err != nil {
-		return nil, nil, err
-	}
-	eps := make([]*Endpoint, len(leaves))
-	for i, name := range leaves {
-		ep, err := s.NewEndpoint(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.Connect(h, ep, access)
-		eps[i] = ep
-	}
-	return h, eps, nil
-}
-
-// Chain builds a line topology: each consecutive pair of names is
-// connected bidirectionally with the given hop parameters. Interior
-// nodes get a blind forwarding handler (packets from one neighbour are
-// re-sent to the other), so the two ends can converse across multiple
-// hops; the interior link parameters can then model a bottleneck.
-// Installing a protocol handler on an interior node replaces forwarding.
-func Chain(s *Sim, names []string, hop LinkParams) ([]*Endpoint, error) {
-	if len(names) < 2 {
-		return nil, fmt.Errorf("%w: chain needs at least two nodes", ErrTopology)
-	}
-	eps := make([]*Endpoint, len(names))
-	for i, name := range names {
-		ep, err := s.NewEndpoint(name)
-		if err != nil {
-			return nil, err
-		}
-		eps[i] = ep
-		if i > 0 {
-			s.Connect(eps[i-1], ep, hop)
-		}
-	}
-	for i := 1; i < len(eps)-1; i++ {
-		left, self, right := eps[i-1].Addr(), eps[i], eps[i+1].Addr()
-		self.SetHandler(func(from Addr, data []byte) {
-			next := right
-			if from == right {
-				next = left
-			}
-			// A forwarding failure means the chain was torn down mid-run;
-			// drop silently like a real router would.
-			_ = self.Send(next, data)
-		})
-	}
-	return eps, nil
-}
-
 // Mux multiplexes many logical flows over one underlying port: each
 // frame is prefixed with a two-byte header — the flow id and its
 // bitwise complement — demultiplexed on receipt. The complement guards
 // the header the way the inner protocols' checksums guard their
 // payloads: a link-corrupted flow id fails the check and the frame is
-// dropped (counted in Drops) instead of being silently delivered to the
-// wrong flow. All flows share the underlying link — including its
-// bandwidth cap — which is how many concurrent transfers contend for
-// one bottleneck.
+// dropped (counted by reason in the stats shard) instead of being
+// silently delivered to the wrong flow. All flows share the underlying
+// link — including its bandwidth cap — which is how many concurrent
+// transfers contend for one bottleneck.
 type Mux struct {
 	under Port
 	obs   *obs.Shard // the underlying port's stats shard (or the discard block)
@@ -129,10 +64,6 @@ func (m *Mux) dispatch(from Addr, data []byte) {
 	fp.handler(from, data[2:])
 }
 
-// Drops returns the number of frames discarded for a short or corrupted
-// header, or an unclaimed flow id.
-func (m *Mux) Drops() uint64 { return m.drops }
-
 // Flow claims the given flow id and returns its port.
 func (m *Mux) Flow(id byte) (*FlowPort, error) {
 	if m.flows[id] != nil {
@@ -156,9 +87,6 @@ var _ Port = (*FlowPort)(nil)
 
 // Addr returns the underlying port's address.
 func (f *FlowPort) Addr() Addr { return f.mux.under.Addr() }
-
-// ID returns the flow id.
-func (f *FlowPort) ID() byte { return f.id }
 
 // Send frames data with the flow id header and transmits it on the
 // underlying port. The frame buffer is reused across sends

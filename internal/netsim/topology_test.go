@@ -6,79 +6,6 @@ import (
 	"time"
 )
 
-func TestStarTopology(t *testing.T) {
-	s := New(1)
-	hub, leaves, err := Star(s, "hub", []string{"a", "b", "c"}, LinkParams{Delay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(leaves) != 3 {
-		t.Fatalf("leaves = %d", len(leaves))
-	}
-	got := map[Addr]int{}
-	hub.SetHandler(func(from Addr, data []byte) { got[from]++ })
-	for _, leaf := range leaves {
-		if err := leaf.Send(hub.Addr(), []byte{1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Leaves are not connected to each other.
-	if err := leaves[0].Send(leaves[1].Addr(), []byte{1}); !errors.Is(err, ErrNoRoute) {
-		t.Errorf("leaf-to-leaf err = %v, want ErrNoRoute", err)
-	}
-	if err := s.RunUntilIdle(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("hub heard from %d leaves, want 3", len(got))
-	}
-
-	if _, _, err := Star(New(2), "hub", nil, LinkParams{}); !errors.Is(err, ErrTopology) {
-		t.Errorf("empty star err = %v", err)
-	}
-}
-
-func TestChainForwardsAcrossHops(t *testing.T) {
-	s := New(1)
-	eps, err := Chain(s, []string{"a", "b", "c", "d"}, LinkParams{Delay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, d := eps[0], eps[3]
-	var got []byte
-	var at time.Duration
-	d.SetHandler(func(_ Addr, data []byte) { got = append([]byte(nil), data...); at = s.Now() })
-	if err := a.Send(eps[1].Addr(), []byte{42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntilIdle(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("chain end received %v", got)
-	}
-	if at != 3*time.Millisecond {
-		t.Errorf("3-hop delivery at %s, want 3ms", at)
-	}
-
-	// And back the other way.
-	var back []byte
-	a.SetHandler(func(_ Addr, data []byte) { back = append([]byte(nil), data...) })
-	if err := d.Send(eps[2].Addr(), []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntilIdle(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0] != 7 {
-		t.Fatalf("reverse chain received %v", back)
-	}
-
-	if _, err := Chain(New(2), []string{"solo"}, LinkParams{}); !errors.Is(err, ErrTopology) {
-		t.Errorf("1-node chain err = %v", err)
-	}
-}
-
 func TestMuxSeparatesFlows(t *testing.T) {
 	s := New(1)
 	a, _ := s.NewEndpoint("A")
@@ -129,7 +56,7 @@ func TestMuxSeparatesFlows(t *testing.T) {
 		t.Errorf("reverse flow received %v", echoed)
 	}
 	_ = bf1
-	if af0.ID() != 0 || af1.ID() != 1 {
+	if af0.id != 0 || af1.id != 1 {
 		t.Error("flow ids wrong")
 	}
 }
@@ -196,8 +123,8 @@ func TestMuxCorruptedHeaderDropsNotMisroutes(t *testing.T) {
 	if deliveries != 0 {
 		t.Errorf("%d corrupted-header frames delivered, want 0", deliveries)
 	}
-	if mb.Drops() != 16 {
-		t.Errorf("Drops = %d, want 16", mb.Drops())
+	if mb.drops != 16 {
+		t.Errorf("Drops = %d, want 16", mb.drops)
 	}
 	// An intact frame still goes through.
 	if err := a.Send(b.Addr(), []byte{7, ^byte(7), 1}); err != nil {

@@ -67,9 +67,6 @@ func NewValidator[T any](name string, checks ...Check[T]) *Validator[T] {
 	return &Validator[T]{name: name, checks: cs, names: names}
 }
 
-// Name returns the validator's name (it appears on certificates).
-func (v *Validator[T]) Name() string { return v.name }
-
 // Validate runs every check. On success it returns a Checked[T] witness
 // whose certificate records which checks were established.
 func (v *Validator[T]) Validate(x T) (Checked[T], error) {
@@ -112,9 +109,6 @@ type Certificate struct {
 	validator   string
 	established []string
 }
-
-// Validator returns the issuing validator's name.
-func (c Certificate) Validator() string { return c.validator }
 
 // Established returns the names of the established checks.
 func (c Certificate) Established() []string {

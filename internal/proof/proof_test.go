@@ -53,8 +53,8 @@ func TestValidateIssuesWitness(t *testing.T) {
 		t.Errorf("Value().Seq = %d", got.Seq)
 	}
 	cert := checked.Certificate()
-	if cert.Validator() != "packet" {
-		t.Errorf("certificate validator = %q", cert.Validator())
+	if cert.validator != "packet" {
+		t.Errorf("certificate validator = %q", cert.validator)
 	}
 	for _, c := range []string{"checksum", "payload-size"} {
 		if !cert.Establishes(c) {
@@ -111,7 +111,7 @@ func TestZeroCheckedIsInvalid(t *testing.T) {
 	if c.Valid() {
 		t.Error("zero Checked reports valid")
 	}
-	if c.Certificate().Validator() != "" {
+	if c.Certificate().validator != "" {
 		t.Error("zero Checked has a certificate")
 	}
 }

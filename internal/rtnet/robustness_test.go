@@ -152,14 +152,14 @@ func TestDrainFinishesInflightTransfers(t *testing.T) {
 		return true
 	})
 
-	if server.Draining() {
+	if server.draining.Load() {
 		t.Fatal("node draining before Drain was called")
 	}
 	if err := server.Drain(30 * time.Second); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if !server.Draining() {
-		t.Fatal("Draining() false after Drain")
+	if !server.draining.Load() {
+		t.Fatal("draining false after Drain")
 	}
 	// Quiescence implies completion: every done channel must already be
 	// closed, with nothing still waiting on a retransmission timer.

@@ -463,9 +463,6 @@ func (n *Node) activity() uint64 {
 		n.stats.Total(obs.Timeouts)
 }
 
-// Draining reports whether Drain has been called.
-func (n *Node) Draining() bool { return n.draining.Load() }
-
 // Drain moves the node into lame-duck mode and waits for in-flight
 // work to finish: served flows stop accepting engines for new peers
 // (frames from them are dropped and counted as drop_draining — their
@@ -549,9 +546,6 @@ type Flow struct {
 	fp *netsim.FlowPort
 	id byte
 }
-
-// ID returns the flow id.
-func (f *Flow) ID() byte { return f.id }
 
 // Do runs fn inside the owning shard's event loop, handing it the
 // shard's Runtime and this flow's Port, and waits for it to finish.

@@ -50,8 +50,8 @@ func establishedClient(tb testing.TB) *Client {
 		tb.Fatal(err)
 	}
 	cli.onFrame("server", codec.AppendSynAck(nil, 5, 6))
-	if cli.State() != stateEstablished {
-		tb.Fatalf("client state = %s", cli.State())
+	if cli.m.State() != stateEstablished {
+		tb.Fatalf("client state = %s", cli.m.State())
 	}
 	return cli
 }

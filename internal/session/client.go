@@ -221,9 +221,6 @@ func (d dataPort) ObsShard() *obs.Shard {
 	return nil
 }
 
-// State returns the lifecycle machine's current state name.
-func (c *Client) State() string { return c.m.State() }
-
 // Done reports whether the lifecycle has terminated (Down reached or
 // the connect abandoned).
 func (c *Client) Done() bool { return c.done }
@@ -231,9 +228,6 @@ func (c *Client) Done() bool { return c.done }
 // Err returns the terminal error (nil while running or after a clean
 // close).
 func (c *Client) Err() error { return c.err }
-
-// BeatsSent returns how many heartbeats have been transmitted.
-func (c *Client) BeatsSent() uint64 { return c.beatsSent }
 
 // onFrame is the flow port's receive handler: control frames drive the
 // lifecycle machine, everything else is the ARQ engine's data.

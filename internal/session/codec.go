@@ -90,9 +90,6 @@ func mustSlot(prog *wire.Program, msg, field string) int {
 	return slot
 }
 
-// ControlSize returns the exact wire size of kind k's frames.
-func (c *Codec) ControlSize(k Kind) int { return c.by[k].size }
-
 // encode stamps the shared header slots and appends the encoded frame.
 // Encode errors are impossible for in-range inputs (the programs are
 // compiled from the canonical spec), so any error is a codec bug worth
@@ -131,25 +128,8 @@ func (c *Codec) AppendAckC(dst []byte, nonce, cookie uint32) []byte {
 	return c.encode(dst, KindAckC)
 }
 
-// AppendFin appends an encoded FIN.
-func (c *Codec) AppendFin(dst []byte) []byte { return c.encode(dst, KindFin) }
-
 // AppendFinAck appends an encoded FIN-ACK.
 func (c *Codec) AppendFinAck(dst []byte) []byte { return c.encode(dst, KindFinAck) }
-
-// AppendBeat appends an encoded heartbeat with sequence seq.
-func (c *Codec) AppendBeat(dst []byte, seq uint32) []byte {
-	mc := &c.by[KindBeat]
-	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
-	return c.encode(dst, KindBeat)
-}
-
-// AppendBeatAck appends an encoded heartbeat echo.
-func (c *Codec) AppendBeatAck(dst []byte, seq uint32) []byte {
-	mc := &c.by[KindBeatAck]
-	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
-	return c.encode(dst, KindBeatAck)
-}
 
 // appendOutput encodes a machine output frame with kind k's wire
 // program — valid because the loader (dsl.Load) asserts layout parity

@@ -160,19 +160,8 @@ func NewGate(rt netsim.Runtime, port netsim.Port, flow byte, cfg GateConfig) (*G
 	return g, nil
 }
 
-// Flow returns the guarded flow id.
-func (g *Gate) Flow() byte { return g.flow }
-
 // Peers returns the number of established peers.
 func (g *Gate) Peers() int { return len(g.peers) }
-
-// Close cancels the sweep timer and stops accepting work.
-func (g *Gate) Close() {
-	g.closed = true
-	if g.sweepT != nil {
-		g.sweepT.Cancel()
-	}
-}
 
 func (g *Gate) cookie(peer netsim.Addr, nonce uint32) uint32 {
 	c, scratch := cookie32(g.cfg.Secret, g.flow, peer, nonce, g.mac)

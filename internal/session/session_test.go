@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"protodsl/internal/arq"
+	"protodsl/internal/expr"
 	"protodsl/internal/netsim"
 	"protodsl/internal/obs"
 )
@@ -46,8 +47,8 @@ func TestCodecRoundTripAndClassify(t *testing.T) {
 	}
 	for _, tc := range cases {
 		enc := tc.enc()
-		if len(enc) != c.ControlSize(tc.kind) {
-			t.Errorf("%v: len = %d, want %d", tc.kind, len(enc), c.ControlSize(tc.kind))
+		if len(enc) != c.by[tc.kind].size {
+			t.Errorf("%v: len = %d, want %d", tc.kind, len(enc), c.by[tc.kind].size)
 		}
 		if got := c.Classify(enc); got != tc.kind {
 			t.Errorf("Classify(%v frame) = %v", tc.kind, got)
@@ -153,8 +154,8 @@ func TestHandshakeTransferTeardown(t *testing.T) {
 		if sender == nil || !sender.Result().OK {
 			t.Fatalf("loss=%v: transfer did not complete", loss)
 		}
-		if !done || cli.Err() != nil || cli.State() != "Down" {
-			t.Fatalf("loss=%v: client state=%s done=%v err=%v", loss, cli.State(), done, cli.Err())
+		if !done || cli.Err() != nil || cli.m.State() != "Down" {
+			t.Fatalf("loss=%v: client state=%s done=%v err=%v", loss, cli.m.State(), done, cli.Err())
 		}
 		got := recv.Delivered()
 		if len(got) != len(payloads) {
@@ -249,8 +250,8 @@ func TestLostAckCRetriedOnRTO(t *testing.T) {
 	if sender == nil || !sender.Result().OK || len(recv.Delivered()) != len(payloads) {
 		t.Fatal("transfer did not complete after the ACK-C retry")
 	}
-	if cli.Err() != nil || cli.State() != "Down" {
-		t.Fatalf("client state=%s err=%v after close", cli.State(), cli.Err())
+	if cli.Err() != nil || cli.m.State() != "Down" {
+		t.Fatalf("client state=%s err=%v after close", cli.m.State(), cli.Err())
 	}
 }
 
@@ -410,7 +411,7 @@ func TestClientDeclaresPeerDown(t *testing.T) {
 	if got := obs.Of(sim).Get(obs.PeerDown); got == 0 {
 		t.Error("peer_down counter never moved")
 	}
-	if cli.BeatsSent() == 0 {
+	if cli.beatsSent == 0 {
 		t.Error("no heartbeats were sent")
 	}
 }
@@ -435,8 +436,8 @@ func TestConnectGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(sim, 5*time.Second)
-	if downErr != ErrConnectTimeout || !cli.Done() || cli.State() != "Down" {
-		t.Fatalf("err=%v done=%v state=%s", downErr, cli.Done(), cli.State())
+	if downErr != ErrConnectTimeout || !cli.Done() || cli.m.State() != "Down" {
+		t.Fatalf("err=%v done=%v state=%s", downErr, cli.Done(), cli.m.State())
 	}
 }
 
@@ -460,8 +461,8 @@ func TestTimeWaitAbsorbsStaleControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(sim, 100*time.Millisecond)
-	if cli.State() != "TimeWait" {
-		t.Fatalf("state = %s, want TimeWait", cli.State())
+	if cli.m.State() != "TimeWait" {
+		t.Fatalf("state = %s, want TimeWait", cli.m.State())
 	}
 	// Stale control frames land in TIME_WAIT and are absorbed.
 	codec, err := NewCodec()
@@ -474,12 +475,12 @@ func TestTimeWaitAbsorbsStaleControl(t *testing.T) {
 	if got := obs.Of(sim).Get(obs.TimewaitAbsorbed); got != 2 {
 		t.Errorf("timewait_absorbed = %d, want 2", got)
 	}
-	if cli.State() != "TimeWait" {
-		t.Errorf("stale control moved the machine to %s", cli.State())
+	if cli.m.State() != "TimeWait" {
+		t.Errorf("stale control moved the machine to %s", cli.m.State())
 	}
 	advance(sim, time.Second)
-	if cli.State() != "Down" || !cli.Done() || cli.Err() != nil {
-		t.Errorf("after expire: state=%s done=%v err=%v", cli.State(), cli.Done(), cli.Err())
+	if cli.m.State() != "Down" || !cli.Done() || cli.Err() != nil {
+		t.Errorf("after expire: state=%s done=%v err=%v", cli.m.State(), cli.Done(), cli.Err())
 	}
 }
 
@@ -612,7 +613,7 @@ func TestGateSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key, rec := range recs {
-		if key.Flow != gate2.Flow() {
+		if key.Flow != gate2.flow {
 			continue
 		}
 		if !gate2.Restore(key.Peer, rec) {
@@ -630,5 +631,30 @@ func TestGateSnapshotRestore(t *testing.T) {
 	advance(sim2, 50*time.Millisecond)
 	if progress2 != 6 {
 		t.Errorf("post-restore progress = %d, want 6", progress2)
+	}
+}
+
+// AppendFin appends an encoded FIN.
+func (c *Codec) AppendFin(dst []byte) []byte { return c.encode(dst, KindFin) }
+
+// AppendBeat appends an encoded heartbeat with sequence seq.
+func (c *Codec) AppendBeat(dst []byte, seq uint32) []byte {
+	mc := &c.by[KindBeat]
+	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
+	return c.encode(dst, KindBeat)
+}
+
+// AppendBeatAck appends an encoded heartbeat echo.
+func (c *Codec) AppendBeatAck(dst []byte, seq uint32) []byte {
+	mc := &c.by[KindBeatAck]
+	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
+	return c.encode(dst, KindBeatAck)
+}
+
+// Close cancels the sweep timer and stops accepting work.
+func (g *Gate) Close() {
+	g.closed = true
+	if g.sweepT != nil {
+		g.sweepT.Cancel()
 	}
 }

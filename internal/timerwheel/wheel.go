@@ -58,9 +58,6 @@ type Event struct {
 	slot       int8
 }
 
-// At returns the event's exact deadline (not quantised to a tick).
-func (e *Event) At() time.Duration { return e.at }
-
 const (
 	levelDue  int8 = -1 // harvested into the due buffer
 	levelFree int8 = -2 // in the free pool (fired or cancelled)
@@ -128,9 +125,6 @@ func New(granularity time.Duration) *Wheel {
 	shift := uint(bits.Len64(uint64(granularity) - 1))
 	return &Wheel{shift: shift}
 }
-
-// Granularity returns the tick size in effect.
-func (w *Wheel) Granularity() time.Duration { return time.Duration(1) << w.shift }
 
 // Len returns the number of live events.
 func (w *Wheel) Len() int { return w.size }

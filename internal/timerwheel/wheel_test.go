@@ -300,8 +300,8 @@ func TestGranularityRounding(t *testing.T) {
 	}{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {1000, 1024}, {1024, 1024}, {65536, 65536},
 	} {
-		if got := New(tc.in).Granularity(); got != tc.want {
-			t.Errorf("New(%d).Granularity() = %d, want %d", tc.in, got, tc.want)
+		if got := time.Duration(1) << New(tc.in).shift; got != tc.want {
+			t.Errorf("New(%d) granularity = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }

@@ -7,7 +7,11 @@
 // directory that exists, and every Markdown document named by its file
 // name (with any relative path prefix) in a non-test Go comment or a
 // checked Markdown file must exist, relative to the repository root or
-// to the naming file's own directory. It is the docs counterpart of the
+// to the naming file's own directory. In DESIGN.md, README.md and docs/,
+// a backticked `pkg.Name` or `pkg.Type.Member` whose pkg is the base
+// name of a package under internal/ (or protodsl, the root) must name
+// an exported declaration, or a method or field of the named type, that
+// exists in non-test Go source. It is the docs counterpart of the
 // codegen drift tests: the design document is load-bearing, so dangling
 // citations are build failures, not editorial debt.
 //
@@ -18,6 +22,8 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/scanner"
 	"go/token"
 	"io/fs"
@@ -34,6 +40,9 @@ var (
 	sectionRe = regexp.MustCompile(`(?m)^##\s+§(\d+)`)
 	pathRe    = regexp.MustCompile("`((?:internal|cmd|examples|bench|docs)/[A-Za-z0-9_./-]*)(?::[0-9][0-9,-]*)?`")
 	symbolRe  = regexp.MustCompile(`\.[A-Za-z_][A-Za-z0-9_]*$`)
+	// symRe matches an inline code span that starts with a selector:
+	// pkg.Name, optionally .Member.
+	symRe = regexp.MustCompile("(?:^|[^`])`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:[^A-Za-z0-9_./`][^`\n]*)?`")
 	// docRe matches a Markdown document name with an optional relative
 	// path prefix; a name inside a URL or a longer path is not matched.
 	docRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9_-]+\.md)\b`)
@@ -61,7 +70,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("docscheck: all DESIGN.md §N references, doc paths and document names resolve")
+	fmt.Println("docscheck: all DESIGN.md §N references, doc paths, document names and package symbols resolve")
 }
 
 // sections parses the §N headings out of DESIGN.md text.
@@ -144,6 +153,10 @@ func check(root string) ([]string, error) {
 			}
 		}
 	}
+	syms, err := symbols(root)
+	if err != nil {
+		return nil, err
+	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -169,6 +182,13 @@ func check(root string) ([]string, error) {
 				}
 			}
 			missingDocs(rel, string(data))
+			if aboutTree[rel] || strings.HasPrefix(filepath.ToSlash(rel), "docs/") {
+				for _, m := range symRe.FindAllStringSubmatch(string(data), -1) {
+					if name := strings.Trim(m[1]+"."+m[2]+"."+m[3], "."); !syms.resolves(m[1], m[2], m[3]) {
+						problems = append(problems, fmt.Sprintf("%s names `%s`, which no package %s declares", rel, name, m[1]))
+					}
+				}
+			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") {
@@ -199,4 +219,175 @@ func check(root string) ([]string, error) {
 	}
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// goDecls indexes the top-level declarations of every non-test Go
+// package under internal/ and of the root package, by package name.
+type goDecls map[string]*pkgDecls
+
+type pkgDecls struct {
+	names   map[string]bool            // top-level names
+	members map[string]map[string]bool // type name → its fields and methods
+	aliases map[string][2]string       // alias type name → (package, type)
+	embeds  map[string][][2]string     // type name → its embedded (package, type) pairs
+}
+
+// symbols parses the non-test Go files of root's packages. Packages that
+// share a base name (the generated gen packages) share one index.
+func symbols(root string) (goDecls, error) {
+	out := goDecls{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if name := d.Name(); rel != "." && (strings.HasPrefix(name, ".") || name == "testdata" || !strings.HasPrefix(rel+"/", "internal/")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if rel == filepath.Base(rel) {
+			pkg = f.Name.Name // the root package: protodsl
+		}
+		out.add(pkg, f)
+		return nil
+	})
+	return out, err
+}
+
+func (g goDecls) add(pkg string, f *ast.File) {
+	p := g[pkg]
+	if p == nil {
+		p = &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}, aliases: map[string][2]string{}, embeds: map[string][][2]string{}}
+		g[pkg] = p
+	}
+	member := func(typ, name string) {
+		if p.members[typ] == nil {
+			p.members[typ] = map[string]bool{}
+		}
+		p.members[typ][name] = true
+	}
+	typeRef := func(e ast.Expr) ([2]string, bool) {
+		if star, ok := e.(*ast.StarExpr); ok {
+			e = star.X
+		}
+		switch e := e.(type) {
+		case *ast.Ident:
+			return [2]string{pkg, e.Name}, true
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok {
+				return [2]string{x.Name, e.Sel.Name}, true
+			}
+		}
+		return [2]string{}, false
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				p.names[d.Name.Name] = true
+				continue
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			switch r := recv.(type) {
+			case *ast.IndexExpr:
+				recv = r.X
+			case *ast.IndexListExpr:
+				recv = r.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				member(id.Name, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						p.names[n.Name] = true
+					}
+				case *ast.TypeSpec:
+					name := spec.Name.Name
+					p.names[name] = true
+					if spec.Assign != 0 {
+						if ref, ok := typeRef(spec.Type); ok {
+							p.aliases[name] = ref
+						}
+						continue
+					}
+					var fields *ast.FieldList
+					switch t := spec.Type.(type) {
+					case *ast.StructType:
+						fields = t.Fields
+					case *ast.InterfaceType:
+						fields = t.Methods
+					}
+					if fields == nil {
+						continue
+					}
+					for _, fl := range fields.List {
+						for _, n := range fl.Names {
+							member(name, n.Name)
+						}
+						if len(fl.Names) == 0 {
+							if ref, ok := typeRef(fl.Type); ok {
+								member(name, ref[1])
+								p.embeds[name] = append(p.embeds[name], ref)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// resolves reports whether pkg.name (or pkg.name.member, when member is
+// set) is declared. A pkg that is not indexed is not ours to check.
+func (g goDecls) resolves(pkg, name, member string) bool {
+	p := g[pkg]
+	if p == nil {
+		return true
+	}
+	if !p.names[name] {
+		return false
+	}
+	return member == "" || g.hasMember(pkg, name, member, 0)
+}
+
+// hasMember looks member up on type pkg.typ, through aliases and
+// embedded fields.
+func (g goDecls) hasMember(pkg, typ, member string, depth int) bool {
+	p := g[pkg]
+	if p == nil || depth > 8 {
+		return false
+	}
+	if ref, ok := p.aliases[typ]; ok {
+		return g.hasMember(ref[0], ref[1], member, depth+1)
+	}
+	if p.members[typ][member] {
+		return true
+	}
+	for _, ref := range p.embeds[typ] {
+		if g.hasMember(ref[0], ref[1], member, depth+1) {
+			return true
+		}
+	}
+	return false
 }

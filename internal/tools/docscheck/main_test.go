@@ -107,6 +107,50 @@ func TestCheckFlagsMissingDocument(t *testing.T) {
 	}
 }
 
+func TestCheckFlagsStaleSymbol(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"DESIGN.md": "## §1 — A\n\n" +
+			"`fsm.Machine.AppendState` `fsm.Machine.Step(ev)` `fsm.Spec.Name` `fsm.Spec.Base` `fsm.Check` `fsm.Alias.Step`\n" +
+			"`protodsl.Compile` `time.Duration` `bits.Len64` `fsm.go` `fsm.unexported`\n" +
+			"stale: `fsm.Snapshot` `fsm.AppendState` `fsm.Machine.Gone` `fsm.Check.Member`\n",
+		"README.md":   "`protodsl.Removed`\n",
+		"CHANGES.md":  "history may name `fsm.Deleted`\n",
+		"docs/A.md":   "`fsm.Restore`\n",
+		"protodsl.go": "package protodsl\n\nfunc Compile() {}\n",
+		"internal/fsm/machine.go": "package fsm\n\nimport \"x/base\"\n\n" +
+			"type Machine struct{ state int }\n\n" +
+			"func (m *Machine) AppendState(dst []byte) []byte { return dst }\n" +
+			"func (m *Machine) Step(ev string) {}\n\n" +
+			"type Spec struct {\n\tName string\n\tbase.Base\n}\n\n" +
+			"type Alias = Machine\n\nfunc Check() {}\n",
+		"internal/fsm/machine_test.go": "package fsm\n\nfunc Snapshot() {}\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	problems, err := check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"DESIGN.md names `fsm.AppendState`, which no package fsm declares",
+		"DESIGN.md names `fsm.Check.Member`, which no package fsm declares",
+		"DESIGN.md names `fsm.Machine.Gone`, which no package fsm declares",
+		"DESIGN.md names `fsm.Snapshot`, which no package fsm declares",
+		"README.md names `protodsl.Removed`, which no package protodsl declares",
+		filepath.Join("docs", "A.md") + " names `fsm.Restore`, which no package fsm declares",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestCheckErrorsWithoutDesign(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := check(dir); err == nil {

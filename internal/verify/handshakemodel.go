@@ -45,8 +45,7 @@ import (
 type HSMutant int
 
 const (
-	// MutantNone is the faithful model.
-	MutantNone HSMutant = iota
+	_ HSMutant = iota // the zero HSMutant is the faithful model
 	// MutantHalfOpenLeak allocates server state on SYN (peers moves in
 	// reflect): the half-open exhaustion the stateless cookie exists to
 	// prevent. Caught by the allocation bound.

@@ -497,38 +497,6 @@ func describeMoves(moves []Move) []string {
 	return out
 }
 
-// Replay re-executes a counter-example move sequence from the initial
-// state, returning the final snapshot and the per-route overrun counts
-// observed along the way. A move that fails to apply returns the error
-// with the snapshot at the point of failure — which is exactly what a
-// step-error violation's final move is expected to do.
-func Replay(sys *System, moves []Move) (*Snapshot, []uint64, error) {
-	progs, err := compileSystem(sys)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms := newMachines(progs)
-	queues := make([][]expr.Value, len(sys.Routes))
-	overruns := make([]uint64, len(sys.Routes))
-	deliverArgs := deliverArgsFor(sys)
-	onOverrun := func(ri int, _ expr.Value) { overruns[ri]++ }
-	for i, mv := range moves {
-		if mv.Kind != MoveEnv && (mv.Route < 0 || mv.Route >= len(sys.Routes)) {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): route out of range", i, mv)
-		}
-		if mv.Kind == MoveEnv && (mv.Env < 0 || mv.Env >= len(sys.Env)) {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): env event out of range", i, mv)
-		}
-		if mv.Kind != MoveEnv && mv.QIdx >= len(queues[mv.Route]) {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): queue index out of range", i, mv)
-		}
-		if _, err := applyMove(sys, ms, queues, mv, deliverArgs, onOverrun); err != nil {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): %w", i, mv, err)
-		}
-	}
-	return snapshotFrom(ms, queues), overruns, nil
-}
-
 // sortViolations orders violations deterministically: by depth, then by
 // the anchor state's canonical encoding, then by kind, name, message and
 // final move. Explore uses it so results are independent of worker

@@ -147,6 +147,4 @@ func (r *bitReader) remainingBytes() int {
 	return len(r.buf) - r.bitPos/8
 }
 
-func (r *bitReader) aligned() bool { return r.bitPos%8 == 0 }
-
 func (r *bitReader) done() bool { return r.bitPos == 8*len(r.buf) }

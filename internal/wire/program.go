@@ -134,18 +134,12 @@ func newProgram(l *Layout) *Program {
 	return p
 }
 
-// Layout returns the layout the program was compiled from.
-func (p *Program) Layout() *Layout { return p.layout }
-
 // Shape returns the message's canonical shape: field i at slot i. Wrap a
 // program frame with expr.FrameMsg(shape, frame) to hand it to compiled
 // machine guards (engines use the machine program's shape of the same
 // message so the compiled fast path hits; any canonical shape indexes the
 // frame correctly).
 func (p *Program) Shape() *expr.MsgShape { return p.shape }
-
-// NumFields returns the frame size the program needs.
-func (p *Program) NumFields() int { return p.numFields }
 
 // Slot returns the frame slot of the named field (its field index).
 func (p *Program) Slot(name string) (int, bool) { return p.shape.Slot(name) }

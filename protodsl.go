@@ -24,7 +24,7 @@
 //
 //	proto, reports, err := protodsl.CompileProtocol(src) // src is .pdsl text
 //	if err != nil { ... }
-//	machine, err := protodsl.NewMachine(proto.Machines[0])
+//	machine, err := proto.NewMachine(proto.Machines[0].Name)
 //	res, err := machine.Step("SEND", args)
 //
 // See examples/quickstart for a complete program, examples/arqfiletransfer
@@ -33,14 +33,12 @@
 package protodsl
 
 import (
-	"protodsl/examples/specs"
 	"protodsl/internal/codegen"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
 	"protodsl/internal/netsim"
 	"protodsl/internal/testgen"
-	"protodsl/internal/verify"
 	"protodsl/internal/wire"
 )
 
@@ -48,16 +46,6 @@ import (
 
 // Protocol is a parsed protocol definition: wire messages plus machines.
 type Protocol = dsl.Protocol
-
-// ParseError reports a DSL syntax error with its line number.
-type ParseError = dsl.ParseError
-
-// ARQSource is the canonical .pdsl text of the paper's §3.4 stop-and-wait
-// ARQ protocol: examples/specs/arq.pdsl, embedded.
-var ARQSource = specs.ARQ
-
-// ParseProtocol parses .pdsl source without semantic checking.
-func ParseProtocol(src string) (*Protocol, error) { return dsl.Parse(src) }
 
 // CompileProtocol parses and statically checks .pdsl source: every
 // message must compile to a wire layout and every machine must pass the
@@ -69,15 +57,6 @@ func CompileProtocol(src string) (*Protocol, []*Report, error) { return dsl.Comp
 
 // Message is a wire-format message definition.
 type Message = wire.Message
-
-// Field is one field of a message.
-type Field = wire.Field
-
-// Layout is a compiled, validated message layout.
-type Layout = wire.Layout
-
-// CompileMessage validates a message definition and returns its layout.
-func CompileMessage(m *Message) (*Layout, error) { return wire.Compile(m) }
 
 // Diagram renders an RFC791-style ASCII picture of the message layout
 // (the paper's Figure 1, regenerated from the definition).
@@ -91,60 +70,6 @@ type Spec = fsm.Spec
 // Report is the result of statically checking a Spec.
 type Report = fsm.Report
 
-// Issue is a single static-check finding.
-type Issue = fsm.Issue
-
-// Machine executes a checked Spec (the paper's execTrans interpreter).
-type Machine = fsm.Machine
-
-// StepResult describes the effect of delivering one event.
-type StepResult = fsm.StepResult
-
-// Check statically verifies a machine specification.
-func Check(s *Spec) *Report { return fsm.Check(s) }
-
-// NewMachine checks the spec, compiles it to a Program, and instantiates
-// it in its initial state.
-func NewMachine(s *Spec) (*Machine, error) { return fsm.NewMachine(s) }
-
-// ---- Compiled execution engine ----
-
-// Program is a compiled machine specification: a flat state×event
-// dispatch table of pre-compiled guard/assignment/output closures that
-// the interpreter executes directly. Machines returned by NewMachine run
-// on a Program; CompileSpec exposes the compilation step so a spec can
-// be compiled once and instantiated many times (Program.NewMachine).
-type Program = fsm.Program
-
-// CompileSpec checks a machine specification and compiles it into an
-// executable Program.
-func CompileSpec(s *Spec) (*Program, error) { return fsm.CompileSpec(s) }
-
-// ScopeLayout assigns frame slot indices to expression variables for
-// compiled evaluation.
-type ScopeLayout = expr.ScopeLayout
-
-// NewScopeLayout returns an empty slot layout.
-func NewScopeLayout() *ScopeLayout { return expr.NewScopeLayout() }
-
-// Frame holds the runtime values of a compiled-expression scope.
-type Frame = expr.Frame
-
-// CompiledExpr is a compiled expression closure.
-type CompiledExpr = expr.Compiled
-
-// ExprNode is a node of the guard/action expression language's AST.
-type ExprNode = expr.Expr
-
-// ParseExpr parses expression source text (guards, computed fields).
-func ParseExpr(src string) (ExprNode, error) { return expr.Parse(src) }
-
-// CompileExpr lowers a checked expression to a closure over slot-indexed
-// frames. Compiled evaluation is observationally identical to the
-// tree-walking interpreter but several times faster (no scope-map
-// lookups, no per-eval allocations).
-func CompileExpr(e ExprNode, layout *ScopeLayout) CompiledExpr { return expr.Compile(e, layout) }
-
 // ---- Values ----
 
 // Value is a runtime value of the expression language (event arguments,
@@ -153,18 +78,12 @@ type Value = expr.Value
 
 // Value constructors.
 var (
-	// U8 returns an 8-bit unsigned value.
-	U8 = expr.U8
 	// U16 returns a 16-bit unsigned value.
 	U16 = expr.U16
 	// U32 returns a 32-bit unsigned value.
 	U32 = expr.U32
-	// U64 returns a 64-bit unsigned value.
-	U64 = expr.U64
 	// BytesValue returns a byte-slice value.
 	BytesValue = expr.Bytes
-	// BoolValue returns a boolean value.
-	BoolValue = expr.Bool
 	// MsgValue returns a message value.
 	MsgValue = expr.Msg
 )
@@ -187,9 +106,6 @@ func Generate(proto *Protocol, opts GenerateOptions) ([]byte, error) {
 // TestSuite is an automatically generated behavioural test suite.
 type TestSuite = testgen.Suite
 
-// TestCase is one generated behavioural test.
-type TestCase = testgen.Case
-
 // GenerateTests derives a behavioural test suite from a checked spec.
 func GenerateTests(s *Spec) (*TestSuite, error) {
 	return testgen.Generate(s, testgen.Options{})
@@ -198,44 +114,8 @@ func GenerateTests(s *Spec) (*TestSuite, error) {
 // RunTests replays a generated suite against a spec.
 func RunTests(s *Spec, suite *TestSuite) error { return testgen.Run(s, suite) }
 
-// ---- Model checking (the §3.3 comparison baseline) ----
-
-// System is a closed composition of machines for model checking.
-type System = verify.System
-
-// ExploreOptions bounds model-checker exploration.
-type ExploreOptions = verify.Options
-
-// ExploreResult summarises an exploration.
-type ExploreResult = verify.Result
-
-// Explore runs the explicit-state model checker over a system.
-func Explore(sys *System, opts ExploreOptions) (*ExploreResult, error) {
-	return verify.Explore(sys, opts)
-}
-
 // ---- Network simulation ----
-
-// Sim is the deterministic discrete-event network simulator.
-type Sim = netsim.Sim
 
 // LinkParams configures loss, delay, duplication, corruption, reordering
 // and bandwidth for one link direction.
 type LinkParams = netsim.LinkParams
-
-// Endpoint is a simulator network attachment.
-type Endpoint = netsim.Endpoint
-
-// Addr identifies a simulator endpoint.
-type Addr = netsim.Addr
-
-// Port is anything a protocol engine can attach to: a simulator
-// endpoint, a mux flow, or a real-network (rtnet) flow.
-type Port = netsim.Port
-
-// Runtime is the scheduling surface engines run against — virtual time
-// (*Sim) or the real clock (an rtnet shard loop). See DESIGN.md §7.
-type Runtime = netsim.Runtime
-
-// NewSim creates a simulator seeded for deterministic runs.
-func NewSim(seed int64) *Sim { return netsim.New(seed) }

@@ -1,0 +1,8 @@
+package a
+
+import "testing"
+
+func TestOwn(t *testing.T) {
+	OwnTestOnly()
+	unexportedTestOnly()
+}
