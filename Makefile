@@ -41,8 +41,10 @@ chaos:
 # seeded bugs must keep being found. `verify-full` adds the flagship
 # 749k-state GBN configuration that the sequential checker cannot
 # finish in comparable time; CI runs the full set. The whole `-full`
-# run took 10.2-10.8s at one worker and 6.0-6.5s at two (3 runs each,
-# 2-vCPU Intel Xeon, go1.24.0).
+# run took 7.5-7.7s at one worker and 5.1-5.2s at two (3 runs each,
+# 2-vCPU Intel Xeon shared with other load, go1.24.0; interleaved runs
+# of the varint-encoded checker it replaced took 11.5-12.2s and
+# 7.1-9.4s).
 verify:
 	$(GO) run ./cmd/protoverify
 

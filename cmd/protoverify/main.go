@@ -329,7 +329,7 @@ func run(out io.Writer, specDir string, full bool, workers, maxStates int) int {
 
 func main() {
 	specDir := flag.String("specs", "examples/specs", "directory of .pdsl specs to model-check")
-	full := flag.Bool("full", false, "include the large flagship configuration (749k states, ~10s at one worker)")
+	full := flag.Bool("full", false, "include the large flagship configuration (749k states, ~8s at one worker)")
 	workers := flag.Int("workers", 0, "explorer worker count (0 = NumCPU)")
 	maxStates := flag.Int("max-states", 1<<21, "visited-table bound; truncation fails the gate")
 	flag.Parse()

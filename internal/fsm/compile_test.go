@@ -79,8 +79,11 @@ func TestProgramReuseAcrossMachines(t *testing.T) {
 	if seen, _ := b.Var("seen"); seen.AsUint() != 0 {
 		t.Errorf("machine b saw machine a's state: seen = %s", seen)
 	}
-	if a.steps != 1 || b.steps != 0 {
-		t.Errorf("steps: a=%d b=%d, want 1 and 0", a.steps, b.steps)
+	if seen, _ := a.Var("seen"); seen.AsUint() != 7 {
+		t.Errorf("machine a: seen = %s, want 7", seen)
+	}
+	if a.StateKey() == b.StateKey() {
+		t.Error("machines a and b share a state key after only a stepped")
 	}
 }
 

@@ -413,12 +413,21 @@ func TestMachineCloneAndReset(t *testing.T) {
 	if m.StateKey() == clone.StateKey() {
 		t.Error("diverged machines share a state key")
 	}
-	m.Reset()
-	if m.State() != "Ready" || m.steps != 0 {
-		t.Errorf("Reset: state=%s steps=%d", m.State(), m.steps)
+	if seq, _ := m.Var("seq"); seq.AsUint() != 1 {
+		t.Fatalf("seq after an acked send = %d, want 1", seq.AsUint())
 	}
-	if seq, _ := m.Var("seq"); seq.AsUint() != 0 {
-		t.Errorf("Reset seq = %d", seq.AsUint())
+	if seq, _ := clone.Var("seq"); seq.AsUint() != 0 {
+		t.Errorf("clone seq changed to %d", seq.AsUint())
+	}
+	m.Reset()
+	if m.State() != "Ready" {
+		t.Errorf("Reset: state=%s", m.State())
+	}
+	if seq, _ := m.Var("seq"); seq.AsUint() != 0 || seq.Bits() != 8 {
+		t.Errorf("Reset seq = %s, want the declared u8 0", seq)
+	}
+	if fresh, _ := NewMachine(senderSpec()); m.StateKey() != fresh.StateKey() {
+		t.Errorf("Reset state key %q, fresh machine %q", m.StateKey(), fresh.StateKey())
 	}
 }
 

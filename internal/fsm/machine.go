@@ -62,7 +62,6 @@ type Machine struct {
 	stateIdx int
 	frame    *expr.Frame
 	scratch  []expr.Value // simultaneous-assignment staging, len maxAssigns
-	steps    uint64
 
 	// Frame-path output staging (StepEv): one preallocated frame per
 	// compiled output op, and a reused result slice.
@@ -147,17 +146,13 @@ func (m *Machine) Clone() *Machine {
 		stateIdx:  m.stateIdx,
 		frame:     frame,
 		scratch:   make([]expr.Value, m.prog.maxAssigns),
-		steps:     m.steps,
 		outFrames: newOutputFrames(m.prog),
 		outBuf:    make([]FrameOutput, 0, m.prog.maxOutputs),
 	}
 }
 
 // Reset returns the machine to its initial state and variable values.
-func (m *Machine) Reset() {
-	m.resetVars()
-	m.steps = 0
-}
+func (m *Machine) Reset() { m.resetVars() }
 
 // StateKey returns a deterministic hash key of (state, vars) for state-
 // space exploration.
@@ -195,7 +190,6 @@ func (m *Machine) Step(event string, args map[string]expr.Value) (StepResult, er
 	if len(row.ts) == 0 {
 		if row.ignored {
 			res.Ignored = true
-			m.steps++
 			return res, nil
 		}
 		return StepResult{}, fmt.Errorf("machine %s: %w: event %q in state %q",
@@ -216,7 +210,6 @@ func (m *Machine) Step(event string, args map[string]expr.Value) (StepResult, er
 		return m.fire(ct, res)
 	}
 	res.Rejected = true
-	m.steps++
 	return res, nil
 }
 
@@ -289,7 +282,6 @@ func (m *Machine) StepEv(ev EventID, args ...expr.Value) (FrameResult, error) {
 	if len(row.ts) == 0 {
 		if row.ignored {
 			res.Ignored = true
-			m.steps++
 			return res, nil
 		}
 		return FrameResult{}, fmt.Errorf("machine %s: %w: event %q in state %q",
@@ -309,7 +301,6 @@ func (m *Machine) StepEv(ev EventID, args ...expr.Value) (FrameResult, error) {
 		return m.fireFrame(ct, res)
 	}
 	res.Rejected = true
-	m.steps++
 	return res, nil
 }
 
@@ -351,7 +342,6 @@ func (m *Machine) fireFrame(ct *compiledTransition, res FrameResult) (FrameResul
 		m.frame.Set(ct.assigns[i].slot, m.scratch[i])
 	}
 	m.stateIdx = ct.toIdx
-	m.steps++
 	res.To = p.states[ct.toIdx]
 	res.Fired = ct.t
 	res.Outputs = m.outBuf
@@ -388,7 +378,6 @@ func (m *Machine) fire(ct *compiledTransition, res StepResult) (StepResult, erro
 		m.frame.Set(ct.assigns[i].slot, m.scratch[i])
 	}
 	m.stateIdx = ct.toIdx
-	m.steps++
 	res.To = p.states[ct.toIdx]
 	res.Fired = ct.t
 	return res, nil

@@ -10,8 +10,11 @@ package fsm
 //
 // The parameter region of the frame is deliberately excluded: parameters
 // are bound afresh by every Step before any expression reads them, so
-// they are scratch, not state. The steps counter is excluded too — it
-// counts how a state was reached, not what the state is.
+// they are scratch, not state.
+//
+// StateIndex, VarSlot, SetStateIndex and SetVarSlot are the same state
+// read and written in place, slot by slot: the checker packs them into
+// its own fixed-layout record instead of round-tripping this encoding.
 
 import (
 	"encoding/binary"
@@ -37,8 +40,7 @@ func (m *Machine) AppendState(dst []byte) []byte {
 // RestoreState loads a state previously produced by AppendState on a
 // machine of the same Program, returning the bytes remaining after the
 // consumed prefix. Variable kinds are validated against the program's
-// declared types; widths are restored exactly as encoded. The steps
-// counter is left unchanged.
+// declared types; widths are restored exactly as encoded.
 func (m *Machine) RestoreState(data []byte) ([]byte, error) {
 	p := m.prog
 	idx, n := binary.Uvarint(data)
@@ -61,3 +63,20 @@ func (m *Machine) RestoreState(data []byte) ([]byte, error) {
 	m.stateIdx = int(idx)
 	return data, nil
 }
+
+// StateIndex returns the current state's index in Spec.States.
+func (m *Machine) StateIndex() int { return m.stateIdx }
+
+// VarSlot returns variable i's value (Spec.Vars order) without a name
+// lookup.
+func (m *Machine) VarSlot(i int) expr.Value { return m.frame.Get(i) }
+
+// SetStateIndex moves the machine to state idx (an index in
+// Spec.States) without running a transition. Nothing is validated: the
+// caller restores a state it read from a machine of the same Program.
+func (m *Machine) SetStateIndex(idx int) { m.stateIdx = idx }
+
+// SetVarSlot sets variable i (Spec.Vars order) to v. Nothing is
+// validated: v must have the variable's declared kind, and a uint the
+// width Step's assignments give it.
+func (m *Machine) SetVarSlot(i int, v expr.Value) { m.frame.Set(i, v) }

@@ -145,16 +145,13 @@ func BuildARQ(opts ARQOptions) (*System, error) {
 // the receiver's expected sequence number is never more than one step
 // (mod seqSpace) ahead of the sender's.
 func StopAndWaitInvariant(seqSpace int) Invariant {
-	return Invariant{
-		Name: "stop-and-wait-window",
-		Fn: func(s *Snapshot) error {
-			send := s.Vars[0]["seq"].AsUint()
-			recv := s.Vars[1]["seq"].AsUint()
+	return readsInvariant("stop-and-wait-window", []varRef{{0, "seq"}, {1, "seq"}}, nil,
+		func(u []uint64, _ []string) error {
+			send, recv := u[0], u[1]
 			diff := (recv + uint64(seqSpace) - send) % uint64(seqSpace)
 			if diff > 1 {
 				return fmt.Errorf("receiver seq %d is %d ahead of sender seq %d", recv, diff, send)
 			}
 			return nil
-		},
-	}
+		})
 }

@@ -1,100 +1,116 @@
 package verify
 
-// Canonical global-state encoding (DESIGN.md §12). A global state is the
+// Interned values and the canonical global-state encoding (DESIGN.md
+// §12).
+//
+// Explore's state record (record.go) holds every value that is not a
+// scalar — in-flight messages, and bytes, string or message variables —
+// as a 32-bit id. Ids come from append-only intern tables that live for
+// one Explore and are shared by all its workers, so an id names the same
+// value in every worker's records, and two ids are equal iff the values'
+// canonical encodings (expr.AppendCanon) are. Each worker reads a table
+// through an internCache: a private view of the entries plus an index
+// keyed by a hash of the canonical bytes. Only a miss — a value the
+// worker has not interned before, or an id another worker minted since
+// the view was taken — takes the table's lock, so once the caches are
+// warm an expansion neither locks nor does a string-keyed lookup.
+//
+// The canonical encoding is still the checker's ground truth. It is the
 // concatenation of every machine's fsm.AppendState encoding followed by
 // every route's queue: a uvarint message count, then each message's
-// expr canonical encoding. All components are self-delimiting, so the
-// concatenation is injective — equal bytes iff equal global state.
-//
-// Reordering routes are semantically multisets, so their elements are
-// emitted in sorted byte order: permutations of the same in-flight
-// messages collapse into one canonical state.
-//
-// Explore's workers hold queues as interned message ids, not values.
-// Each worker keeps one msgTable per route mapping a message's canonical
-// bytes to an id, the bytes themselves and the value handed to the
-// consuming machine. Decoding a queue is then a length scan and a lookup
-// per message, encoding one copies the interned bytes, and a fired
-// output costs one AppendCanon and a lookup. Only a message's first
-// sighting builds a value.
+// canonical bytes, emitted in sorted byte order on reordering routes
+// (permutations of the same in-flight multiset are one state). All
+// components are self-delimiting, so the concatenation is injective.
+// Explore computes it only for violating states, whose report is sorted
+// by it.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
+	"hash/maphash"
+	"sync"
 
 	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
 )
 
-// msgID names an interned message within one route's msgTable.
-type msgID int32
-
-// msgTable interns the distinct messages one worker has seen on one
-// route.
-type msgTable struct {
-	ids  map[string]msgID // any accepted encoding -> id
-	enc  [][]byte         // canonical bytes, by id
-	vals []expr.Value     // immutable value delivered to the consumer, by id
-	// shape is the consumer's compiled shape for the route's message, so
-	// delivered values take the compiled guards' slot fast path.
-	shape *expr.MsgShape
+// internEntry is one interned value: its canonical bytes and the
+// immutable value engines are handed.
+type internEntry struct {
+	enc []byte
+	val expr.Value
 }
 
-// newMsgTables builds one empty table per route of the system.
-func newMsgTables(sys *System, progs []*fsm.Program) []msgTable {
-	ts := make([]msgTable, len(sys.Routes))
+// internTable is an append-only, Explore-wide intern table. Entries are
+// never modified once appended, so a worker may keep reading a prefix of
+// entries it copied under the lock.
+type internTable struct {
+	mu      sync.Mutex
+	ids     map[string]uint32 // canonical bytes -> id
+	entries []internEntry
+	// own builds the stored value of a first sighting from the value and
+	// its canonical bytes (already copied; never modified).
+	own func(v expr.Value, canon []byte) expr.Value
+}
+
+// newMsgTables builds one table per route. A stored message is rebuilt in
+// the consumer's compiled shape when that represents it exactly, so
+// deliveries take the compiled guards' slot fast path.
+func newMsgTables(sys *System, progs []*fsm.Program) []*internTable {
+	ts := make([]*internTable, len(sys.Routes))
 	for ri, r := range sys.Routes {
-		ts[ri] = msgTable{ids: map[string]msgID{}, shape: progs[r.To].MsgShape(r.Message)}
+		shape := progs[r.To].MsgShape(r.Message)
+		ts[ri] = &internTable{
+			ids: map[string]uint32{},
+			own: func(v expr.Value, canon []byte) expr.Value { return ownMsg(shape, v, canon) },
+		}
 	}
 	return ts
 }
 
-// intern returns the id of v, whose canonical encoding is canon. v may
-// alias scratch (a machine's output frame): a first sighting stores a
-// copy.
-func (t *msgTable) intern(v expr.Value, canon []byte) msgID {
-	if id, ok := t.ids[string(canon)]; ok {
-		return id
+// newVarTable builds the table of non-scalar variable values. A stored
+// value is decoded from its canonical bytes, exactly the value
+// fsm.Machine.RestoreState would put in the slot.
+func newVarTable() *internTable {
+	return &internTable{
+		ids: map[string]uint32{},
+		own: func(_ expr.Value, canon []byte) expr.Value {
+			v, _, _ := expr.DecodeCanon(canon) // canon is AppendCanon output
+			return v
+		},
 	}
-	id := msgID(len(t.enc))
-	t.enc = append(t.enc, bytes.Clone(canon))
-	t.vals = append(t.vals, t.own(v, canon))
-	t.ids[string(canon)] = id
-	return id
 }
 
-// internEncoded returns the id of the message encoded by b, which may be
-// any encoding expr.DecodeCanon accepts; the table stores the canonical
-// re-encoding, so a state decoded from non-canonical bytes re-encodes
-// canonically.
-func (t *msgTable) internEncoded(b []byte) (msgID, error) {
-	if id, ok := t.ids[string(b)]; ok {
-		return id, nil
+// intern returns the id of the value v whose canonical bytes are canon,
+// adding it on a first sighting, and the entries as of the call.
+func (t *internTable) intern(v expr.Value, canon []byte) (uint32, []internEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	id, ok := t.ids[string(canon)]
+	if !ok {
+		enc := bytes.Clone(canon)
+		id = uint32(len(t.entries))
+		t.entries = append(t.entries, internEntry{enc: enc, val: t.own(v, enc)})
+		t.ids[string(enc)] = id
 	}
-	v, rest, err := expr.DecodeCanon(b)
-	if err != nil {
-		return 0, err
-	}
-	if len(rest) != 0 {
-		return 0, fmt.Errorf("%d bytes past the value", len(rest))
-	}
-	canon := v.AppendCanon(nil)
-	id := t.intern(v, canon)
-	if !bytes.Equal(b, canon) {
-		t.ids[string(b)] = id
-	}
-	return id, nil
+	return id, t.entries
 }
 
-// own returns an immutable copy of v: a message rebuilt in the consumer's
-// shape when that represents it exactly (same canonical bytes), a copied
-// map-backed message otherwise. Other kinds are immutable already.
-func (t *msgTable) own(v expr.Value, canon []byte) expr.Value {
+// view returns the entries appended so far.
+func (t *internTable) view() []internEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries
+}
+
+// ownMsg returns an immutable copy of v: a message rebuilt in shape when
+// that represents it exactly (same canonical bytes), a copied map-backed
+// message otherwise. Other kinds are immutable already.
+func ownMsg(shape *expr.MsgShape, v expr.Value, canon []byte) expr.Value {
 	if v.Kind() != expr.KindMsg {
 		return v
 	}
-	if s := t.shape; s != nil && v.MsgName() == s.Name() {
+	if s := shape; s != nil && v.MsgName() == s.Name() {
 		f := expr.NewFrame(s.NumFields())
 		for i := 0; i < s.NumFields(); i++ {
 			if fv, ok := v.Field(s.FieldName(i)); ok {
@@ -108,16 +124,86 @@ func (t *msgTable) own(v expr.Value, canon []byte) expr.Value {
 	return expr.Msg(v.MsgName(), v.MsgFields())
 }
 
+// internSeed keys the caches' hash of canonical bytes. It only places
+// entries in a worker-private index, so it need not be stable.
+var internSeed = maphash.MakeSeed()
+
+// internCache is one worker's lock-free front of an internTable.
+type internCache struct {
+	t       *internTable
+	entries []internEntry // a prefix of t.entries
+	// slots is an open-addressed index of the ids this worker has
+	// interned, keyed by the hash of their canonical bytes.
+	slots []cacheSlot
+	n     int
+}
+
+type cacheSlot struct {
+	hash uint64
+	id   uint32
+	used bool
+}
+
+func newInternCache(t *internTable) internCache {
+	return internCache{t: t, slots: make([]cacheSlot, 16)}
+}
+
+// entry returns the entry of id, refreshing the view when id was minted
+// by another worker since the last refresh.
+func (c *internCache) entry(id uint32) *internEntry {
+	if int(id) >= len(c.entries) {
+		c.entries = c.t.view()
+	}
+	return &c.entries[id]
+}
+
+// intern returns the id of v, whose canonical bytes are canon. v and
+// canon may alias scratch: a first sighting stores copies.
+func (c *internCache) intern(v expr.Value, canon []byte) uint32 {
+	h := maphash.Bytes(internSeed, canon)
+	mask := uint64(len(c.slots) - 1)
+	i := h & mask
+	for ; c.slots[i].used; i = (i + 1) & mask {
+		if s := &c.slots[i]; s.hash == h && bytes.Equal(c.entries[s.id].enc, canon) {
+			return s.id
+		}
+	}
+	id, entries := c.t.intern(v, canon)
+	c.entries = entries
+	c.slots[i] = cacheSlot{hash: h, id: id, used: true}
+	if c.n++; c.n*4 >= len(c.slots)*3 {
+		c.grow()
+	}
+	return id
+}
+
+// grow doubles the index.
+func (c *internCache) grow() {
+	slots := make([]cacheSlot, len(c.slots)*2)
+	mask := uint64(len(slots) - 1)
+	for _, s := range c.slots {
+		if !s.used {
+			continue
+		}
+		i := s.hash & mask
+		for slots[i].used {
+			i = (i + 1) & mask
+		}
+		slots[i] = s
+	}
+	c.slots = slots
+}
+
 // less orders two ids by their canonical bytes.
-func (t *msgTable) less(a, b msgID) bool {
-	return bytes.Compare(t.enc[a], t.enc[b]) < 0
+func (c *internCache) less(a, b uint32) bool {
+	return a != b && bytes.Compare(c.entry(a).enc, c.entry(b).enc) < 0
 }
 
 // sort puts q into canonical (byte) order in place. Queues are bounded
 // by the route capacity, so insertion sort is the right tool.
-func (t *msgTable) sort(q []msgID) {
+func (c *internCache) sort(q []uint32) {
 	for i := 1; i < len(q); i++ {
-		for j := i; j > 0 && t.less(q[j], q[j-1]); j-- {
+		for j := i; j > 0 && c.less(q[j], q[j-1]); j-- {
 			q[j], q[j-1] = q[j-1], q[j]
 		}
 	}
@@ -125,10 +211,10 @@ func (t *msgTable) sort(q []msgID) {
 
 // minIndex returns the index of the canonically smallest message in q
 // (the first, among equals).
-func (t *msgTable) minIndex(q []msgID) int {
+func (c *internCache) minIndex(q []uint32) int {
 	min := 0
 	for i := 1; i < len(q); i++ {
-		if t.less(q[i], q[min]) {
+		if c.less(q[i], q[min]) {
 			min = i
 		}
 	}
@@ -137,86 +223,19 @@ func (t *msgTable) minIndex(q []msgID) int {
 
 // encodeState appends the canonical encoding of (machines, queues) to
 // dst. Reordering queues are sorted in place first.
-func encodeState(sys *System, tables []msgTable, ms []*fsm.Machine, queues [][]msgID, dst []byte) []byte {
+func encodeState(sys *System, msgs []internCache, ms []*fsm.Machine, queues [][]uint32, dst []byte) []byte {
 	for _, m := range ms {
 		dst = m.AppendState(dst)
 	}
 	for ri, q := range queues {
-		t := &tables[ri]
+		c := &msgs[ri]
 		dst = binary.AppendUvarint(dst, uint64(len(q)))
 		if sys.Routes[ri].Reorder {
-			t.sort(q)
+			c.sort(q)
 		}
 		for _, id := range q {
-			dst = append(dst, t.enc[id]...)
+			dst = append(dst, c.entry(id).enc...)
 		}
 	}
 	return dst
-}
-
-// decodeState restores machines and queues from an encoding produced by
-// encodeState. Queue slices are appended into queues[i][:0] to reuse
-// worker buffers; the restored order is the canonical one.
-func decodeState(tables []msgTable, ms []*fsm.Machine, queues [][]msgID, data []byte) error {
-	rest, err := restoreMachines(ms, data)
-	if err != nil {
-		return err
-	}
-	for ri := range queues {
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return fmt.Errorf("verify: corrupt state encoding: route %d count", ri)
-		}
-		rest = rest[sz:]
-		q := queues[ri][:0]
-		for i := uint64(0); i < n; i++ {
-			l, err := expr.CanonLen(rest)
-			if err != nil {
-				return fmt.Errorf("verify: corrupt state encoding: route %d msg %d: %w", ri, i, err)
-			}
-			id, err := tables[ri].internEncoded(rest[:l])
-			if err != nil {
-				return fmt.Errorf("verify: corrupt state encoding: route %d msg %d: %w", ri, i, err)
-			}
-			q = append(q, id)
-			rest = rest[l:]
-		}
-		queues[ri] = q
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("verify: corrupt state encoding: %d trailing bytes", len(rest))
-	}
-	return nil
-}
-
-// restoreMachines restores only the machine section of an encoding,
-// returning the remaining (queue) bytes.
-func restoreMachines(ms []*fsm.Machine, data []byte) ([]byte, error) {
-	for i, m := range ms {
-		rest, err := m.RestoreState(data)
-		if err != nil {
-			return nil, fmt.Errorf("verify: corrupt state encoding: machine %d: %w", i, err)
-		}
-		data = rest
-	}
-	return data, nil
-}
-
-// fingerprint hashes a canonical state encoding to 64 bits: FNV-1a with
-// a splitmix64 finalizer so both the shard selector (high bits) and the
-// open-addressing probe start (low bits) are well mixed. Fingerprint
-// collisions are survivable — the visited table compares full encodings
-// on a fingerprint match.
-func fingerprint(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
 }

@@ -3,6 +3,7 @@ package verify
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -33,15 +34,65 @@ func encodeGlobal(sys *System, ms []*fsm.Machine, queues [][]expr.Value, dst []b
 	return dst
 }
 
+// newMsgCaches builds fresh route message tables with one cache each.
+func newMsgCaches(sys *System, progs []*fsm.Program) []internCache {
+	ts := newMsgTables(sys, progs)
+	cs := make([]internCache, len(ts))
+	for i, t := range ts {
+		cs[i] = newInternCache(t)
+	}
+	return cs
+}
+
 // queueValues resolves interned queues to the values they stand for.
-func queueValues(tables []msgTable, queues [][]msgID) [][]expr.Value {
+func queueValues(msgs []internCache, queues [][]uint32) [][]expr.Value {
 	out := make([][]expr.Value, len(queues))
 	for ri, q := range queues {
 		for _, id := range q {
-			out[ri] = append(out[ri], tables[ri].vals[id])
+			out[ri] = append(out[ri], msgs[ri].entry(id).val)
 		}
 	}
 	return out
+}
+
+// decodeState restores machines and interned queues from a canonical
+// state encoding: fsm.Machine.RestoreState for each machine, then per
+// route a uvarint count and that many messages, each decoded and
+// interned by its canonical re-encoding. It accepts any encoding
+// RestoreState and expr.DecodeCanon accept.
+func decodeState(msgs []internCache, ms []*fsm.Machine, queues [][]uint32, data []byte) error {
+	for i, m := range ms {
+		rest, err := m.RestoreState(data)
+		if err != nil {
+			return fmt.Errorf("machine %d: %w", i, err)
+		}
+		data = rest
+	}
+	for ri := range queues {
+		n, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return fmt.Errorf("route %d count", ri)
+		}
+		data = data[sz:]
+		q := queues[ri][:0]
+		for i := uint64(0); i < n; i++ {
+			l, err := expr.CanonLen(data)
+			if err != nil {
+				return fmt.Errorf("route %d msg %d: %w", ri, i, err)
+			}
+			v, rest, err := expr.DecodeCanon(data[:l])
+			if err != nil || len(rest) != 0 {
+				return fmt.Errorf("route %d msg %d: %v", ri, i, err)
+			}
+			q = append(q, msgs[ri].intern(v, v.AppendCanon(nil)))
+			data = data[l:]
+		}
+		queues[ri] = q
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(data))
+	}
+	return nil
 }
 
 // TestInternedEncodingMatchesReference walks the reference engine's
@@ -57,12 +108,12 @@ func TestInternedEncodingMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := newMsgTables(sys, progs)
+	tables := newMsgCaches(sys, progs)
 	ms := newMachines(progs)
 	queues := make([][]expr.Value, len(sys.Routes))
 	deliverArgs := deliverArgsFor(sys)
 	dms := newMachines(progs)
-	dq := make([][]msgID, len(sys.Routes))
+	dq := make([][]uint32, len(sys.Routes))
 
 	seen := map[string]bool{}
 	frontier := [][]byte{encodeGlobal(sys, ms, queues, nil)}
@@ -96,9 +147,10 @@ func TestInternedEncodingMatchesReference(t *testing.T) {
 }
 
 // TestExploreAllocationCeiling is the allocation budget of the search
-// loop: exploring a GBN system at one worker allocates at most five
-// times per explored state, all of it amortised table, frontier and
-// result growth — expanding a state itself allocates nothing.
+// loop: exploring a GBN system at one worker allocates at most twice
+// per explored state (1.895 measured), all of it amortised table,
+// frontier and result growth — expanding a state itself allocates
+// nothing.
 func TestExploreAllocationCeiling(t *testing.T) {
 	sys, err := BuildGBN(GBNOptions{SeqSpace: 8, Window: 3, Total: 4, Capacity: 2, Lossy: true, Reorder: true})
 	if err != nil {
@@ -113,8 +165,8 @@ func TestExploreAllocationCeiling(t *testing.T) {
 		}
 		states = res.States
 	})
-	if perState := allocs / float64(states); perState > 5 {
-		t.Fatalf("Explore allocates %.0f times for %d states: %.2f per state, ceiling 5", allocs, states, perState)
+	if perState := allocs / float64(states); perState > 2 {
+		t.Fatalf("Explore allocates %.0f times for %d states: %.2f per state, ceiling 2", allocs, states, perState)
 	} else {
 		t.Logf("%.0f allocations for %d states: %.3f per state", allocs, states, perState)
 	}

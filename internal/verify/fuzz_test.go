@@ -5,23 +5,26 @@ import (
 	"testing"
 
 	"protodsl/internal/expr"
+	"protodsl/internal/fsm"
 )
 
 // FuzzStateCanon throws arbitrary bytes at the canonical state decoders
-// the parallel checker trusts for dedup and rehydration, and checks:
+// (fsm.Machine.RestoreState, expr.DecodeCanon) and checks:
 //
 //  1. Neither expr.DecodeCanon, expr.CanonLen nor decodeState panics,
-//     whatever the input — the visited table must survive hostile
-//     encodings — and CanonLen measures exactly what DecodeCanon reads.
+//     whatever the input — a state read back must survive hostile
+//     bytes — and CanonLen measures exactly what DecodeCanon reads.
 //  2. Any value that decodes re-encodes to a canonical fixed point:
 //     decode(enc(v)) succeeds, consumes everything, and re-encodes to
 //     identical bytes. (enc(decode(data)) may differ from data — the
 //     decoder accepts non-minimal varints — but one round through the
-//     encoder must be idempotent, or the dedup table would split states.)
+//     encoder must be idempotent, or one state would have two encodings.)
 //  3. The same fixed-point property for whole global states of the
-//     stop-and-wait system: a decodable state encodes canonically, the
-//     interned encoding equals the reference encoder's, and equal
-//     canonical bytes means equal fingerprints feeding the table.
+//     stop-and-wait system: a decodable state encodes canonically, and
+//     the interned encoding equals the reference encoder's.
+//  4. A decoded state the search could hold packs into a state record
+//     that its canonical round trip leaves unchanged, so equal canonical
+//     bytes feed the visited table equal records and hashes.
 //
 // Seed corpus: testdata/fuzz/FuzzStateCanon (real root and mid-search
 // state encodings plus truncated/bit-flipped mutations).
@@ -87,8 +90,8 @@ func FuzzStateCanon(f *testing.F) {
 		// the workers use, which must also agree with the reference
 		// encoder.
 		fms := newMachines(progs)
-		tables := newMsgTables(sys, progs)
-		fq := make([][]msgID, len(sys.Routes))
+		tables := newMsgCaches(sys, progs)
+		fq := make([][]uint32, len(sys.Routes))
 		if err := decodeState(tables, fms, fq, data); err != nil {
 			return
 		}
@@ -103,8 +106,49 @@ func FuzzStateCanon(f *testing.F) {
 		if !bytes.Equal(canon2, canon) {
 			t.Fatalf("state encoding not a fixed point: %x -> %x", canon, canon2)
 		}
-		if fingerprint(canon) != fingerprint(canon2) {
-			t.Fatal("equal encodings, unequal fingerprints")
+
+		// Property 4: a state the search can hold — every uint at its
+		// declared width and no queue past its capacity — packs into a
+		// record that the canonical round trip leaves unchanged, so equal
+		// canonical bytes feed the visited table equal records and hashes.
+		if !inRecordDomain(sys, progs, fms, fq) {
+			return
+		}
+		e, err := newExplorer(sys, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := e.workers[0]
+		rec1, rec2 := make([]uint64, e.lay.words), make([]uint64, e.lay.words)
+		if err := decodeState(w.msgs, w.ms, w.baseQ, data); err != nil {
+			t.Fatal(err)
+		}
+		w.save(w.baseQ, rec1)
+		if err := decodeState(w.msgs, w.ms, w.baseQ, encodeState(sys, w.msgs, w.ms, w.baseQ, nil)); err != nil {
+			t.Fatal(err)
+		}
+		w.save(w.baseQ, rec2)
+		if !equalRecords(rec1, rec2) || hashRecord(rec1) != hashRecord(rec2) {
+			t.Fatalf("canonical round trip changed the record: %x -> %x", rec1, rec2)
 		}
 	})
+}
+
+// inRecordDomain reports whether a decoded state is one the search could
+// reach: uint variables at their declared widths (every assignment is
+// coerced to it) and queues within capacity. RestoreState accepts more.
+func inRecordDomain(sys *System, progs []*fsm.Program, ms []*fsm.Machine, queues [][]uint32) bool {
+	for mi, m := range ms {
+		for vi, v := range progs[mi].Spec().Vars {
+			if x := m.VarSlot(vi); x.Kind() == expr.KindUint && x.Bits() != expr.Uint(0, v.Type.Bits).Bits() {
+				return false
+			}
+		}
+	}
+	for ri, q := range queues {
+		if len(q) > sys.Routes[ri].Capacity {
+			return false
+		}
+	}
+	return true
 }

@@ -362,26 +362,21 @@ func BuildHandshake(opts HSOptions) (*System, error) {
 // (torn), implies the server is no longer Established: the half-close
 // actually drained the server before the client walked away.
 func HSInvariant() Invariant {
-	return Invariant{
-		Name: "hs-lifecycle",
-		Fn: func(s *Snapshot) error {
-			cState := s.States[0]
-			sState := s.States[1]
-			inc := s.Vars[0]["inc"].AsUint()
-			torn := s.Vars[0]["torn"].AsUint()
-			peers := s.Vars[1]["peers"].AsUint()
-			engaged := uint64(0)
-			if cState != "Closed" && cState != "SynSent" {
-				engaged = 1
-			}
-			if peers > inc+engaged {
-				return fmt.Errorf("server allocated %d peers for %d completed incarnations (client %s): half-open state leaked",
-					peers, inc, cState)
-			}
-			if (cState == "TimeWait" || (cState == "Down" && torn == 1)) && sState == "Established" {
-				return fmt.Errorf("client finished teardown (%s) while server still Established", cState)
-			}
-			return nil
-		},
-	}
+	vars := []varRef{{0, "inc"}, {0, "torn"}, {1, "peers"}}
+	return readsInvariant("hs-lifecycle", vars, []int{0, 1}, func(u []uint64, st []string) error {
+		inc, torn, peers := u[0], u[1], u[2]
+		cState, sState := st[0], st[1]
+		engaged := uint64(0)
+		if cState != "Closed" && cState != "SynSent" {
+			engaged = 1
+		}
+		if peers > inc+engaged {
+			return fmt.Errorf("server allocated %d peers for %d completed incarnations (client %s): half-open state leaked",
+				peers, inc, cState)
+		}
+		if (cState == "TimeWait" || (cState == "Down" && torn == 1)) && sState == "Established" {
+			return fmt.Errorf("client finished teardown (%s) while server still Established", cState)
+		}
+		return nil
+	})
 }

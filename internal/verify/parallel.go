@@ -11,20 +11,20 @@ package verify
 // lengths are identical for any worker count — only which equal-length
 // parent chain gets recorded can vary.
 //
-// Workers never share mutable state except the visited table (internally
-// striped) and the frontier cursors. A worker owns one set of machines
-// compiled once per spec and rehydrates them per expansion from the
-// canonical state encoding — no machine clones, no string keys. It steps
-// them through fsm.Machine.StepEv with event ids and argument lists
-// resolved once per Explore, reads enabledness off the compiled dispatch
-// rows, and keeps in-flight messages interned (encode.go), so expanding
-// a state allocates nothing once the intern tables are warm.
+// Workers share the visited table (internally striped), the frontier
+// cursors and the append-only intern tables (encode.go), which they read
+// through private caches. A worker owns one set of machines compiled
+// once per spec and restores them per expansion from the state's
+// fixed-layout record (record.go) — no machine clones, no decoding, no
+// string keys. It steps them through fsm.Machine.StepEv with event ids
+// and argument lists resolved once per Explore and reads enabledness off
+// the compiled dispatch rows, so expanding a state allocates nothing
+// once the intern caches are warm.
 //
 // The moves and their effects are exactly enabledMoves/applyMove's, which
 // ExploreSequential and Replay use; the differential tests pin the two.
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -65,9 +65,14 @@ type pexplorer struct {
 	progs     []*fsm.Program
 	envs      []envBinding
 	routes    []routeBinding
+	lay       *recordLayout
+	msgs      []*internTable // in-flight messages, per route
+	vars      *internTable   // non-scalar variable values
+	invs      []boundInvariant
 	tbl       *table
 	workers   []*pworker
 	frontiers []levelFrontier
+	start     time.Time
 }
 
 // pviol is a violation before trace reconstruction: anchored at a table
@@ -85,15 +90,21 @@ type pworker struct {
 	e  *pexplorer
 
 	ms          []*fsm.Machine
-	msgs        []msgTable // interned in-flight messages, per route
-	baseQ       [][]msgID  // decoded queues of the node being expanded
-	q           [][]msgID  // per-move working copy of the queues
+	msgs        []internCache // per route
+	vars        internCache
+	baseQ       [][]uint32 // queues of the state being expanded
+	qbuf        [][]uint32 // a move's edited queues, where qGen == gen
+	qGen        []uint64
+	gen         uint64 // counts moves
 	moves       []Move
 	arg         [1]expr.Value // positional delivery argument
 	deliverArgs []map[string]expr.Value
-	encBuf      []byte // current node's encoding
-	succBuf     []byte // successor encoding scratch
-	canonBuf    []byte // output message encoding scratch
+	cur         []uint64 // record of the state being expanded
+	succ        []uint64 // successor record scratch
+	canonBuf    []byte   // canonical encoding scratch
+	stepped     int      // the machine the last apply stepped
+	invU        []uint64 // bound invariants' variable values
+	invStates   []string // bound invariants' state names
 	snap        Snapshot
 	next        []ref // next-level frontier (worker-private)
 
@@ -101,7 +112,6 @@ type pworker struct {
 	dupHits     uint64
 	overruns    []uint64
 	viols       []pviol
-	err         error
 
 	curRef   ref
 	curDepth int32
@@ -114,9 +124,13 @@ func newPWorker(e *pexplorer, id int) *pworker {
 		id:          id,
 		e:           e,
 		ms:          newMachines(e.progs),
-		msgs:        newMsgTables(e.sys, e.progs),
-		baseQ:       make([][]msgID, nr),
-		q:           make([][]msgID, nr),
+		msgs:        make([]internCache, nr),
+		vars:        newInternCache(e.vars),
+		baseQ:       make([][]uint32, nr),
+		qbuf:        make([][]uint32, nr),
+		qGen:        make([]uint64, nr),
+		cur:         make([]uint64, e.lay.words),
+		succ:        make([]uint64, e.lay.words),
 		overruns:    make([]uint64, nr),
 		deliverArgs: deliverArgsFor(e.sys),
 		snap: Snapshot{
@@ -125,9 +139,17 @@ func newPWorker(e *pexplorer, id int) *pworker {
 			Queues: make([][]expr.Value, nr),
 		},
 	}
+	for ri, t := range e.msgs {
+		w.msgs[ri] = newInternCache(t)
+	}
 	for i, p := range e.progs {
 		w.snap.Vars[i] = make(map[string]expr.Value, len(p.Spec().Vars))
 	}
+	nu, ns := 0, 0
+	for _, b := range e.invs {
+		nu, ns = max(nu, len(b.vars)), max(ns, len(b.states))
+	}
+	w.invU, w.invStates = make([]uint64, nu), make([]string, ns)
 	return w
 }
 
@@ -194,6 +216,15 @@ func positional(params []fsm.Param, named map[string]expr.Value) (args []expr.Va
 // lengths, overrun counts — are deterministic and identical for every
 // Workers value; see Options for the truncation and stop-early caveats.
 func Explore(sys *System, opts Options) (*Result, error) {
+	e, err := newExplorer(sys, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.run()
+}
+
+// newExplorer compiles the system and lays out its record, ready to run.
+func newExplorer(sys *System, opts Options) (*pexplorer, error) {
 	progs, err := compileSystem(sys)
 	if err != nil {
 		return nil, err
@@ -208,24 +239,31 @@ func Explore(sys *System, opts Options) (*Result, error) {
 	if nw > 64 {
 		nw = 64
 	}
-	start := time.Now()
-
 	e := &pexplorer{
 		sys: sys, opts: opts, progs: progs,
-		tbl:       newTable(opts.MaxStates),
+		lay:       newRecordLayout(sys, progs),
+		msgs:      newMsgTables(sys, progs),
+		vars:      newVarTable(),
 		frontiers: make([]levelFrontier, nw),
+		start:     time.Now(),
 	}
+	e.tbl = newTable(e.lay.words, opts.MaxStates)
+	e.invs = bindInvariants(opts.Invariants, progs, e.lay)
 	e.envs, e.routes = bindEvents(sys, progs)
 	e.workers = make([]*pworker, nw)
 	for i := range e.workers {
 		e.workers[i] = newPWorker(e, i)
 	}
+	return e, nil
+}
 
+// run searches level by level and assembles the result.
+func (e *pexplorer) run() (*Result, error) {
 	w0 := e.workers[0]
-	rootEnc := encodeState(sys, w0.msgs, w0.ms, w0.baseQ, nil)
-	rootRef, _, full := e.tbl.insert(fingerprint(rootEnc), rootEnc, refNil, -1, 0)
+	w0.save(w0.baseQ, w0.cur)
+	rootRef, _, full := e.tbl.insert(hashRecord(w0.cur), w0.cur, refNil, -1, 0)
 	if !full {
-		w0.checkInvariants(rootRef, 0, w0.baseQ)
+		w0.checkInvariants(rootRef, 0, w0.cur)
 		e.frontiers[0].refs = []ref{rootRef}
 	}
 
@@ -255,18 +293,13 @@ func Explore(sys *System, opts Options) (*Result, error) {
 			}(w)
 		}
 		wg.Wait()
-		for _, w := range e.workers {
-			if w.err != nil {
-				return nil, w.err
-			}
-		}
 
 		for i, w := range e.workers {
 			e.frontiers[i].refs = w.next
 			w.next = nil
 		}
 		depth++
-		if opts.StopAtFirstViolation && e.anyViols() {
+		if e.opts.StopAtFirstViolation && e.anyViols() {
 			break
 		}
 	}
@@ -274,7 +307,7 @@ func Explore(sys *System, opts Options) (*Result, error) {
 	res := &Result{
 		States:    int(e.tbl.count.Load()),
 		Truncated: e.tbl.truncated.Load(),
-		Overruns:  make([]uint64, len(sys.Routes)),
+		Overruns:  make([]uint64, len(e.sys.Routes)),
 	}
 	for _, w := range e.workers {
 		res.Transitions += int(w.transitions)
@@ -288,36 +321,50 @@ func Explore(sys *System, opts Options) (*Result, error) {
 		pviols = append(pviols, w.viols...)
 	}
 	if len(pviols) > 0 {
-		tr := newTracer(e)
-		vs := make([]Violation, len(pviols))
-		anchors := make([][]byte, len(pviols))
-		for i, pv := range pviols {
-			var extra *Move
-			if pv.hasExtra {
-				extra = &pv.extra
-			}
-			moves, trace, err := tr.path(pv.state, extra)
-			if err != nil {
-				return nil, err
-			}
-			vs[i] = Violation{
-				Kind: pv.kind, Name: pv.name, Msg: pv.msg,
-				Moves: moves, Trace: trace, Depth: int(pv.depth),
-			}
-			anchors[i], _ = e.tbl.node(pv.state, nil)
+		vs, err := e.violations(pviols)
+		if err != nil {
+			return nil, err
 		}
-		sortViolations(vs, anchors)
 		res.Violations = vs
 	}
-	res.Stats.Workers = nw
+	res.Stats.Workers = len(e.workers)
 	res.Stats.Depth = maxDepth
 	res.Stats.FrontierPeak = frontierPeak
 	res.Stats.ArenaBytes = e.tbl.arenaBytes()
-	res.Stats.Elapsed = time.Since(start)
+	res.Stats.Elapsed = time.Since(e.start)
 	if secs := res.Stats.Elapsed.Seconds(); secs > 0 {
 		res.Stats.StatesPerSec = float64(res.States) / secs
 	}
 	return res, nil
+}
+
+// violations reconstructs every violation's trace and sorts the report
+// by (depth, canonical encoding of the anchor state, ...). Only here,
+// for violating states, is the canonical encoding computed.
+func (e *pexplorer) violations(pviols []pviol) ([]Violation, error) {
+	tr := newTracer(e)
+	w := tr.w
+	vs := make([]Violation, len(pviols))
+	anchors := make([][]byte, len(pviols))
+	for i, pv := range pviols {
+		var extra *Move
+		if pv.hasExtra {
+			extra = &pv.extra
+		}
+		moves, trace, err := tr.path(pv.state, extra)
+		if err != nil {
+			return nil, err
+		}
+		vs[i] = Violation{
+			Kind: pv.kind, Name: pv.name, Msg: pv.msg,
+			Moves: moves, Trace: trace, Depth: int(pv.depth),
+		}
+		e.tbl.record(pv.state, w.cur)
+		w.restore(w.cur, w.baseQ) // w.moves, which the tracer memoises, is untouched
+		anchors[i] = encodeState(e.sys, w.msgs, w.ms, w.baseQ, nil)
+	}
+	sortViolations(vs, anchors)
+	return vs, nil
 }
 
 func (e *pexplorer) anyViols() bool {
@@ -333,7 +380,7 @@ func (e *pexplorer) anyViols() bool {
 // the other workers' — until every frontier is exhausted.
 func (w *pworker) drain(depth int32) {
 	n := len(w.e.frontiers)
-	for w.err == nil {
+	for {
 		claimed := false
 		for i := 0; i < n; i++ {
 			f := &w.e.frontiers[(w.id+i)%n]
@@ -350,40 +397,34 @@ func (w *pworker) drain(depth int32) {
 	}
 }
 
-// load decodes the state r into the worker's machines and base queues
-// and enumerates its moves into w.moves.
-func (w *pworker) load(r ref) error {
-	w.encBuf, _ = w.e.tbl.node(r, w.encBuf)
-	if err := decodeState(w.msgs, w.ms, w.baseQ, w.encBuf); err != nil {
-		return err
-	}
+// load restores the state r into the worker's machines and base queues,
+// leaving its record in w.cur, and enumerates its moves into w.moves.
+func (w *pworker) load(r ref) {
+	w.e.tbl.record(r, w.cur)
+	w.restore(w.cur, w.baseQ)
 	w.enabledMoves()
-	return nil
 }
 
 // expand applies every enabled move of one state, inserting unseen
 // successors into the table and the worker's next-level frontier.
 func (w *pworker) expand(r ref, depth int32) {
-	if w.err = w.load(r); w.err != nil {
-		return
-	}
+	w.load(r)
 	w.curRef, w.curDepth = r, depth
 	productive := false
-	machinesDirty := false
+	dirty := -1 // a machine that may no longer hold its state in w.cur
 	for mi := range w.moves {
 		mv := w.moves[mi]
-		if machinesDirty {
-			if _, err := restoreMachines(w.ms, w.encBuf); err != nil {
-				w.err = err
-				return
-			}
-			machinesDirty = false
+		if dirty >= 0 {
+			w.restoreMachine(dirty, w.cur)
+			dirty = -1
 		}
-		for ri, bq := range w.baseQ {
-			w.q[ri] = append(w.q[ri][:0], bq...)
-		}
+		w.gen++ // every queue reads as its base queue until edited
 		w.curMove = mv
+		w.stepped = -1
 		ar, err := w.apply(mv)
+		if w.stepped >= 0 && (ar.fired || err != nil) {
+			dirty = w.stepped
+		}
 		if err != nil {
 			w.viols = append(w.viols, pviol{
 				kind: ViolationStep, name: mv.String(), msg: err.Error(),
@@ -395,13 +436,20 @@ func (w *pworker) expand(r ref, depth int32) {
 		if ar.envNoop {
 			continue
 		}
-		machinesDirty = ar.fired
-		w.succBuf = encodeState(w.e.sys, w.msgs, w.ms, w.q, w.succBuf[:0])
-		if bytes.Equal(w.succBuf, w.encBuf) {
+		copy(w.succ, w.cur)
+		if ar.fired {
+			w.saveMachine(dirty, w.succ)
+		}
+		for ri, g := range w.qGen {
+			if g == w.gen {
+				w.saveQueue(ri, w.qbuf[ri], w.succ)
+			}
+		}
+		if equalRecords(w.succ, w.cur) {
 			continue // fired but changed nothing
 		}
 		productive = true
-		nr, isNew, full := w.e.tbl.insert(fingerprint(w.succBuf), w.succBuf, r, int32(mi), depth+1)
+		nr, isNew, full := w.e.tbl.insert(hashRecord(w.succ), w.succ, r, int32(mi), depth+1)
 		if full {
 			continue // table already marked truncated
 		}
@@ -410,15 +458,12 @@ func (w *pworker) expand(r ref, depth int32) {
 			continue
 		}
 		w.next = append(w.next, nr)
-		// The machines and w.q hold exactly the successor state here.
-		w.checkInvariants(nr, depth+1, w.q)
+		// The machines and queues hold exactly the successor state here.
+		w.checkInvariants(nr, depth+1, w.succ)
 	}
 	if w.e.opts.CheckDeadlock && !productive {
-		if machinesDirty {
-			if _, err := restoreMachines(w.ms, w.encBuf); err != nil {
-				w.err = err
-				return
-			}
+		if dirty >= 0 {
+			w.restoreMachine(dirty, w.cur)
 		}
 		if !allFinal(w.ms) {
 			w.viols = append(w.viols, pviol{
@@ -471,7 +516,7 @@ func (w *pworker) enabledMoves() {
 	w.moves = moves
 }
 
-// apply is applyMove over the worker's machines and working queues w.q,
+// apply is applyMove over the worker's machines and queues (see queue),
 // which it edits in place.
 func (w *pworker) apply(mv Move) (applyResult, error) {
 	e := w.e
@@ -496,7 +541,7 @@ func (w *pworker) apply(mv Move) (applyResult, error) {
 		return applyResult{fired: fired, envNoop: !fired}, nil
 	case MoveDeliver:
 		r := &e.sys.Routes[mv.Route]
-		msg := w.msgs[mv.Route].vals[w.q[mv.Route][mv.QIdx]]
+		msg := w.msgs[mv.Route].entry(w.queue(mv.Route)[mv.QIdx]).val
 		w.remove(mv.Route, mv.QIdx)
 		var fired bool
 		var err error
@@ -520,13 +565,32 @@ func (w *pworker) apply(mv Move) (applyResult, error) {
 }
 
 func (w *pworker) remove(route, i int) {
-	q := w.q[route]
-	w.q[route] = append(q[:i], q[i+1:]...)
+	q := w.ownQueue(route)
+	*q = append((*q)[:i], (*q)[i+1:]...)
+}
+
+// queue returns route ri's queue as the current move has left it.
+func (w *pworker) queue(ri int) []uint32 {
+	if w.qGen[ri] == w.gen {
+		return w.qbuf[ri]
+	}
+	return w.baseQ[ri]
+}
+
+// ownQueue returns route ri's queue for editing: a private copy of the
+// base queue, made at the move's first edit of the route.
+func (w *pworker) ownQueue(ri int) *[]uint32 {
+	if w.qGen[ri] != w.gen {
+		w.qGen[ri] = w.gen
+		w.qbuf[ri] = append(w.qbuf[ri][:0], w.baseQ[ri]...)
+	}
+	return &w.qbuf[ri]
 }
 
 // stepEv steps machine mi through the positional fast path and queues
 // the outputs of a fired transition.
 func (w *pworker) stepEv(mi int, ev fsm.EventID, args []expr.Value) (fired bool, err error) {
+	w.stepped = mi
 	res, err := w.ms[mi].StepEv(ev, args...)
 	if err != nil || res.Fired == nil {
 		return false, err
@@ -542,6 +606,7 @@ func (w *pworker) stepEv(mi int, ev fsm.EventID, args []expr.Value) (fired bool,
 // stepByName steps machine mi with named arguments — the binding StepEv
 // cannot express, which Step rejects with the reference engine's error.
 func (w *pworker) stepByName(mi int, event string, args map[string]expr.Value) (fired bool, err error) {
+	w.stepped = mi
 	res, err := w.ms[mi].Step(event, args)
 	if err != nil || res.Fired == nil {
 		return false, err
@@ -563,17 +628,18 @@ func (w *pworker) emit(from int, message string, msg expr.Value) {
 		if r.From != from || r.Message != message {
 			continue
 		}
-		t := &w.msgs[ri]
-		id := t.intern(msg, w.canonBuf)
-		if q := w.q[ri]; len(q) >= r.Capacity {
+		c := &w.msgs[ri]
+		id := c.intern(msg, w.canonBuf)
+		if q := w.queue(ri); len(q) >= r.Capacity {
 			victim := 0
 			if r.Reorder && len(q) > 1 {
-				victim = t.minIndex(q)
+				victim = c.minIndex(q)
 			}
-			w.overrun(ri, t.vals[q[victim]])
+			w.overrun(ri, c.entry(q[victim]).val)
 			w.remove(ri, victim)
 		}
-		w.q[ri] = append(w.q[ri], id)
+		q := w.ownQueue(ri)
+		*q = append(*q, id)
 	}
 }
 
@@ -591,46 +657,64 @@ func (w *pworker) overrun(route int, dropped expr.Value) {
 	}
 }
 
-// checkInvariants evaluates the invariants on the machines and queues,
-// through the worker's one reused Snapshot (see Invariant.Fn).
-func (w *pworker) checkInvariants(r ref, depth int32, queues [][]msgID) {
-	if len(w.e.opts.Invariants) == 0 {
-		return
-	}
-	snap := &w.snap
-	for i, m := range w.ms {
-		snap.States[i] = m.State()
-		vars := snap.Vars[i]
-		for _, v := range m.Spec().Vars {
-			vars[v.Name], _ = m.Var(v.Name)
+// checkInvariants evaluates the invariants on a new state: a bound
+// invariant on its record rec, any other through the worker's one
+// reused Snapshot (see Invariant.Fn), filled from the machines and
+// queues, which hold the same state.
+func (w *pworker) checkInvariants(r ref, depth int32, rec []uint64) {
+	snapped := false
+	for i := range w.e.invs {
+		b := &w.e.invs[i]
+		var err error
+		if b.bound {
+			err = b.eval(rec, w.invU, w.invStates)
+		} else {
+			if !snapped {
+				w.fillSnapshot()
+				snapped = true
+			}
+			err = b.inv.Fn(&w.snap)
 		}
-	}
-	for ri, q := range queues {
-		vals := snap.Queues[ri][:0]
-		for _, id := range q {
-			vals = append(vals, w.msgs[ri].vals[id])
-		}
-		snap.Queues[ri] = vals
-	}
-	for _, inv := range w.e.opts.Invariants {
-		if err := inv.Fn(snap); err != nil {
+		if err != nil {
 			w.viols = append(w.viols, pviol{
-				kind: ViolationInvariant, name: inv.Name, msg: err.Error(),
+				kind: ViolationInvariant, name: b.inv.Name, msg: err.Error(),
 				state: r, depth: depth,
 			})
 		}
 	}
 }
 
+// fillSnapshot refills the worker's Snapshot from its machines and
+// queues.
+func (w *pworker) fillSnapshot() {
+	snap := &w.snap
+	for i, m := range w.ms {
+		snap.States[i] = m.State()
+		vars := snap.Vars[i]
+		for vi, v := range m.Spec().Vars {
+			vars[v.Name] = m.VarSlot(vi)
+		}
+	}
+	for ri := range snap.Queues {
+		vals := snap.Queues[ri][:0]
+		for _, id := range w.queue(ri) {
+			vals = append(vals, w.msgs[ri].entry(id).val)
+		}
+		snap.Queues[ri] = vals
+	}
+}
+
 // tracer reconstructs counter-example traces after the search, single-
-// threaded on worker 0. The move into a state is found by decoding its
+// threaded on worker 0. The move into a state is found by restoring its
 // parent, re-enumerating the parent's moves and taking the recorded
 // index; tracer memoises it per state, so the prefixes many violations
-// share are decoded once.
+// share are restored once. The search is over, so parent links are read
+// without the shard locks.
 type tracer struct {
 	e      *pexplorer
 	w      *pworker
-	memo   map[ref]traceStep
+	memo   [tableShards][]int32 // by meta index: 1 + index into steps, 0 = not yet
+	steps  []traceStep
 	loaded ref // the state whose moves w.moves holds
 	chain  []ref
 }
@@ -642,56 +726,57 @@ type traceStep struct {
 }
 
 func newTracer(e *pexplorer) *tracer {
-	return &tracer{e: e, w: e.workers[0], memo: map[ref]traceStep{}, loaded: refNil}
+	return &tracer{e: e, w: e.workers[0], loaded: refNil}
 }
 
 // path returns the moves from the initial state to r, then extra when
 // non-nil, with their renderings.
 func (t *tracer) path(r ref, extra *Move) ([]Move, []string, error) {
 	t.chain = t.chain[:0]
-	for cur := r; cur != refNil; cur = t.e.tbl.metaOf(cur).parent {
+	for cur := r; cur != refNil; cur = t.e.tbl.metaAfter(cur).parent {
 		t.chain = append(t.chain, cur)
 	}
 	n := len(t.chain) - 1
 	if extra != nil {
 		n++
 	}
-	moves := make([]Move, 0, n)
-	trace := make([]string, 0, n)
+	moves := make([]Move, n)
+	trace := make([]string, n)
 	// chain runs from r up to the root; walk it root-first, skipping the
 	// root itself, which no move leads into.
-	for i := len(t.chain) - 2; i >= 0; i-- {
+	for i, j := len(t.chain)-2, 0; i >= 0; i, j = i-1, j+1 {
 		st, err := t.stepInto(t.chain[i], t.chain[i+1])
 		if err != nil {
 			return nil, nil, err
 		}
-		moves = append(moves, st.mv)
-		trace = append(trace, st.str)
+		moves[j], trace[j] = st.mv, st.str
 	}
 	if extra != nil {
-		moves = append(moves, *extra)
-		trace = append(trace, extra.String())
+		moves[n-1], trace[n-1] = *extra, extra.String()
 	}
 	return moves, trace, nil
 }
 
 // stepInto returns the move from parent into child.
-func (t *tracer) stepInto(child, parent ref) (traceStep, error) {
-	if st, ok := t.memo[child]; ok {
-		return st, nil
+func (t *tracer) stepInto(child, parent ref) (*traceStep, error) {
+	memo := t.memo[child.shard()]
+	if memo == nil {
+		memo = make([]int32, len(t.e.tbl.shards[child.shard()].meta))
+		t.memo[child.shard()] = memo
+	}
+	if k := memo[child.metaIdx()]; k > 0 {
+		return &t.steps[k-1], nil
 	}
 	if t.loaded != parent {
-		if err := t.w.load(parent); err != nil {
-			return traceStep{}, err
-		}
+		t.w.load(parent)
 		t.loaded = parent
 	}
-	mid := t.e.tbl.metaOf(child).moveID
+	mid := t.e.tbl.metaAfter(child).moveID
 	if int(mid) >= len(t.w.moves) {
-		return traceStep{}, fmt.Errorf("verify: trace: move %d of a state with %d moves", mid, len(t.w.moves))
+		return nil, fmt.Errorf("verify: trace: move %d of a state with %d moves", mid, len(t.w.moves))
 	}
 	mv := t.w.moves[mid]
-	st := traceStep{mv: mv, str: mv.String()}
-	t.memo[child] = st
-	return st, nil
+	t.steps = append(t.steps, traceStep{mv: mv, str: mv.String()})
+	memo[child.metaIdx()] = int32(len(t.steps))
+	return &t.steps[len(t.steps)-1], nil
 }

@@ -1,24 +1,24 @@
 package verify
 
 // Sharded visited table (DESIGN.md §12). States are identified by their
-// canonical byte encoding; the table deduplicates them under striped
-// locks with open addressing:
+// fixed-length record (record.go); the table deduplicates them under
+// striped locks with open addressing:
 //
-//   - fingerprint high bits pick one of 256 shards, each with its own
-//     mutex — concurrent inserts rarely contend;
-//   - within a shard an open-addressed index maps fingerprints to an
-//     append-only meta array (fingerprint, arena offset, parent ref,
-//     move index, depth) and an append-only byte arena holding the
-//     encodings — one big allocation per shard instead of one per state;
+//   - hash high bits pick one of 256 shards, each with its own mutex —
+//     concurrent inserts rarely contend;
+//   - within a shard an open-addressed index maps hashes to an
+//     append-only meta array (hash, parent ref, move index, depth) and an
+//     append-only word arena holding the records back to back, record i
+//     at words [i*L, (i+1)*L) — one big allocation per shard instead of
+//     one per state;
 //   - a ref (shard<<32 | meta index) names a state stably across index
 //     rehashes, so parent links survive growth.
 //
-// Lookups compare full encodings on fingerprint match, so a 64-bit
-// collision costs a probe, never a wrong dedup. Reads copy under the
-// shard lock: concurrent appends may grow the meta and arena slices.
+// Lookups compare whole records on a hash match, so a 64-bit collision
+// costs a probe, never a wrong dedup. Reads during the search copy under
+// the shard lock: concurrent appends may grow the meta and arena slices.
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -44,9 +44,7 @@ func (r ref) metaIdx() int  { return int(uint32(r)) }
 type nodeMeta struct {
 	fp     uint64
 	parent ref
-	off    uint32 // encoding start in the shard arena
-	elen   uint32 // encoding length
-	moveID int32  // index into the parent's enabledMoves list (-1 for root)
+	moveID int32 // index into the parent's enabledMoves list (-1 for root)
 	depth  int32
 }
 
@@ -55,13 +53,15 @@ type tableShard struct {
 	idx   []uint32 // open-addressed: metaIdx+1, 0 = empty
 	mask  uint64
 	meta  []nodeMeta
-	arena []byte
+	arena []uint64
 }
 
-// table is the concurrent visited set. max bounds the total state count
-// across shards (the bounded-memory mode); once reached, inserts report
-// full and the table is marked truncated.
+// table is the concurrent visited set of records of words words each.
+// max bounds the total state count across shards (the bounded-memory
+// mode); once reached, inserts report full and the table is marked
+// truncated.
 type table struct {
+	words     int
 	max       int64
 	count     atomic.Int64
 	truncated atomic.Bool
@@ -73,16 +73,17 @@ type table struct {
 // few states hash to.
 const shardInitSlots = 64
 
-func newTable(max int) *table {
-	return &table{max: int64(max)}
+func newTable(words, max int) *table {
+	return &table{words: words, max: int64(max)}
 }
 
-// insert adds the encoding if unseen. It returns the state's ref,
-// whether this call inserted it, and whether the global bound rejected
-// it (full implies not inserted and an invalid ref).
-func (t *table) insert(fp uint64, enc []byte, parent ref, moveID int32, depth int32) (r ref, isNew bool, full bool) {
+// insert adds the record if unseen. It returns the state's ref, whether
+// this call inserted it, and whether the global bound rejected it (full
+// implies not inserted and an invalid ref).
+func (t *table) insert(fp uint64, rec []uint64, parent ref, moveID int32, depth int32) (r ref, isNew bool, full bool) {
 	shard := fp >> 56
 	s := &t.shards[shard]
+	L := t.words
 	s.mu.Lock()
 	if s.idx == nil {
 		s.idx = make([]uint32, shardInitSlots)
@@ -94,11 +95,10 @@ func (t *table) insert(fp uint64, enc []byte, parent ref, moveID int32, depth in
 		if slot == 0 {
 			break
 		}
-		m := &s.meta[slot-1]
-		if m.fp == fp && bytes.Equal(s.arena[m.off:m.off+m.elen], enc) {
-			r = packRef(shard, int(slot-1))
+		mi := int(slot - 1)
+		if s.meta[mi].fp == fp && equalRecords(s.arena[mi*L:mi*L+L], rec) {
 			s.mu.Unlock()
-			return r, false, false
+			return packRef(shard, mi), false, false
 		}
 		i = (i + 1) & s.mask
 	}
@@ -108,12 +108,8 @@ func (t *table) insert(fp uint64, enc []byte, parent ref, moveID int32, depth in
 		s.mu.Unlock()
 		return refNil, false, true
 	}
-	off := len(s.arena)
-	s.arena = append(s.arena, enc...)
-	s.meta = append(s.meta, nodeMeta{
-		fp: fp, parent: parent, off: uint32(off), elen: uint32(len(enc)),
-		moveID: moveID, depth: depth,
-	})
+	s.arena = append(s.arena, rec...)
+	s.meta = append(s.meta, nodeMeta{fp: fp, parent: parent, moveID: moveID, depth: depth})
 	s.idx[i] = uint32(len(s.meta))
 	if uint64(len(s.meta))*4 >= uint64(len(s.idx))*3 {
 		s.grow()
@@ -139,33 +135,29 @@ func (s *tableShard) grow() {
 	s.mask = mask
 }
 
-// node copies the state's encoding into buf[:0] and returns it with the
-// meta record.
-func (t *table) node(r ref, buf []byte) ([]byte, nodeMeta) {
+// record copies the state's record into buf, which has the table's
+// record length.
+func (t *table) record(r ref, buf []uint64) {
 	s := &t.shards[r.shard()]
+	off := r.metaIdx() * t.words
 	s.mu.Lock()
-	m := s.meta[r.metaIdx()]
-	buf = append(buf[:0], s.arena[m.off:m.off+m.elen]...)
+	copy(buf, s.arena[off:off+t.words])
 	s.mu.Unlock()
-	return buf, m
 }
 
-// metaOf returns the meta record alone.
-func (t *table) metaOf(r ref) nodeMeta {
-	s := &t.shards[r.shard()]
-	s.mu.Lock()
-	m := s.meta[r.metaIdx()]
-	s.mu.Unlock()
-	return m
+// metaAfter returns the meta record without locking. It is only for use
+// once the search is over and no insert can run.
+func (t *table) metaAfter(r ref) nodeMeta {
+	return t.shards[r.shard()].meta[r.metaIdx()]
 }
 
-// arenaBytes sums the pooled encoding bytes across shards.
+// arenaBytes sums the record bytes pooled across shards.
 func (t *table) arenaBytes() int {
 	total := 0
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		total += len(s.arena)
+		total += 8 * len(s.arena)
 		s.mu.Unlock()
 	}
 	return total

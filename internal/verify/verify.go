@@ -14,8 +14,8 @@
 // Two engines share one move semantics (DESIGN.md §12):
 //
 //   - Explore is the production engine: a level-synchronised parallel
-//     search over canonical byte-encoded states, deduplicated in a
-//     sharded visited table. Its results are deterministic and identical
+//     search over fixed-layout state records, deduplicated in a sharded
+//     visited table. Its results are deterministic and identical
 //     for any worker count.
 //   - ExploreSequential is the reference engine: the original cloned-
 //     machine BFS, kept as the independent oracle the differential tests
@@ -26,9 +26,11 @@
 package verify
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -97,8 +99,48 @@ type Invariant struct {
 	// Fn reports a violation as a non-nil error. The snapshot it receives
 	// is valid only during the call: Explore reuses one Snapshot per
 	// worker, refilling its slices and maps in place for the next state,
-	// so Fn must copy anything it keeps.
+	// so Fn must copy anything it keeps. The in-tree invariants also
+	// declare what Fn reads, and Explore checks those on its state
+	// records instead.
 	Fn func(*Snapshot) error
+	// reads, when set, says what Fn reads so Explore can evaluate the
+	// same check on its state records without building a Snapshot.
+	reads *invReads
+}
+
+// invReads is the bindable form of an invariant: check over the listed
+// uint variables' values and the listed machines' state names, in
+// order. A variable Snapshot.Vars lacks reads as 0, as AsUint does.
+type invReads struct {
+	vars   []varRef
+	states []int
+	check  func(u []uint64, states []string) error
+}
+
+// varRef names one machine's variable.
+type varRef struct {
+	machine int
+	name    string
+}
+
+// readsInvariant builds an invariant from its bindable form; Fn applies
+// check to a Snapshot.
+func readsInvariant(name string, vars []varRef, states []int, check func(u []uint64, states []string) error) Invariant {
+	return Invariant{
+		Name: name,
+		Fn: func(s *Snapshot) error {
+			u := make([]uint64, len(vars))
+			for i, v := range vars {
+				u[i] = s.Vars[v.machine][v.name].AsUint()
+			}
+			st := make([]string, len(states))
+			for i, m := range states {
+				st[i] = s.States[m]
+			}
+			return check(u, st)
+		},
+		reads: &invReads{vars: vars, states: states, check: check},
+	}
 }
 
 // Violation kinds.
@@ -219,8 +261,8 @@ type Stats struct {
 	Elapsed time.Duration
 	// StatesPerSec is States / Elapsed.
 	StatesPerSec float64
-	// ArenaBytes is the total canonical-encoding bytes pooled in the
-	// visited table (Explore only).
+	// ArenaBytes is the total state-record bytes pooled in the visited
+	// table (Explore only).
 	ArenaBytes int
 }
 
@@ -506,26 +548,26 @@ func sortViolations(vs []Violation, anchors [][]byte) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		va, vb := &vs[idx[a]], &vs[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		va, vb := &vs[a], &vs[b]
 		if va.Depth != vb.Depth {
-			return va.Depth < vb.Depth
+			return cmp.Compare(va.Depth, vb.Depth)
 		}
-		if c := strings.Compare(string(anchors[idx[a]]), string(anchors[idx[b]])); c != 0 {
-			return c < 0
+		if c := bytes.Compare(anchors[a], anchors[b]); c != 0 {
+			return c
 		}
-		if va.Kind != vb.Kind {
-			return va.Kind < vb.Kind
+		if c := cmp.Compare(va.Kind, vb.Kind); c != 0 {
+			return c
 		}
-		if va.Name != vb.Name {
-			return va.Name < vb.Name
+		if c := cmp.Compare(va.Name, vb.Name); c != 0 {
+			return c
 		}
-		if va.Msg != vb.Msg {
-			return va.Msg < vb.Msg
+		if c := cmp.Compare(va.Msg, vb.Msg); c != 0 {
+			return c
 		}
 		// Same anchor, kind, name and message: only step-error/overrun
 		// violations can tie here, and they differ in their final move.
-		return lastMove(va) < lastMove(vb)
+		return cmp.Compare(lastMove(va), lastMove(vb))
 	})
 	sorted := make([]Violation, len(vs))
 	sortedAnchors := make([][]byte, len(anchors))

@@ -163,24 +163,18 @@ func BuildGBN(opts GBNOptions) (*System, error) {
 // sent.
 func GBNInvariant(seqSpace int) Invariant {
 	n := uint64(seqSpace)
-	return Invariant{
-		Name: "gbn-window",
-		Fn: func(s *Snapshot) error {
-			base := s.Vars[0]["base"].AsUint()
-			outst := s.Vars[0]["outst"].AsUint()
-			snd := s.Vars[0]["snd"].AsUint()
-			expected := s.Vars[1]["expected"].AsUint()
-			got := s.Vars[1]["got"].AsUint()
-			if diff := (expected + n - base) % n; diff > outst {
-				return fmt.Errorf("receiver expected %d is %d past sender base %d (outstanding %d)",
-					expected, diff, base, outst)
-			}
-			if got > snd {
-				return fmt.Errorf("receiver accepted %d packets, sender sent only %d", got, snd)
-			}
-			return nil
-		},
-	}
+	vars := []varRef{{0, "base"}, {0, "outst"}, {0, "snd"}, {1, "expected"}, {1, "got"}}
+	return readsInvariant("gbn-window", vars, nil, func(u []uint64, _ []string) error {
+		base, outst, snd, expected, got := u[0], u[1], u[2], u[3], u[4]
+		if diff := (expected + n - base) % n; diff > outst {
+			return fmt.Errorf("receiver expected %d is %d past sender base %d (outstanding %d)",
+				expected, diff, base, outst)
+		}
+		if got > snd {
+			return fmt.Errorf("receiver accepted %d packets, sender sent only %d", got, snd)
+		}
+		return nil
+	})
 }
 
 // SROptions parameterises the Selective Repeat model.
@@ -432,28 +426,22 @@ func SRInvariant(seqSpace int) Invariant { return SRInvariantW(seqSpace, 2) }
 // packets never exceed the packets actually sent.
 func SRInvariantW(seqSpace, window int) Invariant {
 	n, w := uint64(seqSpace), uint64(window)
-	return Invariant{
-		Name: "sr-window",
-		Fn: func(s *Snapshot) error {
-			base := s.Vars[0]["base"].AsUint()
-			snd := s.Vars[0]["snd"].AsUint()
-			expected := s.Vars[1]["expected"].AsUint()
-			buf := s.Vars[1]["buf"].AsUint()
-			got := s.Vars[1]["got"].AsUint()
-			if diff := (expected + n - base) % n; diff > w {
-				return fmt.Errorf("receiver expected %d is %d past sender base %d", expected, diff, base)
-			}
-			buffered := uint64(0)
-			for m := buf; m != 0; m >>= 1 {
-				buffered += m & 1
-			}
-			if got+buffered > snd {
-				return fmt.Errorf("receiver holds %d packets (%d delivered, %d buffered), sender sent only %d",
-					got+buffered, got, buffered, snd)
-			}
-			return nil
-		},
-	}
+	vars := []varRef{{0, "base"}, {0, "snd"}, {1, "expected"}, {1, "buf"}, {1, "got"}}
+	return readsInvariant("sr-window", vars, nil, func(u []uint64, _ []string) error {
+		base, snd, expected, buf, got := u[0], u[1], u[2], u[3], u[4]
+		if diff := (expected + n - base) % n; diff > w {
+			return fmt.Errorf("receiver expected %d is %d past sender base %d", expected, diff, base)
+		}
+		buffered := uint64(0)
+		for m := buf; m != 0; m >>= 1 {
+			buffered += m & 1
+		}
+		if got+buffered > snd {
+			return fmt.Errorf("receiver holds %d packets (%d delivered, %d buffered), sender sent only %d",
+				got+buffered, got, buffered, snd)
+		}
+		return nil
+	})
 }
 
 func windowedValidate(seqSpace, total, capacity int) error {
