@@ -242,10 +242,6 @@ type Injector struct {
 	sch *Schedule
 	rng *rand.Rand
 	bad bool // Gilbert-Elliott chain state
-
-	// Counter, for experiment tables and assertions; the substrates
-	// additionally count injected drops into their own stats.
-	dropped uint64
 }
 
 // Apply decides one packet at instant now. Draw order is fixed —
@@ -259,7 +255,6 @@ func (inj *Injector) Apply(now time.Duration) Verdict {
 	for i := range inj.sch.Events {
 		e := &inj.sch.Events[i]
 		if (e.Kind == Partition || e.Kind == Blackhole) && e.active(now) {
-			inj.dropped++
 			return Verdict{Drop: true}
 		}
 	}
@@ -279,7 +274,6 @@ func (inj *Injector) Apply(now time.Duration) Verdict {
 			loss = g.LossBad
 		}
 		if inj.rng.Float64() < loss {
-			inj.dropped++
 			return Verdict{Drop: true}
 		}
 	}

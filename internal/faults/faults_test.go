@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,18 +39,23 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 func TestPartitionWindowDropsEverything(t *testing.T) {
 	sch := Schedule{Events: []Event{{Kind: Partition, From: ms(100), Until: ms(200)}}}
 	inj := sch.MustInstance(0)
+	dropped := 0
 	for _, tc := range []struct {
 		at   time.Duration
 		drop bool
 	}{
 		{ms(99), false}, {ms(100), true}, {ms(150), true}, {ms(199), true}, {ms(200), false},
 	} {
-		if v := inj.Apply(tc.at); v.Drop != tc.drop {
+		v := inj.Apply(tc.at)
+		if v.Drop != tc.drop {
 			t.Errorf("at %s: drop=%v, want %v", tc.at, v.Drop, tc.drop)
 		}
+		if v.Drop {
+			dropped++
+		}
 	}
-	if inj.dropped != 3 {
-		t.Errorf("Dropped() = %d, want 3", inj.dropped)
+	if dropped != 3 {
+		t.Errorf("dropped %d packets, want 3", dropped)
 	}
 }
 
@@ -174,6 +183,40 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 		at := time.Duration(i) * time.Millisecond
 		if a.Apply(at) != b.Apply(at) {
 			t.Fatalf("packet %d: parsed schedule diverged from original", i)
+		}
+	}
+}
+
+// TestLoadReadsAFile pins Load, the reader of protosim's -faults file:
+// it gives Parse's schedule, and a missing or malformed file is an
+// error that names the path.
+func TestLoadReadsAFile(t *testing.T) {
+	dir := t.TempDir()
+	raw := []byte(`{"seed":7,"gilbert":{"p_good_bad":0.02,"p_bad_good":0.25,"loss_bad":0.9},` +
+		`"events":[{"kind":"partition","from":500000000,"until":900000000}]}`)
+	path := filepath.Join(dir, "chaos.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Load = %+v, Parse = %+v", got, want)
+	}
+
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"seed":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{filepath.Join(dir, "missing.json"), bad} {
+		if _, err := Load(p); err == nil || !strings.Contains(err.Error(), p) {
+			t.Errorf("Load(%s) = %v, want an error naming the path", p, err)
 		}
 	}
 }

@@ -113,8 +113,6 @@ type compiledOutput struct {
 
 	// Frame path: slots[j] is the canonical field slot of names[j] in
 	// shape, frameIdx indexes the machine's preallocated output frames.
-	// shape is nil when the message (or one of its fields) is unknown, in
-	// which case only the map-building Step path can emit this output.
 	shape    *expr.MsgShape
 	slots    []int
 	frameIdx int
@@ -247,19 +245,12 @@ func compileChecked(spec *Spec) *Program {
 			p.maxAssigns = len(t.Assigns)
 		}
 		for _, o := range t.Outputs {
-			co := compiledOutput{message: o.Message, frameIdx: len(p.outputShapes)}
-			co.shape = p.shapes[o.Message]
+			co := compiledOutput{message: o.Message, shape: p.shapes[o.Message], frameIdx: len(p.outputShapes)}
 			for _, name := range sortedFieldNames(o.Fields) {
+				slot, _ := co.shape.Slot(name)
 				co.names = append(co.names, name)
 				co.exprs = append(co.exprs, expr.Compile(o.Fields[name], layout))
-				if co.shape != nil {
-					slot, ok := co.shape.Slot(name)
-					if !ok {
-						co.shape = nil // unknown field: map path only
-					} else {
-						co.slots = append(co.slots, slot)
-					}
-				}
+				co.slots = append(co.slots, slot)
 			}
 			p.outputShapes = append(p.outputShapes, co.shape)
 			ct.outputs = append(ct.outputs, co)
@@ -297,14 +288,11 @@ func (p *Program) NewMachine() *Machine {
 	return m
 }
 
-// newOutputFrames preallocates one frame per compiled output op (nil for
-// outputs whose message shape is unknown).
+// newOutputFrames preallocates one frame per compiled output op.
 func newOutputFrames(p *Program) []*expr.Frame {
 	frames := make([]*expr.Frame, len(p.outputShapes))
 	for i, shape := range p.outputShapes {
-		if shape != nil {
-			frames[i] = expr.NewFrame(shape.NumFields())
-		}
+		frames[i] = expr.NewFrame(shape.NumFields())
 	}
 	return frames
 }

@@ -320,10 +320,6 @@ func (m *Machine) fireFrame(ct *compiledTransition, res FrameResult) (FrameResul
 	m.outBuf = m.outBuf[:0]
 	for i := range ct.outputs {
 		o := &ct.outputs[i]
-		if o.shape == nil {
-			return FrameResult{}, fmt.Errorf("machine %s: output %s: message has no compiled shape; use Step",
-				p.spec.Name, o.message)
-		}
 		of := m.outFrames[o.frameIdx]
 		for j := 0; j < o.shape.NumFields(); j++ {
 			of.Set(j, expr.Value{}) // undeclared fields read as missing

@@ -52,10 +52,6 @@ type Endpoint struct {
 	sim     *Sim
 	addr    Addr
 	handler func(from Addr, data []byte)
-
-	// Counters.
-	sent     uint64
-	received uint64
 }
 
 // NewEndpoint registers a new endpoint.
@@ -117,7 +113,6 @@ func (e *Endpoint) Send(to Addr, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s -> %s (no such endpoint)", ErrNoRoute, e.addr, to)
 	}
-	e.sent++
 	s.stats.Sent++
 	s.obsSh.Inc(obs.FramesOut)
 	s.obsSh.Add(obs.BytesOut, uint64(len(data)))
@@ -214,7 +209,6 @@ func (s *Sim) corrupt(p LinkParams, from, to Addr, payload []byte) []byte {
 
 func (s *Sim) scheduleDelivery(from Addr, dst *Endpoint, payload []byte, at time.Duration) {
 	s.schedule(at, func() {
-		dst.received++
 		s.stats.Delivered++
 		s.obsSh.Inc(obs.FramesIn)
 		s.obsSh.Add(obs.BytesIn, uint64(len(payload)))

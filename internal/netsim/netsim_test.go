@@ -50,8 +50,8 @@ func TestPerfectDelivery(t *testing.T) {
 	if s.Now() != 10*time.Millisecond {
 		t.Errorf("Now = %s, want 10ms", s.Now())
 	}
-	if a.sent != 10 || b.received != 10 {
-		t.Errorf("counters sent=%d recv=%d", a.sent, b.received)
+	if st := s.Stats(); st.Sent != 10 || st.Delivered != 10 {
+		t.Errorf("counters sent=%d delivered=%d", st.Sent, st.Delivered)
 	}
 }
 

@@ -37,7 +37,6 @@ type Mux struct {
 	under Port
 	obs   *obs.Shard // the underlying port's stats shard (or the discard block)
 	flows [256]*FlowPort
-	drops uint64
 }
 
 // NewMux wraps a port (taking over its handler) and returns the mux.
@@ -51,13 +50,11 @@ func NewMux(under Port) *Mux {
 
 func (m *Mux) dispatch(from Addr, data []byte) {
 	if len(data) < 2 || data[1] != ^data[0] {
-		m.drops++ // unframed noise or corrupted header: not attributable
-		m.obs.Inc(obs.DropBadHeader)
+		m.obs.Inc(obs.DropBadHeader) // unframed noise or corrupted header: not attributable
 		return
 	}
 	fp := m.flows[data[0]]
 	if fp == nil || fp.handler == nil {
-		m.drops++
 		m.obs.Inc(obs.DropUnknownFlow)
 		return
 	}

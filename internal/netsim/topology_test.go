@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"protodsl/internal/obs"
 )
 
 func TestMuxSeparatesFlows(t *testing.T) {
@@ -123,8 +125,8 @@ func TestMuxCorruptedHeaderDropsNotMisroutes(t *testing.T) {
 	if deliveries != 0 {
 		t.Errorf("%d corrupted-header frames delivered, want 0", deliveries)
 	}
-	if mb.drops != 16 {
-		t.Errorf("Drops = %d, want 16", mb.drops)
+	if got := obs.Of(b).Get(obs.DropBadHeader); got != 16 {
+		t.Errorf("drop_bad_header = %d, want 16", got)
 	}
 	// An intact frame still goes through.
 	if err := a.Send(b.Addr(), []byte{7, ^byte(7), 1}); err != nil {

@@ -110,7 +110,6 @@ type Gate struct {
 	snapBuf []byte
 	sweepT  netsim.Timer
 	sweepFn func()
-	closed  bool
 }
 
 // NewGate builds a gate over port and installs its receive handler.
@@ -171,9 +170,6 @@ func (g *Gate) cookie(peer netsim.Addr, nonce uint32) uint32 {
 
 // OnFrame is the flow's receive handler.
 func (g *Gate) OnFrame(from netsim.Addr, data []byte) {
-	if g.closed {
-		return
-	}
 	switch k := g.codec.Classify(data); k {
 	case 0: // ARQ data — only established peers reach an engine
 		pe := g.peers[from]
@@ -294,7 +290,7 @@ func (g *Gate) onFin(from netsim.Addr) {
 // the record is stale or unusable — non-Established state, a corrupt
 // canon, or the accept callback declining.
 func (g *Gate) Restore(peer netsim.Addr, rec Rec) bool {
-	if _, ok := g.peers[peer]; ok || g.closed {
+	if _, ok := g.peers[peer]; ok {
 		return false
 	}
 	m := g.prog.NewMachine()
@@ -364,9 +360,6 @@ func (g *Gate) armSweep() {
 // but the snapshot slot survives, so a healed peer that re-handshakes
 // resumes where it left off instead of stalling on stale acks.
 func (g *Gate) sweep() {
-	if g.closed {
-		return
-	}
 	cutoff := g.rt.Now() - time.Duration(g.cfg.HeartbeatMisses)*g.cfg.HeartbeatEvery
 	g.victims = g.victims[:0]
 	for addr, pe := range g.peers {

@@ -385,7 +385,7 @@ func TestSweepReapsSilentPeerAndResumes(t *testing.T) {
 
 func TestClientDeclaresPeerDown(t *testing.T) {
 	var peerDown, downErr = false, error(nil)
-	sim, cEP, sEP, gate := twoNodeSim(t, 9, netsim.LinkParams{Delay: time.Millisecond}, GateConfig{
+	sim, cEP, sEP, _ := twoNodeSim(t, 9, netsim.LinkParams{Delay: time.Millisecond}, GateConfig{
 		HeartbeatEvery: 10 * time.Second, // server sweep out of the picture
 		Accept: func(peer netsim.Addr, resume *Resume) *Engine {
 			return &Engine{Handle: func(netsim.Addr, []byte) {}}
@@ -396,7 +396,7 @@ func TestClientDeclaresPeerDown(t *testing.T) {
 		HeartbeatEvery:  30 * time.Millisecond,
 		HeartbeatMisses: 3,
 		OnEstablished: func() {
-			gate.Close() // server goes dark after the handshake
+			sEP.SetHandler(func(netsim.Addr, []byte) {}) // server goes dark after the handshake
 		},
 		OnPeerDown: func() { peerDown = true },
 		OnDown:     func(err error) { downErr = err },
@@ -649,12 +649,4 @@ func (c *Codec) AppendBeatAck(dst []byte, seq uint32) []byte {
 	mc := &c.by[KindBeatAck]
 	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
 	return c.encode(dst, KindBeatAck)
-}
-
-// Close cancels the sweep timer and stops accepting work.
-func (g *Gate) Close() {
-	g.closed = true
-	if g.sweepT != nil {
-		g.sweepT.Cancel()
-	}
 }

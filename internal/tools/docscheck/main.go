@@ -11,7 +11,8 @@
 // a backticked `pkg.Name` or `pkg.Type.Member` whose pkg is the base
 // name of a package under internal/ (or protodsl, the root) must name
 // an exported declaration, or a method or field of the named type, that
-// exists in non-test Go source. It is the docs counterpart of the
+// exists in non-test Go source; so must every such pkg.Name(.Member)
+// inside a fenced code block, where no backticks mark it. It is the docs counterpart of the
 // codegen drift tests: the design document is load-bearing, so dangling
 // citations are build failures, not editorial debt.
 //
@@ -43,6 +44,11 @@ var (
 	// symRe matches an inline code span that starts with a selector:
 	// pkg.Name, optionally .Member.
 	symRe = regexp.MustCompile("(?:^|[^`])`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?(?:[^A-Za-z0-9_./`][^`\n]*)?`")
+	// fenceSymRe matches pkg.Name, optionally .Member, in fenced code:
+	// a selector that does not continue a longer name or path.
+	fenceSymRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.([A-Za-z_][A-Za-z0-9_]*))?`)
+	// fenceRe matches the opening or closing line of a fenced code block.
+	fenceRe = regexp.MustCompile("^ {0,3}(?:```|~~~)")
 	// docRe matches a Markdown document name with an optional relative
 	// path prefix; a name inside a URL or a longer path is not matched.
 	docRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])((?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9_-]+\.md)\b`)
@@ -183,7 +189,9 @@ func check(root string) ([]string, error) {
 			}
 			missingDocs(rel, string(data))
 			if aboutTree[rel] || strings.HasPrefix(filepath.ToSlash(rel), "docs/") {
-				for _, m := range symRe.FindAllStringSubmatch(string(data), -1) {
+				matches := symRe.FindAllStringSubmatch(string(data), -1)
+				matches = append(matches, fenceSymRe.FindAllStringSubmatch(fenced(string(data)), -1)...)
+				for _, m := range matches {
 					if name := strings.Trim(m[1]+"."+m[2]+"."+m[3], "."); !syms.resolves(m[1], m[2], m[3]) {
 						problems = append(problems, fmt.Sprintf("%s names `%s`, which no package %s declares", rel, name, m[1]))
 					}
@@ -219,6 +227,21 @@ func check(root string) ([]string, error) {
 	}
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// fenced returns the lines of text's fenced code blocks.
+func fenced(text string) string {
+	var b strings.Builder
+	in := false
+	for _, line := range strings.Split(text, "\n") {
+		if fenceRe.MatchString(line) {
+			in = !in
+		} else if in {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
 }
 
 // goDecls indexes the top-level declarations of every non-test Go

@@ -151,6 +151,44 @@ func TestCheckFlagsStaleSymbol(t *testing.T) {
 	}
 }
 
+func TestCheckFlagsStaleSymbolInFence(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"DESIGN.md": "## §1 — A\n\nprose fsm.Gone is not code\n\n" +
+			"```go\nm := fsm.NewMachine(spec)\nm.Step(\"x\")\nfsm.Machine.Gone()\nres := fsm.Removed(spec)\n```\n" +
+			"after the fence fsm.AlsoGone is prose again\n",
+		"README.md": "```sh\ngo run ./cmd/fsm.Tool\n```\n\n~~~\nx := protodsl.Compile() // and protodsl.Removed\n~~~\n",
+		"docs/A.md": "```text\ntime.Duration fsm.go mypkg.fsm.Nope internal/fsm.Check fsm.Spec.Name\n" +
+			"fsm.Snapshot\n```\n",
+		"CHANGES.md":  "```\nfsm.Deleted\n```\n",
+		"protodsl.go": "package protodsl\n\nfunc Compile() {}\n",
+		"internal/fsm/machine.go": "package fsm\n\ntype Machine struct{}\n\n" +
+			"func NewMachine(s *Spec) *Machine { return nil }\n\n" +
+			"type Spec struct{ Name string }\n\nfunc Check() {}\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	problems, err := check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"DESIGN.md names `fsm.Machine.Gone`, which no package fsm declares",
+		"DESIGN.md names `fsm.Removed`, which no package fsm declares",
+		"README.md names `protodsl.Removed`, which no package protodsl declares",
+		filepath.Join("docs", "A.md") + " names `fsm.Snapshot`, which no package fsm declares",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestCheckErrorsWithoutDesign(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := check(dir); err == nil {

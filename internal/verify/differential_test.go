@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"testing"
-
-	"protodsl/internal/expr"
 )
 
 // diffConfig is one system + invariant configuration of the differential
@@ -99,25 +97,6 @@ func diffGrid(t *testing.T) []diffConfig {
 	}
 	hs(HSOptions{Capacity: 2, Lossy: true, Reorder: true})
 	hs(HSOptions{Capacity: 2, Reorder: true, Reincarnate: true, Mutant: MutantNoTimeWait}) // seeded: stale FinAck aliases
-
-	// Misbound stimuli and routes: argument names that are not the
-	// event's parameters (stepped by name), an argument of the wrong kind
-	// (stepped positionally) and an undeclared event. Both engines must
-	// report the same step errors.
-	misbound, err := BuildARQ(ARQOptions{SeqSpace: 4, Capacity: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	misbound.Routes[1].Param = "wrong"
-	misbound.Env = append(misbound.Env,
-		EnvEvent{Machine: 0, Event: "SEND", Args: []map[string]expr.Value{{"x": expr.U8(1)}}},
-		EnvEvent{Machine: 0, Event: "ACK", Args: []map[string]expr.Value{{"a": expr.U8(3)}}},
-		EnvEvent{Machine: 1, Event: "NOPE"})
-	grid = append(grid, diffConfig{
-		name: "misbound-args",
-		sys:  misbound,
-		inv:  []Invariant{StopAndWaitInvariant(4)},
-	})
 
 	grid = append(grid, diffConfig{
 		name: "handshake-deadlock",

@@ -50,16 +50,13 @@ func TestModelCheckDSLCompiledARQ(t *testing.T) {
 		MaxStates: 30000,
 		Invariants: []Invariant{
 			StopAndWaitInvariant(256),
-			{
-				Name: "sender-states-declared",
-				Fn: func(snap *Snapshot) error {
-					switch snap.States[0] {
-					case "Ready", "Wait", "Timeout", "Sent":
-						return nil
-					}
-					return errInvalidState(snap.States[0])
-				},
-			},
+			readsInvariant("sender-states-declared", nil, []int{0}, func(_ []uint64, st []string) error {
+				switch st[0] {
+				case "Ready", "Wait", "Timeout", "Sent":
+					return nil
+				}
+				return errInvalidState(st[0])
+			}),
 		},
 	})
 	if err != nil {

@@ -104,10 +104,11 @@ func TestInternedEncodingMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progs, err := compileSystem(sys)
+	b, err := compileSystem(sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	progs := b.progs
 	tables := newMsgCaches(sys, progs)
 	ms := newMachines(progs)
 	queues := make([][]expr.Value, len(sys.Routes))

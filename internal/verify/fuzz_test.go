@@ -33,10 +33,11 @@ func FuzzStateCanon(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	progs, err := compileSystem(sys)
+	b, err := compileSystem(sys, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
+	progs := b.progs
 
 	// Seed with real encodings: the root state and every state two BFS
 	// levels deep, plus hostile mutations.

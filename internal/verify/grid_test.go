@@ -91,11 +91,11 @@ func replayAll(t *testing.T, sys *System, inv Invariant, vs []Violation) {
 		if len(v.Moves) != v.Depth || len(v.Trace) != len(v.Moves) {
 			t.Fatalf("trace of %d moves (%d rendered) at depth %d", len(v.Moves), len(v.Trace), v.Depth)
 		}
-		snap, _, err := Replay(sys, v.Moves)
+		ms, _, err := Replay(sys, v.Moves)
 		if err != nil {
 			t.Fatalf("trace %v does not replay: %v", v.Trace, err)
 		}
-		if err := inv.Fn(snap); err == nil || err.Error() != v.Msg {
+		if err := inv.evalMachines(ms); err == nil || err.Error() != v.Msg {
 			t.Fatalf("trace %v replays to %v, reported %q", v.Trace, err, v.Msg)
 		}
 	}

@@ -16,8 +16,8 @@ package verify
 // through private caches. A worker owns one set of machines compiled
 // once per spec and restores them per expansion from the state's
 // fixed-layout record (record.go) — no machine clones, no decoding, no
-// string keys. It steps them through fsm.Machine.StepEv with event ids
-// and argument lists resolved once per Explore and reads enabledness off
+// string keys. It steps them through fsm.Machine.StepEv with the event
+// ids and argument lists compileSystem bound, and reads enabledness off
 // the compiled dispatch rows, so expanding a state allocates nothing
 // once the intern caches are warm.
 //
@@ -42,29 +42,10 @@ type levelFrontier struct {
 	head atomic.Int64
 }
 
-// envBinding is an environment event resolved once per Explore.
-type envBinding struct {
-	ev fsm.EventID // -1 when the machine does not declare the event
-	// args[i] is EnvEvent.Args[i] in the event's parameter order; byName[i]
-	// marks a binding whose names do not match the parameters, which is
-	// stepped by name so Step reports the mismatch.
-	args   [][]expr.Value
-	byName []bool
-}
-
-// routeBinding is a route's delivery event resolved once per Explore.
-type routeBinding struct {
-	ev fsm.EventID // -1 when the consumer does not declare the event
-	// byName is set unless Route.Param is the event's only parameter.
-	byName bool
-}
-
 type pexplorer struct {
+	*boundSystem
 	sys       *System
 	opts      Options
-	progs     []*fsm.Program
-	envs      []envBinding
-	routes    []routeBinding
 	lay       *recordLayout
 	msgs      []*internTable // in-flight messages, per route
 	vars      *internTable   // non-scalar variable values
@@ -89,24 +70,22 @@ type pworker struct {
 	id int
 	e  *pexplorer
 
-	ms          []*fsm.Machine
-	msgs        []internCache // per route
-	vars        internCache
-	baseQ       [][]uint32 // queues of the state being expanded
-	qbuf        [][]uint32 // a move's edited queues, where qGen == gen
-	qGen        []uint64
-	gen         uint64 // counts moves
-	moves       []Move
-	arg         [1]expr.Value // positional delivery argument
-	deliverArgs []map[string]expr.Value
-	cur         []uint64 // record of the state being expanded
-	succ        []uint64 // successor record scratch
-	canonBuf    []byte   // canonical encoding scratch
-	stepped     int      // the machine the last apply stepped
-	invU        []uint64 // bound invariants' variable values
-	invStates   []string // bound invariants' state names
-	snap        Snapshot
-	next        []ref // next-level frontier (worker-private)
+	ms        []*fsm.Machine
+	msgs      []internCache // per route
+	vars      internCache
+	baseQ     [][]uint32 // queues of the state being expanded
+	qbuf      [][]uint32 // a move's edited queues, where qGen == gen
+	qGen      []uint64
+	gen       uint64 // counts moves
+	moves     []Move
+	arg       [1]expr.Value // positional delivery argument
+	cur       []uint64      // record of the state being expanded
+	succ      []uint64      // successor record scratch
+	canonBuf  []byte        // canonical encoding scratch
+	stepped   int           // the machine the last apply stepped
+	invU      []uint64      // bound invariants' variable values
+	invStates []string      // bound invariants' state names
+	next      []ref         // next-level frontier (worker-private)
 
 	transitions uint64
 	dupHits     uint64
@@ -121,29 +100,20 @@ type pworker struct {
 func newPWorker(e *pexplorer, id int) *pworker {
 	nr := len(e.sys.Routes)
 	w := &pworker{
-		id:          id,
-		e:           e,
-		ms:          newMachines(e.progs),
-		msgs:        make([]internCache, nr),
-		vars:        newInternCache(e.vars),
-		baseQ:       make([][]uint32, nr),
-		qbuf:        make([][]uint32, nr),
-		qGen:        make([]uint64, nr),
-		cur:         make([]uint64, e.lay.words),
-		succ:        make([]uint64, e.lay.words),
-		overruns:    make([]uint64, nr),
-		deliverArgs: deliverArgsFor(e.sys),
-		snap: Snapshot{
-			States: make([]string, len(e.progs)),
-			Vars:   make([]map[string]expr.Value, len(e.progs)),
-			Queues: make([][]expr.Value, nr),
-		},
+		id:       id,
+		e:        e,
+		ms:       newMachines(e.progs),
+		msgs:     make([]internCache, nr),
+		vars:     newInternCache(e.vars),
+		baseQ:    make([][]uint32, nr),
+		qbuf:     make([][]uint32, nr),
+		qGen:     make([]uint64, nr),
+		cur:      make([]uint64, e.lay.words),
+		succ:     make([]uint64, e.lay.words),
+		overruns: make([]uint64, nr),
 	}
 	for ri, t := range e.msgs {
 		w.msgs[ri] = newInternCache(t)
-	}
-	for i, p := range e.progs {
-		w.snap.Vars[i] = make(map[string]expr.Value, len(p.Spec().Vars))
 	}
 	nu, ns := 0, 0
 	for _, b := range e.invs {
@@ -151,64 +121,6 @@ func newPWorker(e *pexplorer, id int) *pworker {
 	}
 	w.invU, w.invStates = make([]uint64, nu), make([]string, ns)
 	return w
-}
-
-// bindEvents resolves every environment event and route delivery to an
-// event id and, where the argument names match the event's parameters
-// exactly, a positional argument list.
-func bindEvents(sys *System, progs []*fsm.Program) ([]envBinding, []routeBinding) {
-	eventID := func(machine int, name string) (fsm.EventID, *fsm.Event) {
-		id, ok := progs[machine].EventID(name)
-		if !ok {
-			return -1, nil
-		}
-		ev, _ := progs[machine].Spec().EventByName(name)
-		return id, ev
-	}
-	envs := make([]envBinding, len(sys.Env))
-	for ei, env := range sys.Env {
-		b := &envs[ei]
-		id, ev := eventID(env.Machine, env.Event)
-		b.ev = id
-		named := env.Args
-		if len(named) == 0 {
-			named = []map[string]expr.Value{nil}
-		}
-		b.args = make([][]expr.Value, len(named))
-		b.byName = make([]bool, len(named))
-		for i, args := range named {
-			if ev == nil {
-				continue // never executable
-			}
-			b.args[i], b.byName[i] = positional(ev.Params, args)
-		}
-	}
-	routes := make([]routeBinding, len(sys.Routes))
-	for ri, r := range sys.Routes {
-		id, ev := eventID(r.To, r.Event)
-		routes[ri] = routeBinding{
-			ev:     id,
-			byName: ev == nil || len(ev.Params) != 1 || ev.Params[0].Name != r.Param,
-		}
-	}
-	return envs, routes
-}
-
-// positional orders named arguments by the event's parameters. byName is
-// true when the names are not exactly the parameters.
-func positional(params []fsm.Param, named map[string]expr.Value) (args []expr.Value, byName bool) {
-	if len(named) != len(params) {
-		return nil, true
-	}
-	args = make([]expr.Value, len(params))
-	for i, p := range params {
-		v, ok := named[p.Name]
-		if !ok {
-			return nil, true
-		}
-		args[i] = v
-	}
-	return args, false
 }
 
 // Explore runs the parallel breadth-first search over the system's
@@ -225,7 +137,7 @@ func Explore(sys *System, opts Options) (*Result, error) {
 
 // newExplorer compiles the system and lays out its record, ready to run.
 func newExplorer(sys *System, opts Options) (*pexplorer, error) {
-	progs, err := compileSystem(sys)
+	b, err := compileSystem(sys, opts.Invariants)
 	if err != nil {
 		return nil, err
 	}
@@ -240,16 +152,15 @@ func newExplorer(sys *System, opts Options) (*pexplorer, error) {
 		nw = 64
 	}
 	e := &pexplorer{
-		sys: sys, opts: opts, progs: progs,
-		lay:       newRecordLayout(sys, progs),
-		msgs:      newMsgTables(sys, progs),
+		boundSystem: b, sys: sys, opts: opts,
+		lay:       newRecordLayout(sys, b.progs),
+		msgs:      newMsgTables(sys, b.progs),
 		vars:      newVarTable(),
 		frontiers: make([]levelFrontier, nw),
 		start:     time.Now(),
 	}
 	e.tbl = newTable(e.lay.words, opts.MaxStates)
-	e.invs = bindInvariants(opts.Invariants, progs, e.lay)
-	e.envs, e.routes = bindEvents(sys, progs)
+	e.invs = e.bindInvariants(opts.Invariants)
 	e.workers = make([]*pworker, nw)
 	for i := range e.workers {
 		e.workers[i] = newPWorker(e, i)
@@ -502,7 +413,7 @@ func (w *pworker) enabledMoves() {
 		if r.Reorder {
 			slots = n
 		}
-		if w.ms[r.To].Executable(w.e.routes[ri].ev) {
+		if w.ms[r.To].Executable(w.e.routes[ri]) {
 			for qi := 0; qi < slots; qi++ {
 				moves = append(moves, Move{Kind: MoveDeliver, Route: ri, QIdx: qi})
 			}
@@ -522,37 +433,16 @@ func (w *pworker) apply(mv Move) (applyResult, error) {
 	e := w.e
 	switch mv.Kind {
 	case MoveEnv:
-		env := &e.sys.Env[mv.Env]
 		b := &e.envs[mv.Env]
-		var fired bool
-		var err error
-		if b.byName[mv.ArgIdx] {
-			var args map[string]expr.Value
-			if len(env.Args) > 0 {
-				args = env.Args[mv.ArgIdx]
-			}
-			fired, err = w.stepByName(env.Machine, env.Event, args)
-		} else {
-			fired, err = w.stepEv(env.Machine, b.ev, b.args[mv.ArgIdx])
-		}
+		fired, err := w.stepEv(e.sys.Env[mv.Env].Machine, b.ev, b.args[mv.ArgIdx])
 		if err != nil {
 			return applyResult{}, err
 		}
 		return applyResult{fired: fired, envNoop: !fired}, nil
 	case MoveDeliver:
-		r := &e.sys.Routes[mv.Route]
-		msg := w.msgs[mv.Route].entry(w.queue(mv.Route)[mv.QIdx]).val
+		w.arg[0] = w.msgs[mv.Route].entry(w.queue(mv.Route)[mv.QIdx]).val
 		w.remove(mv.Route, mv.QIdx)
-		var fired bool
-		var err error
-		if e.routes[mv.Route].byName {
-			args := w.deliverArgs[mv.Route]
-			args[r.Param] = msg
-			fired, err = w.stepByName(r.To, r.Event, args)
-		} else {
-			w.arg[0] = msg
-			fired, err = w.stepEv(r.To, e.routes[mv.Route].ev, w.arg[:])
-		}
+		fired, err := w.stepEv(e.sys.Routes[mv.Route].To, e.routes[mv.Route], w.arg[:])
 		// A rejected or ignored message is still consumed: the queue
 		// changed but the machine did not.
 		return applyResult{fired: fired}, err
@@ -603,22 +493,6 @@ func (w *pworker) stepEv(mi int, ev fsm.EventID, args []expr.Value) (fired bool,
 	return true, nil
 }
 
-// stepByName steps machine mi with named arguments — the binding StepEv
-// cannot express, which Step rejects with the reference engine's error.
-func (w *pworker) stepByName(mi int, event string, args map[string]expr.Value) (fired bool, err error) {
-	w.stepped = mi
-	res, err := w.ms[mi].Step(event, args)
-	if err != nil || res.Fired == nil {
-		return false, err
-	}
-	for _, o := range res.Outputs {
-		msg := expr.MsgView(o.Message, o.Fields)
-		w.canonBuf = msg.AppendCanon(w.canonBuf[:0])
-		w.emit(mi, o.Message, msg)
-	}
-	return true, nil
-}
-
 // emit places an output of machine from, whose canonical encoding is in
 // w.canonBuf, on every route that carries it — routeOutputs' semantics,
 // including the overrun victim rule.
@@ -657,50 +531,17 @@ func (w *pworker) overrun(route int, dropped expr.Value) {
 	}
 }
 
-// checkInvariants evaluates the invariants on a new state: a bound
-// invariant on its record rec, any other through the worker's one
-// reused Snapshot (see Invariant.Fn), filled from the machines and
-// queues, which hold the same state.
+// checkInvariants evaluates the bound invariants on the record rec of a
+// new state.
 func (w *pworker) checkInvariants(r ref, depth int32, rec []uint64) {
-	snapped := false
 	for i := range w.e.invs {
 		b := &w.e.invs[i]
-		var err error
-		if b.bound {
-			err = b.eval(rec, w.invU, w.invStates)
-		} else {
-			if !snapped {
-				w.fillSnapshot()
-				snapped = true
-			}
-			err = b.inv.Fn(&w.snap)
-		}
-		if err != nil {
+		if err := b.eval(w, rec); err != nil {
 			w.viols = append(w.viols, pviol{
 				kind: ViolationInvariant, name: b.inv.Name, msg: err.Error(),
 				state: r, depth: depth,
 			})
 		}
-	}
-}
-
-// fillSnapshot refills the worker's Snapshot from its machines and
-// queues.
-func (w *pworker) fillSnapshot() {
-	snap := &w.snap
-	for i, m := range w.ms {
-		snap.States[i] = m.State()
-		vars := snap.Vars[i]
-		for vi, v := range m.Spec().Vars {
-			vars[v.Name] = m.VarSlot(vi)
-		}
-	}
-	for ri := range snap.Queues {
-		vals := snap.Queues[ri][:0]
-		for _, id := range w.queue(ri) {
-			vals = append(vals, w.msgs[ri].entry(id).val)
-		}
-		snap.Queues[ri] = vals
 	}
 }
 

@@ -265,13 +265,10 @@ func (w *pworker) save(queues [][]uint32, rec []uint64) {
 	}
 }
 
-// boundInvariant is an invariant ready for a search: bound to record
-// fields when it declares what it reads (Invariant.reads) and every
-// variable it names is a packed uint, evaluated through Fn otherwise.
+// boundInvariant is an invariant bound to the record fields it reads.
 type boundInvariant struct {
 	inv    *Invariant
-	bound  bool
-	vars   []field
+	vars   []varField
 	states []boundState
 }
 
@@ -280,58 +277,39 @@ type boundState struct {
 	names []string // state names by index
 }
 
-func bindInvariants(invs []Invariant, progs []*fsm.Program, l *recordLayout) []boundInvariant {
+// bindInvariants binds the invariants to record fields, through the
+// variable indexes compileSystem resolved.
+func (e *pexplorer) bindInvariants(invs []Invariant) []boundInvariant {
 	out := make([]boundInvariant, len(invs))
 	for i := range invs {
 		b := &out[i]
 		b.inv = &invs[i]
-		rd := invs[i].reads
-		if rd == nil {
-			continue
+		for j, vr := range invs[i].vars {
+			b.vars = append(b.vars, e.lay.machines[vr.machine].vars[e.invVars[i][j]])
 		}
-		b.bound = true
-		for _, vr := range rd.vars {
-			f, ok := l.uintVar(progs, vr)
-			b.bound = b.bound && ok
-			b.vars = append(b.vars, f)
-		}
-		for _, mi := range rd.states {
-			if mi < 0 || mi >= len(progs) {
-				b.bound = false
-				continue
-			}
-			names := make([]string, len(progs[mi].Spec().States))
-			for si, st := range progs[mi].Spec().States {
+		for _, mi := range invs[i].states {
+			names := make([]string, len(e.progs[mi].Spec().States))
+			for si, st := range e.progs[mi].Spec().States {
 				names[si] = st.Name
 			}
-			b.states = append(b.states, boundState{field: l.machines[mi].state, names: names})
+			b.states = append(b.states, boundState{field: e.lay.machines[mi].state, names: names})
 		}
 	}
 	return out
 }
 
-// uintVar returns the record field of a packed uint variable.
-func (l *recordLayout) uintVar(progs []*fsm.Program, vr varRef) (field, bool) {
-	if vr.machine < 0 || vr.machine >= len(progs) {
-		return field{}, false
-	}
-	for vi, v := range progs[vr.machine].Spec().Vars {
-		if v.Name == vr.name {
-			vf := l.machines[vr.machine].vars[vi]
-			return vf.field, vf.kind == varUint
-		}
-	}
-	return field{}, false
-}
-
-// eval checks a bound invariant on rec, with u and st as scratch.
-func (b *boundInvariant) eval(rec []uint64, u []uint64, st []string) error {
-	u, st = u[:len(b.vars)], st[:len(b.states)]
+// eval checks a bound invariant on rec, with w's scratch. A uint held as
+// an interned value (see exactWidth) is read through w's intern cache.
+func (b *boundInvariant) eval(w *pworker, rec []uint64) error {
+	u, st := w.invU[:len(b.vars)], w.invStates[:len(b.states)]
 	for i, f := range b.vars {
 		u[i] = f.get(rec)
+		if f.kind == varInterned {
+			u[i] = w.vars.entry(uint32(u[i])).val.AsUint()
+		}
 	}
 	for i, s := range b.states {
 		st[i] = s.names[s.get(rec)]
 	}
-	return b.inv.reads.check(u, st)
+	return b.inv.check(u, st)
 }

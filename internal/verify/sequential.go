@@ -42,7 +42,7 @@ type sexplorer struct {
 // semantics match Explore, except Workers is ignored and
 // StopAtFirstViolation stops mid-level (immediately after the finding).
 func ExploreSequential(sys *System, opts Options) (*Result, error) {
-	progs, err := compileSystem(sys)
+	b, err := compileSystem(sys, opts.Invariants)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func ExploreSequential(sys *System, opts Options) (*Result, error) {
 	start := time.Now()
 
 	initial := &snode{
-		machines: newMachines(progs),
+		machines: newMachines(b.progs),
 		queues:   make([][]expr.Value, len(sys.Routes)),
 	}
 	initial.key = globalKey(sys, initial.machines, initial.queues)
@@ -150,12 +150,9 @@ func (e *sexplorer) onOverrun(route int, dropped expr.Value) {
 }
 
 func (e *sexplorer) checkState(n *snode) {
-	if len(e.opts.Invariants) == 0 {
-		return
-	}
-	snap := snapshotFrom(n.machines, n.queues)
-	for _, inv := range e.opts.Invariants {
-		if err := inv.Fn(snap); err != nil {
+	for i := range e.opts.Invariants {
+		inv := &e.opts.Invariants[i]
+		if err := inv.evalMachines(n.machines); err != nil {
 			e.violate(n, nil, Violation{Kind: ViolationInvariant, Name: inv.Name, Msg: err.Error()})
 		}
 	}

@@ -57,11 +57,11 @@ func TestTraceReplayInvariantViolations(t *testing.T) {
 					if len(v.Moves) != v.Depth {
 						t.Errorf("workers=%d: trace length %d != depth %d", workers, len(v.Moves), v.Depth)
 					}
-					snap, _, err := Replay(sys, v.Moves)
+					ms, _, err := Replay(sys, v.Moves)
 					if err != nil {
 						t.Fatalf("workers=%d: trace does not replay: %v", workers, err)
 					}
-					if ierr := tc.inv.Fn(snap); ierr == nil {
+					if ierr := tc.inv.evalMachines(ms); ierr == nil {
 						t.Errorf("workers=%d: replayed trace %v does not violate %s", workers, v.Trace, tc.inv.Name)
 					} else if ierr.Error() != v.Msg {
 						t.Errorf("workers=%d: replayed violation %q, reported %q", workers, ierr, v.Msg)
@@ -156,20 +156,20 @@ func TestTraceReplayDeadlock(t *testing.T) {
 	if dl == nil {
 		t.Fatal("no deadlock violation")
 	}
-	snap, _, err := Replay(sys, dl.Moves)
+	replayed, _, err := Replay(sys, dl.Moves)
 	if err != nil {
 		t.Fatalf("deadlock trace does not replay: %v", err)
 	}
-	if snap.States[0] != "Waiting" {
-		t.Errorf("machine A deadlocked in %q, want Waiting", snap.States[0])
+	if st := replayed[0].State(); st != "Waiting" {
+		t.Errorf("machine A deadlocked in %q, want Waiting", st)
 	}
 
 	// Rebuild the deadlocked configuration and exhaust its moves.
-	progs, err := compileSystem(sys)
+	b, err := compileSystem(sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := newMachines(progs)
+	ms := newMachines(b.progs)
 	queues := make([][]expr.Value, len(sys.Routes))
 	deliverArgs := deliverArgsFor(sys)
 	for _, mv := range dl.Moves {
@@ -276,33 +276,33 @@ func TestOverrunRegression(t *testing.T) {
 var errDataOverrun = errors.New("data route must never overrun")
 
 // Replay re-executes a counter-example move sequence from the initial
-// state, returning the final snapshot and the per-route overrun counts
+// state, returning the final machines and the per-route overrun counts
 // observed along the way. A move that fails to apply returns the error
-// with the snapshot at the point of failure — which is exactly what a
+// with the machines at the point of failure — which is exactly what a
 // step-error violation's final move is expected to do.
-func Replay(sys *System, moves []Move) (*Snapshot, []uint64, error) {
-	progs, err := compileSystem(sys)
+func Replay(sys *System, moves []Move) ([]*fsm.Machine, []uint64, error) {
+	b, err := compileSystem(sys, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	ms := newMachines(progs)
+	ms := newMachines(b.progs)
 	queues := make([][]expr.Value, len(sys.Routes))
 	overruns := make([]uint64, len(sys.Routes))
 	deliverArgs := deliverArgsFor(sys)
 	onOverrun := func(ri int, _ expr.Value) { overruns[ri]++ }
 	for i, mv := range moves {
 		if mv.Kind != MoveEnv && (mv.Route < 0 || mv.Route >= len(sys.Routes)) {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): route out of range", i, mv)
+			return ms, overruns, fmt.Errorf("verify: replay move %d (%s): route out of range", i, mv)
 		}
 		if mv.Kind == MoveEnv && (mv.Env < 0 || mv.Env >= len(sys.Env)) {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): env event out of range", i, mv)
+			return ms, overruns, fmt.Errorf("verify: replay move %d (%s): env event out of range", i, mv)
 		}
 		if mv.Kind != MoveEnv && mv.QIdx >= len(queues[mv.Route]) {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): queue index out of range", i, mv)
+			return ms, overruns, fmt.Errorf("verify: replay move %d (%s): queue index out of range", i, mv)
 		}
 		if _, err := applyMove(sys, ms, queues, mv, deliverArgs, onOverrun); err != nil {
-			return snapshotFrom(ms, queues), overruns, fmt.Errorf("verify: replay move %d (%s): %w", i, mv, err)
+			return ms, overruns, fmt.Errorf("verify: replay move %d (%s): %w", i, mv, err)
 		}
 	}
-	return snapshotFrom(ms, queues), overruns, nil
+	return ms, overruns, nil
 }

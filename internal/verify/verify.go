@@ -30,6 +30,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"time"
@@ -83,35 +84,15 @@ type System struct {
 	Env    []EnvEvent
 }
 
-// Snapshot is the observable global state handed to invariants.
-type Snapshot struct {
-	// States holds each machine's current state name.
-	States []string
-	// Vars holds each machine's variable values.
-	Vars []map[string]expr.Value
-	// Queues holds the message values in flight on each route.
-	Queues [][]expr.Value
-}
-
-// Invariant is a named safety property over global states.
+// Invariant is a named safety property over global states: a check over
+// the values of the uint variables it reads and the state names of the
+// machines it reads. The package's constructors (StopAndWaitInvariant,
+// GBNInvariant, SRInvariantW, HSInvariant) build every Invariant, and a
+// search binds what it reads before exploring a state: an invariant that
+// names a machine or variable the system lacks, or a variable that is not
+// a uint, fails the search with an error.
 type Invariant struct {
-	Name string
-	// Fn reports a violation as a non-nil error. The snapshot it receives
-	// is valid only during the call: Explore reuses one Snapshot per
-	// worker, refilling its slices and maps in place for the next state,
-	// so Fn must copy anything it keeps. The in-tree invariants also
-	// declare what Fn reads, and Explore checks those on its state
-	// records instead.
-	Fn func(*Snapshot) error
-	// reads, when set, says what Fn reads so Explore can evaluate the
-	// same check on its state records without building a Snapshot.
-	reads *invReads
-}
-
-// invReads is the bindable form of an invariant: check over the listed
-// uint variables' values and the listed machines' state names, in
-// order. A variable Snapshot.Vars lacks reads as 0, as AsUint does.
-type invReads struct {
+	Name   string
 	vars   []varRef
 	states []int
 	check  func(u []uint64, states []string) error
@@ -123,24 +104,26 @@ type varRef struct {
 	name    string
 }
 
-// readsInvariant builds an invariant from its bindable form; Fn applies
-// check to a Snapshot.
+// readsInvariant builds an invariant: check over the listed variables'
+// values and the listed machines' state names, in order.
 func readsInvariant(name string, vars []varRef, states []int, check func(u []uint64, states []string) error) Invariant {
-	return Invariant{
-		Name: name,
-		Fn: func(s *Snapshot) error {
-			u := make([]uint64, len(vars))
-			for i, v := range vars {
-				u[i] = s.Vars[v.machine][v.name].AsUint()
-			}
-			st := make([]string, len(states))
-			for i, m := range states {
-				st[i] = s.States[m]
-			}
-			return check(u, st)
-		},
-		reads: &invReads{vars: vars, states: states, check: check},
+	return Invariant{Name: name, vars: vars, states: states, check: check}
+}
+
+// evalMachines checks the invariant on machines read by name, as the
+// reference engine does; the system must have been bound by
+// compileSystem.
+func (inv *Invariant) evalMachines(ms []*fsm.Machine) error {
+	u := make([]uint64, len(inv.vars))
+	for i, v := range inv.vars {
+		x, _ := ms[v.machine].Var(v.name)
+		u[i] = x.AsUint()
 	}
+	st := make([]string, len(inv.states))
+	for i, m := range inv.states {
+		st[i] = ms[m].State()
+	}
+	return inv.check(u, st)
 }
 
 // Violation kinds.
@@ -287,14 +270,44 @@ type Result struct {
 	Stats Stats
 }
 
-// compileSystem validates the system and compiles every spec. A spec
-// that fails fsm.Check is refused: the model checker verifies *checked*
-// specs against system-level properties the static checker cannot see.
-func compileSystem(sys *System) ([]*fsm.Program, error) {
+// boundSystem is a System compiled and bound for a search. Every name a
+// search would otherwise look up while exploring is resolved here, once.
+type boundSystem struct {
+	progs  []*fsm.Program
+	envs   []envBinding  // by System.Env index
+	routes []fsm.EventID // by System.Routes index: the delivery event
+	// invVars[i][j] is the variable index of the j-th variable the i-th
+	// invariant reads.
+	invVars [][]int
+}
+
+// envBinding is an environment event bound to its event id, with each
+// of EnvEvent.Args in the event's parameter order.
+type envBinding struct {
+	ev   fsm.EventID
+	args [][]expr.Value
+}
+
+// compileSystem validates the system and the invariants, compiles every
+// spec and binds every name. A spec that fails fsm.Check is refused: the
+// model checker verifies *checked* specs against system-level properties
+// the static checker cannot see. So is a misbound system or invariant,
+// with an error naming the machine and the event, parameter or variable,
+// before any state is explored: an env event the machine does not
+// declare, env arguments that are not exactly the event's parameters, a
+// route whose Param and Message are not its event's sole parameter and
+// type, and an invariant that reads a machine or variable the system
+// lacks, or a variable that is not a uint.
+func compileSystem(sys *System, invs []Invariant) (*boundSystem, error) {
 	if len(sys.Specs) == 0 {
 		return nil, errors.New("verify: system has no machines")
 	}
-	progs := make([]*fsm.Program, len(sys.Specs))
+	b := &boundSystem{
+		progs:   make([]*fsm.Program, len(sys.Specs)),
+		envs:    make([]envBinding, len(sys.Env)),
+		routes:  make([]fsm.EventID, len(sys.Routes)),
+		invVars: make([][]int, len(invs)),
+	}
 	for i, spec := range sys.Specs {
 		report := fsm.Check(spec)
 		if !report.OK() {
@@ -304,22 +317,114 @@ func compileSystem(sys *System) ([]*fsm.Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		progs[i] = prog
+		b.progs[i] = prog
 	}
-	for _, r := range sys.Routes {
-		if r.From < 0 || r.From >= len(sys.Specs) || r.To < 0 || r.To >= len(sys.Specs) {
-			return nil, fmt.Errorf("verify: route references machine out of range: %+v", r)
+	inRange := func(mi int) bool { return mi >= 0 && mi < len(sys.Specs) }
+	machine := func(mi int) string { return fmt.Sprintf("machine %d (%s)", mi, sys.Specs[mi].Name) }
+	event := func(mi int, name string) (fsm.EventID, *fsm.Event, error) {
+		id, ok := b.progs[mi].EventID(name)
+		if !ok {
+			return 0, nil, fmt.Errorf("%s declares no event %q", machine(mi), name)
+		}
+		ev, _ := sys.Specs[mi].EventByName(name)
+		return id, ev, nil
+	}
+	for ri, r := range sys.Routes {
+		if !inRange(r.From) || !inRange(r.To) {
+			return nil, fmt.Errorf("verify: route %d references machine out of range: %+v", ri, r)
 		}
 		if r.Capacity < 1 {
-			return nil, fmt.Errorf("verify: route %s needs capacity >= 1", r.Message)
+			return nil, fmt.Errorf("verify: route %d (%s) needs capacity >= 1", ri, r.Message)
+		}
+		id, ev, err := event(r.To, r.Event)
+		if err != nil {
+			return nil, fmt.Errorf("verify: route %d: %w", ri, err)
+		}
+		if ps := ev.Params; len(ps) != 1 || ps[0].Name != r.Param ||
+			ps[0].Type.Kind != expr.KindMsg || ps[0].Type.MsgName != r.Message {
+			return nil, fmt.Errorf("verify: route %d: %s event %s takes (%s), not (%s %s)",
+				ri, machine(r.To), r.Event, paramList(ps), r.Param, r.Message)
+		}
+		b.routes[ri] = id
+	}
+	for ei, env := range sys.Env {
+		if !inRange(env.Machine) {
+			return nil, fmt.Errorf("verify: env event %d (%s) references machine %d out of range", ei, env.Event, env.Machine)
+		}
+		id, ev, err := event(env.Machine, env.Event)
+		if err != nil {
+			return nil, fmt.Errorf("verify: env event %d: %w", ei, err)
+		}
+		named := env.Args
+		if len(named) == 0 {
+			named = []map[string]expr.Value{nil}
+		}
+		b.envs[ei] = envBinding{ev: id, args: make([][]expr.Value, len(named))}
+		for ai, args := range named {
+			if b.envs[ei].args[ai], err = positional(ev.Params, args); err != nil {
+				return nil, fmt.Errorf("verify: env event %d: %s event %s, binding %d: %w",
+					ei, machine(env.Machine), env.Event, ai, err)
+			}
 		}
 	}
-	for _, env := range sys.Env {
-		if env.Machine < 0 || env.Machine >= len(sys.Specs) {
-			return nil, fmt.Errorf("verify: env event %s references machine %d out of range", env.Event, env.Machine)
+	for ii := range invs {
+		inv := &invs[ii]
+		if inv.check == nil {
+			return nil, fmt.Errorf("verify: invariant %q has no check; build it with a constructor", inv.Name)
+		}
+		for _, vr := range inv.vars {
+			if !inRange(vr.machine) {
+				return nil, fmt.Errorf("verify: invariant %q reads machine %d, out of range", inv.Name, vr.machine)
+			}
+			vars := sys.Specs[vr.machine].Vars
+			vi := slices.IndexFunc(vars, func(v fsm.Var) bool { return v.Name == vr.name })
+			if vi < 0 {
+				return nil, fmt.Errorf("verify: invariant %q: %s has no variable %q", inv.Name, machine(vr.machine), vr.name)
+			}
+			if t := vars[vi].Type; t.Kind != expr.KindUint {
+				return nil, fmt.Errorf("verify: invariant %q: %s variable %q is %s, not a uint",
+					inv.Name, machine(vr.machine), vr.name, t)
+			}
+			b.invVars[ii] = append(b.invVars[ii], vi)
+		}
+		for _, mi := range inv.states {
+			if !inRange(mi) {
+				return nil, fmt.Errorf("verify: invariant %q reads the state of machine %d, out of range", inv.Name, mi)
+			}
 		}
 	}
-	return progs, nil
+	return b, nil
+}
+
+// positional orders named arguments by the event's parameters. The names
+// must be exactly the parameters, each argument of its parameter's kind.
+func positional(params []fsm.Param, named map[string]expr.Value) ([]expr.Value, error) {
+	args := make([]expr.Value, len(params))
+	for i, p := range params {
+		v, ok := named[p.Name]
+		if !ok {
+			return nil, fmt.Errorf("no argument for parameter %q", p.Name)
+		}
+		if v.Kind() != p.Type.Kind || (p.Type.Kind == expr.KindMsg && v.MsgName() != p.Type.MsgName) {
+			return nil, fmt.Errorf("argument %q is %s, want %s", p.Name, v.Kind(), p.Type)
+		}
+		args[i] = v
+	}
+	for _, name := range slices.Sorted(maps.Keys(named)) {
+		if !slices.ContainsFunc(params, func(p fsm.Param) bool { return p.Name == name }) {
+			return nil, fmt.Errorf("argument %q is not a parameter of (%s)", name, paramList(params))
+		}
+	}
+	return args, nil
+}
+
+// paramList renders an event's parameters as "name type, ...".
+func paramList(ps []fsm.Param) string {
+	parts := make([]string, len(ps))
+	for i, p := range ps {
+		parts[i] = p.Name + " " + p.Type.String()
+	}
+	return strings.Join(parts, ", ")
 }
 
 func newMachines(progs []*fsm.Program) []*fsm.Machine {
@@ -504,22 +609,6 @@ func removeAt(q []expr.Value, i int) []expr.Value {
 	out := make([]expr.Value, 0, len(q)-1)
 	out = append(out, q[:i]...)
 	return append(out, q[i+1:]...)
-}
-
-func snapshotFrom(ms []*fsm.Machine, queues [][]expr.Value) *Snapshot {
-	snap := &Snapshot{
-		States: make([]string, len(ms)),
-		Vars:   make([]map[string]expr.Value, len(ms)),
-		Queues: make([][]expr.Value, len(queues)),
-	}
-	for i, m := range ms {
-		snap.States[i] = m.State()
-		snap.Vars[i] = m.Vars()
-	}
-	for i, q := range queues {
-		snap.Queues[i] = append([]expr.Value(nil), q...)
-	}
-	return snap
 }
 
 func allFinal(machines []*fsm.Machine) bool {

@@ -47,6 +47,11 @@ func codecErr(msg, field string, err error) error {
 	return &CodecError{Message: msg, Field: field, Err: err}
 }
 
+// lengthErr reports a payload too long for its bits-wide length field.
+func lengthErr(n uint64, bits int) error {
+	return fmt.Errorf("%w: length %d does not fit in a %d-bit length field", ErrBadFieldValue, n, bits)
+}
+
 // Encode serialises the message from the given field values.
 //
 // Encode/AppendEncode/Decode/DecodeInto are the map-based compatibility
@@ -89,7 +94,11 @@ func (l *Layout) AppendEncode(dst []byte, values map[string]expr.Value) ([]byte,
 			continue // reported as missing/bad below
 		}
 		lenField, _ := m.Field(f.LenField)
-		autoLen := expr.Uint(uint64(len(payload.RawBytes())), lenField.Bits)
+		n := uint64(len(payload.RawBytes()))
+		if n>>lenField.Bits != 0 {
+			return nil, codecErr(m.Name, f.Name, lengthErr(n, lenField.Bits))
+		}
+		autoLen := expr.Uint(n, lenField.Bits)
 		if prev, ok := filled[f.LenField]; ok && lenField.Compute == nil {
 			if prev.AsUint() != autoLen.AsUint() {
 				return nil, codecErr(m.Name, f.LenField,

@@ -161,7 +161,11 @@ func (p *Program) AppendEncode(dst []byte, f *expr.Frame) ([]byte, error) {
 	for i := range p.autoLens {
 		al := &p.autoLens[i]
 		if pv := f.Get(al.payloadSlot); pv.Kind() == expr.KindBytes {
-			f.Set(al.lenSlot, expr.Uint(uint64(len(pv.RawBytes())), al.lenBits))
+			n := uint64(len(pv.RawBytes()))
+			if n>>al.lenBits != 0 {
+				return nil, codecErr(m.Name, m.Fields[al.payloadSlot].Name, lengthErr(n, al.lenBits))
+			}
+			f.Set(al.lenSlot, expr.Uint(n, al.lenBits))
 		}
 	}
 	for i := range p.computes {

@@ -452,3 +452,28 @@ func TestDiagramARQ(t *testing.T) {
 		}
 	}
 }
+
+// TestAutoLengthBound pins the length field's range: a payload longer
+// than its 16-bit length field can count is refused by both encoders,
+// not written with a truncated length; the longest that fits encodes.
+func TestAutoLengthBound(t *testing.T) {
+	l := arqPacket(t)
+	prog := l.Program()
+	seq, _ := prog.Slot("seq")
+	payload, _ := prog.Slot("payload")
+	for _, n := range []int{1<<16 - 1, 1 << 16} {
+		body := make([]byte, n)
+		_, lerr := l.Encode(map[string]expr.Value{"seq": expr.U8(1), "payload": expr.Bytes(body)})
+		f := prog.NewFrame()
+		f.Set(seq, expr.U8(1))
+		f.Set(payload, expr.Bytes(body))
+		_, perr := prog.AppendEncode(nil, f)
+		for name, err := range map[string]error{"Layout.Encode": lerr, "Program.AppendEncode": perr} {
+			if fits := n < 1<<16; fits && err != nil {
+				t.Errorf("%s: %d-byte payload: %v", name, n, err)
+			} else if !fits && !errors.Is(err, ErrBadFieldValue) {
+				t.Errorf("%s: %d-byte payload: err = %v, want ErrBadFieldValue", name, n, err)
+			}
+		}
+	}
+}
