@@ -20,9 +20,12 @@ test:
 # also turns on checkptr, which checks every unsafe conversion of
 # expr.Value's packed representation (DESIGN.md §3) on the paths that
 # build and read it. -shuffle=on surfaces test-order dependencies
-# while we're paying for the rerun. CI's race job runs this target.
+# while we're paying for the rerun. The two commands are here for their
+# loopback tests: protoserve's shard goroutines bump the counters its
+# stats printer and /metrics read, and protosim drives concurrent
+# senders against an in-process server. CI's race job runs this target.
 race:
-	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/session/ ./internal/verify/ ./internal/ipv4/ ./internal/dsl/ ./internal/expr/ ./internal/fsm/ ./internal/wire/
+	$(GO) test -race -shuffle=on ./internal/harness/ ./internal/netsim/ ./internal/arq/ ./internal/rtnet/ ./internal/session/ ./internal/verify/ ./internal/ipv4/ ./internal/dsl/ ./internal/expr/ ./internal/fsm/ ./internal/wire/ ./cmd/protoserve/ ./cmd/protosim/
 	$(GO) test -run '^$$' -bench BenchmarkE11MultiFlow -benchtime 1x -race .
 
 # Seeded chaos soak (DESIGN.md §13): 64 loopback flows under

@@ -37,8 +37,9 @@ func RunARQTransfer(cfg ARQConfig, payloads [][]byte) (*ARQResult, error) {
 // GBNConfig parameterises a go-back-N (windowed) transfer.
 type GBNConfig = arq.GBNConfig
 
-// GBNResult reports a go-back-N transfer.
-type GBNResult = arq.GBNResult
+// GBNResult reports a go-back-N transfer (the result type both window
+// engines share).
+type GBNResult = arq.WindowResult
 
 // RunGBNTransfer transfers payloads with the go-back-N extension.
 func RunGBNTransfer(cfg GBNConfig, payloads [][]byte) (*GBNResult, error) {

@@ -67,7 +67,7 @@ func newAdaptiveTimer(initial, min, max time.Duration) (adaptiveTimer, error) {
 func (a adaptiveTimer) Timeout() time.Duration { return a.R.Current() }
 
 // OnSample implements timerPolicy.
-func (a adaptiveTimer) OnSample(rtt time.Duration) { a.R.Sample(rtt) }
+func (a adaptiveTimer) OnSample(rtt time.Duration) { a.R.Ack(rtt, true) }
 
 // OnTimeout implements timerPolicy.
 func (a adaptiveTimer) OnTimeout() { a.R.Backoff() }

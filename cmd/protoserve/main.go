@@ -66,34 +66,29 @@ func run(args []string, out io.Writer) error {
 
 	// Flow/peer/byte counters are written from shard loops and read by
 	// the stats printer: atomics, nothing shared beyond them.
-	var flows, frames, bytes atomic.Uint64
+	var flows, frames, bytes, failed atomic.Uint64
 	cfg := arq.FlowConfig{Window: *window}
-	// receiver spawns the variant's engine; both expose cumulative
-	// Expect, which doubles as session progress for crash recovery.
-	type recv interface {
-		OnDatagram(netsim.Addr, []byte)
-		Expect() uint64
-		SeedExpect(uint64)
-	}
-	receiver := func(port netsim.Port, peer netsim.Addr) recv {
-		if *variant == "sr" {
-			r, err := arq.NewSRReceiver(port, peer, cfg)
-			if err != nil {
-				return nil
-			}
-			return r
+	newReceiver := arq.NewGBNReceiver
+	if *variant == "sr" {
+		newReceiver = func(port netsim.Port, peer netsim.Addr) (*arq.WindowReceiver, error) {
+			return arq.NewSRReceiver(port, peer, cfg)
 		}
-		r, err := arq.NewGBNReceiver(port, peer)
-		if err != nil {
-			return nil
-		}
-		return r
 	}
-	count := func(h func(netsim.Addr, []byte)) func(netsim.Addr, []byte) {
+	// handle counts each datagram, then feeds it to r. A receiver whose
+	// ack encode or send fails stops for good (r.Err names the cause);
+	// it is counted once, as the datagram that stopped it returns, and
+	// drops everything after.
+	handle := func(r *arq.WindowReceiver) func(netsim.Addr, []byte) {
 		return func(from netsim.Addr, data []byte) {
 			frames.Add(1)
 			bytes.Add(uint64(len(data)))
-			h(from, data)
+			if r.Err() != nil {
+				return
+			}
+			r.OnDatagram(from, data)
+			if r.Err() != nil {
+				failed.Add(1)
+			}
 		}
 	}
 	if *sess {
@@ -106,27 +101,27 @@ func run(args []string, out io.Writer) error {
 			StateDir:       *stateDir,
 			HeartbeatEvery: *beat,
 		}, func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte, resume *session.Resume) *session.Engine {
-			r := receiver(port, peer)
-			if r == nil {
+			r, err := newReceiver(port, peer)
+			if err != nil {
 				return nil
 			}
 			if resume != nil {
 				r.SeedExpect(resume.Expect)
 			}
 			flows.Add(1)
-			return &session.Engine{Handle: count(r.OnDatagram), Progress: r.Expect}
+			return &session.Engine{Handle: handle(r), Progress: r.Expect}
 		})
 	} else {
 		if *stateDir != "" {
 			return fmt.Errorf("-state-dir requires -session")
 		}
 		err = node.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
-			r := receiver(port, peer)
-			if r == nil {
+			r, err := newReceiver(port, peer)
+			if err != nil {
 				return nil
 			}
 			flows.Add(1)
-			return count(r.OnDatagram)
+			return handle(r)
 		})
 	}
 	if err != nil {
@@ -152,9 +147,10 @@ func run(args []string, out io.Writer) error {
 		defer ln.Close()
 		handler := obs.Handler(node.Obs(), func() map[string]uint64 {
 			return map[string]uint64{
-				"flows":         flows.Load(),
-				"flow_frames":   frames.Load(),
-				"payload_bytes": bytes.Load(),
+				"flows":          flows.Load(),
+				"flow_frames":    frames.Load(),
+				"payload_bytes":  bytes.Load(),
+				"engines_failed": failed.Load(),
 			}
 		})
 		srv := &http.Server{Handler: handler}
@@ -180,8 +176,8 @@ func run(args []string, out io.Writer) error {
 	// flows finish, new peers see loss (drop_draining). A failed drain is
 	// reported but not fatal — Close still reclaims everything.
 	drain := func(reason string) {
-		fmt.Fprintf(out, "protoserve: %s; flows=%d frames=%d payload_bytes=%d\n",
-			reason, flows.Load(), frames.Load(), bytes.Load())
+		fmt.Fprintf(out, "protoserve: %s; flows=%d frames=%d payload_bytes=%d engines_failed=%d\n",
+			reason, flows.Load(), frames.Load(), bytes.Load(), failed.Load())
 		if *drainTO <= 0 {
 			return
 		}
@@ -195,8 +191,8 @@ func run(args []string, out io.Writer) error {
 	for {
 		select {
 		case <-tick:
-			fmt.Fprintf(out, "protoserve: flows=%d frames=%d payload_bytes=%d header_drops=%d send_errs=%d\n",
-				flows.Load(), frames.Load(), bytes.Load(), node.Drops(), node.SendErrors())
+			fmt.Fprintf(out, "protoserve: flows=%d frames=%d payload_bytes=%d engines_failed=%d header_drops=%d send_errs=%d\n",
+				flows.Load(), frames.Load(), bytes.Load(), failed.Load(), node.Drops(), node.SendErrors())
 		case <-interrupt:
 			drain("interrupted")
 			return nil

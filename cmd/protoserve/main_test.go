@@ -62,7 +62,7 @@ func TestServeExitsAfterDuration(t *testing.T) {
 	if !listenLine.MatchString(s) {
 		t.Fatalf("no listen address announced in output:\n%s", s)
 	}
-	if !strings.Contains(s, "done;") {
+	if !strings.Contains(s, "done;") || !strings.Contains(s, "engines_failed=0") {
 		t.Fatalf("no shutdown summary in output:\n%s", s)
 	}
 }
@@ -298,7 +298,7 @@ func TestStatsEndpointsUnderLoad(t *testing.T) {
 	}
 
 	fcfg := arq.FlowConfig{Window: 32, RTO: 100 * time.Millisecond, MaxRetries: 50}
-	senders := make([]*arq.GBNSender, nFlows)
+	senders := make([]*arq.WindowSender, nFlows)
 	flowDone := make([]chan struct{}, nFlows)
 	for id := 0; id < nFlows; id++ {
 		id := id
@@ -395,6 +395,7 @@ func TestStatsEndpointsUnderLoad(t *testing.T) {
 	for _, want := range []string{
 		"pdsl_frames_in_total{shard=",
 		fmt.Sprintf("pdsl_flows %d\n", nFlows),
+		"pdsl_engines_failed 0\n",
 	} {
 		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("/metrics missing %q; got:\n%s", want, prom)

@@ -196,10 +196,13 @@ func runClient(out io.Writer, cfg clientConfig) error {
 		return err
 	}
 	fcfg := arq.FlowConfig{Window: cfg.window, RTO: cfg.rto, MaxRetries: cfg.retries, Adaptive: cfg.adaptive}
+	attach := arq.AttachGBNSender
+	if cfg.variant == "sr" {
+		attach = arq.AttachSRSender
+	}
 
 	type flowRun struct {
-		gbn  *arq.GBNSender
-		sr   *arq.SRSender
+		send *arq.WindowSender
 		done chan struct{}
 		dur  time.Duration
 		err  error
@@ -225,11 +228,7 @@ func runClient(out io.Writer, cfg clientConfig) error {
 				close(runs[id].done)
 			}
 			if !cfg.session {
-				if cfg.variant == "sr" {
-					runs[id].sr, aerr = arq.AttachSRSender(rt, port, peer, fcfg, payloads, onDone)
-				} else {
-					runs[id].gbn, aerr = arq.AttachGBNSender(rt, port, peer, fcfg, payloads, onDone)
-				}
+				runs[id].send, aerr = attach(rt, port, peer, fcfg, payloads, onDone)
 				return
 			}
 			// Session mode: complete the cookie handshake first, then
@@ -245,11 +244,7 @@ func runClient(out io.Writer, cfg clientConfig) error {
 				OnEstablished: func() {
 					finish := func() { cli.Close(); onDone() }
 					var err2 error
-					if cfg.variant == "sr" {
-						runs[id].sr, err2 = arq.AttachSRSender(rt, cli.DataPort(), peer, fcfg, payloads, finish)
-					} else {
-						runs[id].gbn, err2 = arq.AttachGBNSender(rt, cli.DataPort(), peer, fcfg, payloads, finish)
-					}
+					runs[id].send, err2 = attach(rt, cli.DataPort(), peer, fcfg, payloads, finish)
 					if err2 != nil {
 						runs[id].err = err2
 						close(runs[id].done)
@@ -291,29 +286,18 @@ func runClient(out io.Writer, cfg clientConfig) error {
 		if runs[id].err != nil {
 			return fmt.Errorf("flow %d: %w", id, runs[id].err)
 		}
-		var ok bool
-		var sent, retrans int
-		if runs[id].sr != nil {
-			if err := runs[id].sr.Err(); err != nil {
-				return err
-			}
-			r := runs[id].sr.Result()
-			ok, sent, retrans = r.OK, r.PacketsSent, r.Retransmits
-		} else {
-			if err := runs[id].gbn.Err(); err != nil {
-				return err
-			}
-			r := runs[id].gbn.Result()
-			ok, sent, retrans = r.OK, r.PacketsSent, r.Retransmits
+		if err := runs[id].send.Err(); err != nil {
+			return err
 		}
+		r := runs[id].send.Result()
 		si := id % nShards
 		bytes := 0
-		if ok {
+		if r.OK {
 			bytes = flowBytes // every payload acked end-to-end
 		}
 		perShard[si] = append(perShard[si], harness.FlowResult{
-			Shard: si, Flow: id, OK: ok, Duration: runs[id].dur,
-			Bytes: bytes, PacketsSent: sent, Retransmits: retrans,
+			Shard: si, Flow: id, OK: r.OK, Duration: runs[id].dur,
+			Bytes: bytes, PacketsSent: r.PacketsSent, Retransmits: r.Retransmits,
 		})
 	}
 	grouped := perShard[:0]

@@ -8,6 +8,7 @@ import (
 	"protodsl/internal/arq"
 	"protodsl/internal/netsim"
 	"protodsl/internal/rtnet"
+	"protodsl/internal/session"
 )
 
 func TestStopAndWaitRun(t *testing.T) {
@@ -52,37 +53,70 @@ func TestBadFlags(t *testing.T) {
 // TestConnectModeAgainstInProcessServer runs the -connect client path
 // against an in-process rtnet server: the cmd-level half of the
 // loopback end-to-end demo (cmd/protoserve has the server half).
+// TestConnectModeAgainstInProcessServer runs the client against an
+// in-process server for each sender shape the client builds: both
+// window variants bare, and go-back-N behind the session handshake.
 func TestConnectModeAgainstInProcessServer(t *testing.T) {
-	server, err := rtnet.Listen("127.0.0.1:0", rtnet.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	err = server.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
-		r, err := arq.NewGBNReceiver(port, peer)
-		if err != nil {
-			return nil
-		}
-		return r.OnDatagram
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name, variant string
+		session       bool
+	}{
+		{"gbn", "gbn", false},
+		{"sr", "sr", false},
+		{"gbn-session", "gbn", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			server, err := rtnet.Listen("127.0.0.1:0", rtnet.Config{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer server.Close()
+			newReceiver := func(port netsim.Port, peer netsim.Addr) (*arq.WindowReceiver, error) {
+				if tc.variant == "sr" {
+					return arq.NewSRReceiver(port, peer, arq.FlowConfig{Window: 8})
+				}
+				return arq.NewGBNReceiver(port, peer)
+			}
+			if tc.session {
+				err = server.ServeSession(rtnet.SessionConfig{}, func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte, _ *session.Resume) *session.Engine {
+					r, err := newReceiver(port, peer)
+					if err != nil {
+						return nil
+					}
+					return &session.Engine{Handle: r.OnDatagram, Progress: r.Expect}
+				})
+			} else {
+				err = server.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
+					r, err := newReceiver(port, peer)
+					if err != nil {
+						return nil
+					}
+					return r.OnDatagram
+				})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var out bytes.Buffer
-	err = run([]string{
-		"-connect", string(server.Addr()), "-flows", "8", "-variant", "gbn",
-		"-payloads", "10", "-size", "64", "-window", "8",
-		"-rto", "100ms", "-retries", "20",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"real-network gbn transfer", "flows: 8 (8 ok)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
+			args := []string{
+				"-connect", string(server.Addr()), "-flows", "8", "-variant", tc.variant,
+				"-payloads", "10", "-size", "64", "-window", "8",
+				"-rto", "100ms", "-retries", "20",
+			}
+			if tc.session {
+				args = append(args, "-session")
+			}
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			s := out.String()
+			for _, want := range []string{"real-network " + tc.variant + " transfer", "flows: 8 (8 ok)"} {
+				if !strings.Contains(s, want) {
+					t.Errorf("output missing %q:\n%s", want, s)
+				}
+			}
+		})
 	}
 }
 

@@ -92,9 +92,6 @@ func NewSender(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr,
 // Start begins the transfer (schedules the first send).
 func (s *Sender) Start() { s.sim.Post(s.advance) }
 
-// Done reports whether the transfer has ended (successfully or not).
-func (s *Sender) Done() bool { return s.done }
-
 // OK reports whether the transfer completed with all payloads
 // acknowledged (machine in Sent).
 func (s *Sender) OK() bool { return s.ok }
@@ -277,7 +274,6 @@ type ReceiverStats struct {
 // the compiled program on the slot-frame path with reusable frames and
 // buffers.
 type Receiver struct {
-	sim     *netsim.Sim
 	ep      *netsim.Endpoint
 	peer    netsim.Addr
 	machine *fsm.Machine
@@ -305,7 +301,7 @@ func NewReceiver(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr) (*Recei
 	}
 	machine := prog.NewMachine()
 	r := &Receiver{
-		sim: sim, ep: ep, peer: peer, machine: machine, codec: codec,
+		ep: ep, peer: peer, machine: machine, codec: codec,
 		pktShape: prog.MsgShape("Packet"),
 	}
 	r.evRecv, _ = machine.EventID(EvRecv)

@@ -61,7 +61,7 @@ func TestGBNLossyInOrderExactlyOnce(t *testing.T) {
 func TestGBNWindowBeatsStopAndWait(t *testing.T) {
 	payloads := makePayloads(40, 64)
 	link := netsim.LinkParams{Delay: 20 * time.Millisecond}
-	run := func(window int) *GBNResult {
+	run := func(window int) *WindowResult {
 		res, err := RunTransferGBN(GBNConfig{
 			Seed: 1, Window: window, Link: link, RTO: 200 * time.Millisecond,
 		}, payloads)

@@ -34,7 +34,6 @@ import (
 // decoded field values, no map is touched and no string is hashed.
 type Codec struct {
 	Packet *wire.Layout
-	Ack    *wire.Layout
 
 	pktProg *wire.Program
 	ackProg *wire.Program
@@ -65,7 +64,6 @@ func NewCodec() (*Codec, error) {
 	}
 	c := &Codec{
 		Packet:  p,
-		Ack:     a,
 		pktProg: p.Program(),
 		ackProg: a.Program(),
 	}

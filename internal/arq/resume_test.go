@@ -18,15 +18,6 @@ func (p *sendLog) Send(_ netsim.Addr, data []byte) error {
 	return nil
 }
 
-// resumable is the receiver surface protoserve -state-dir drives on a
-// restart: seed the progress a snapshot recorded, then feed datagrams.
-type resumable interface {
-	SeedExpect(uint64)
-	Expect() uint64
-	OnDatagram(netsim.Addr, []byte)
-	Delivered() [][]byte
-}
-
 // TestReceiversResumeAtSeededExpect is the resume step: a receiver
 // seeded at k acks packets below k as duplicates without delivering
 // them, then delivers k onward in order. k is past one 8-bit wrap, so
@@ -40,14 +31,14 @@ func TestReceiversResumeAtSeededExpect(t *testing.T) {
 	payload := func(idx int) []byte { return []byte(fmt.Sprintf("payload %d", idx)) }
 	for _, tc := range []struct {
 		name string
-		new  func(netsim.Port) (resumable, error)
+		new  func(netsim.Port) (*WindowReceiver, error)
 		// dupAck is the ack a duplicate of packet idx draws: go-back-N
 		// re-acks its last in-order packet, selective repeat the packet.
 		dupAck func(idx int) uint8
 	}{
-		{"gbn", func(p netsim.Port) (resumable, error) { return NewGBNReceiver(p, "sender") },
+		{"gbn", func(p netsim.Port) (*WindowReceiver, error) { return NewGBNReceiver(p, "sender") },
 			func(int) uint8 { return uint8((k - 1) % 256) }},
-		{"sr", func(p netsim.Port) (resumable, error) { return NewSRReceiver(p, "sender", FlowConfig{Window: 4}) },
+		{"sr", func(p netsim.Port) (*WindowReceiver, error) { return NewSRReceiver(p, "sender", FlowConfig{Window: 4}) },
 			func(idx int) uint8 { return uint8(idx % 256) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

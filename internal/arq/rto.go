@@ -15,7 +15,7 @@ import (
 //	               SRTT   = ⅞·SRTT   + ⅛·R
 //	base RTO:      clamp(SRTT + max(G, 4·RTTVAR), MinRTO, MaxRTO)
 //	on timeout:    armed RTO = base << shift, shift capped
-//	on progress:   shift = 0 (reset-on-ack)
+//	on any ack:    shift = 0 (reset-on-ack, clean or not)
 //
 // Samples are the engines' existing Karn-filtered RTT observations —
 // never a retransmitted packet — so retransmission ambiguity cannot
@@ -25,7 +25,7 @@ import (
 // time.Duration deltas from the Runtime seam.
 //
 // In fixed mode (FlowConfig.Adaptive false) every method is a no-op and
-// current() returns the configured RTO, so both engines run the same
+// Current returns the configured RTO, so both engines run the same
 // call sites in both modes and fixed-mode event sequences stay
 // byte-identical to the pre-estimator engines — the golden-trace pins
 // depend on that.
@@ -59,9 +59,12 @@ func clampDur(d, lo, hi time.Duration) time.Duration {
 	return d
 }
 
-// rtoState is one sender's timeout estimator. Value-embedded in the
-// sender structs; single-goroutine like everything else in an engine.
-type rtoState struct {
+// RTO is one sender's timeout estimator. The window engines hold it by
+// value; the session client's handshake and teardown retransmissions
+// ride the same estimator and backoff (DESIGN.md §14), and E8's driver
+// measures it (cmd/experiments). Single-goroutine like everything else
+// in an engine.
+type RTO struct {
 	adaptive bool
 	fixed    time.Duration // fixed-mode RTO; also the adaptive initial RTO
 	min, max time.Duration
@@ -75,34 +78,57 @@ type rtoState struct {
 	obs *obs.Shard
 }
 
-// newRTOState builds the estimator from an applyDefaults'd config.
+// NewRTO builds an estimator from cfg (Window is irrelevant here and
+// may be zero; RTO/Adaptive/MinRTO/MaxRTO have their usual meanings and
+// defaults). sh receives the rto_backoffs counter and the RTO gauge.
+func NewRTO(cfg FlowConfig, sh *obs.Shard) (*RTO, error) {
+	if err := cfg.applyDefaults(); err != nil {
+		return nil, err
+	}
+	r := newRTO(&cfg, sh)
+	return &r, nil
+}
+
+// newRTO builds the estimator from an applyDefaults'd config.
 // Until the first sample the adaptive base is the configured RTO
 // (clamped), mirroring RFC 6298's conservative initial timeout.
-func newRTOState(cfg *FlowConfig, sh *obs.Shard) rtoState {
-	st := rtoState{
+func newRTO(cfg *FlowConfig, sh *obs.Shard) RTO {
+	r := RTO{
 		adaptive: cfg.Adaptive, fixed: cfg.RTO,
 		min: cfg.MinRTO, max: cfg.MaxRTO,
 		obs: sh,
 	}
-	if st.adaptive {
-		st.base = clampDur(cfg.RTO, st.min, st.max)
-		st.publish()
+	if r.adaptive {
+		r.base = clampDur(cfg.RTO, r.min, r.max)
+		r.publish()
 	}
-	return st
+	return r
 }
 
-// current returns the RTO to arm right now, backoff included.
-func (r *rtoState) current() time.Duration {
+// Current returns the RTO to arm right now, backoff included.
+func (r *RTO) Current() time.Duration {
 	if !r.adaptive {
 		return r.fixed
 	}
 	return clampDur(r.base<<r.shift, r.min, r.max)
 }
 
-// sample feeds one Karn-valid RTT measurement: recompute SRTT/RTTVAR
-// and the base RTO, and clear any backoff (a sample implies an ack).
-func (r *rtoState) sample(rtt time.Duration) {
+// Ack feeds one acknowledgement of new data. rtt is the time since the
+// acked packet first went out; clean says it was never retransmitted,
+// so that rtt is a valid sample (Karn's rule) — the caller decides.
+// A clean ack recomputes SRTT/RTTVAR and the base RTO. Every ack clears
+// the backoff, clean or not: an ack of a retransmission still proves
+// the path passes traffic again. RFC 6298 §5 would instead keep the
+// backoff until a clean sample; that policy is decided here alone.
+func (r *RTO) Ack(rtt time.Duration, clean bool) {
 	if !r.adaptive {
+		return
+	}
+	if !clean {
+		if r.shift != 0 {
+			r.shift = 0
+			r.publish()
+		}
 		return
 	}
 	if rtt < 0 {
@@ -127,20 +153,9 @@ func (r *rtoState) sample(rtt time.Duration) {
 	r.publish()
 }
 
-// progress clears backoff on any forward-progress ack — including acks
-// for retransmitted packets, which Karn's rule bars from sampling but
-// which still prove the path is passing traffic again.
-func (r *rtoState) progress() {
-	if !r.adaptive || r.shift == 0 {
-		return
-	}
-	r.shift = 0
-	r.publish()
-}
-
-// backoff doubles the armed RTO after a retransmission timeout (capped
+// Backoff doubles the armed RTO after a retransmission timeout (capped
 // by rtoMaxShift and MaxRTO) and counts the event.
-func (r *rtoState) backoff() {
+func (r *RTO) Backoff() {
 	if !r.adaptive {
 		return
 	}
@@ -153,6 +168,6 @@ func (r *rtoState) backoff() {
 
 // publish surfaces the armed RTO through the shard gauge (one atomic
 // store; the last engine to rearm wins on a shared shard).
-func (r *rtoState) publish() {
-	r.obs.SetGauge(obs.GaugeRTO, int64(r.current()))
+func (r *RTO) publish() {
+	r.obs.SetGauge(obs.GaugeRTO, int64(r.Current()))
 }

@@ -25,12 +25,12 @@ func TestRTOFixedModeIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := obs.New(1, 0)
-	r := newRTOState(&cfg, st.Shard(0))
-	r.sample(time.Millisecond)
-	r.backoff()
-	r.backoff()
-	r.progress()
-	if got := r.current(); got != 20*time.Millisecond {
+	r := newRTO(&cfg, st.Shard(0))
+	r.Ack(time.Millisecond, true)
+	r.Backoff()
+	r.Backoff()
+	r.Ack(0, false)
+	if got := r.Current(); got != 20*time.Millisecond {
 		t.Fatalf("fixed mode current = %s, want the configured 20ms", got)
 	}
 	if st.Total(obs.RTOBackoffs) != 0 {
@@ -43,35 +43,35 @@ func TestRTOFixedModeIsInert(t *testing.T) {
 
 func TestRTOFirstSampleSeedsEstimator(t *testing.T) {
 	cfg := adaptiveCfg(t, nil)
-	r := newRTOState(&cfg, obs.Of(nil))
-	if got := r.current(); got != cfg.RTO {
+	r := newRTO(&cfg, obs.Of(nil))
+	if got := r.Current(); got != cfg.RTO {
 		t.Fatalf("pre-sample current = %s, want initial RTO %s", got, cfg.RTO)
 	}
 	// RFC 6298 first sample: SRTT = R, RTTVAR = R/2, so
 	// base = R + 4·(R/2) = 3R (variance term above the 1ms floor).
-	r.sample(10 * time.Millisecond)
-	if got := r.current(); got != 30*time.Millisecond {
+	r.Ack(10*time.Millisecond, true)
+	if got := r.Current(); got != 30*time.Millisecond {
 		t.Fatalf("after first 10ms sample current = %s, want 30ms", got)
 	}
 	// Second sample pins both gains: RTTVAR = (3·5 + |10−50|)/4 = 13.75ms,
 	// SRTT = (7·10 + 50)/8 = 15ms, so base = 15 + 4·13.75 = 70ms.
-	r.sample(50 * time.Millisecond)
-	if got := r.current(); got != 70*time.Millisecond {
+	r.Ack(50*time.Millisecond, true)
+	if got := r.Current(); got != 70*time.Millisecond {
 		t.Fatalf("after a 50ms second sample current = %s, want 70ms", got)
 	}
 }
 
 func TestRTOConvergesOnSteadyRTT(t *testing.T) {
 	cfg := adaptiveCfg(t, nil)
-	r := newRTOState(&cfg, obs.Of(nil))
+	r := newRTO(&cfg, obs.Of(nil))
 	const rtt = 10 * time.Millisecond
 	for i := 0; i < 100; i++ {
-		r.sample(rtt)
+		r.Ack(rtt, true)
 	}
 	// RTTVAR decays geometrically on constant samples, so the variance
 	// term bottoms out at the granularity floor: current → RTT + G.
 	want := rtt + rtoGranularity
-	if got := r.current(); got < rtt || got > want+2*time.Millisecond {
+	if got := r.Current(); got < rtt || got > want+2*time.Millisecond {
 		t.Fatalf("steady 10ms RTT converged to %s, want ≈ %s", got, want)
 	}
 }
@@ -89,11 +89,11 @@ func TestRTOTracksIncrease(t *testing.T) {
 	}
 	const samples = 20
 	for i := 0; i < samples; i++ {
-		r.Sample(20 * time.Millisecond)
+		r.Ack(20*time.Millisecond, true)
 	}
 	low := r.Current()
 	for i := 0; i < samples; i++ {
-		r.Sample(120 * time.Millisecond)
+		r.Ack(120*time.Millisecond, true)
 	}
 	if got := r.Current(); got <= 120*time.Millisecond {
 		t.Fatalf("RTO after %d samples of a 20→120ms step = %s (was %s), want > 120ms", samples, got, low)
@@ -103,20 +103,20 @@ func TestRTOTracksIncrease(t *testing.T) {
 func TestRTOBackoffDoublesAndCaps(t *testing.T) {
 	st := obs.New(1, 0)
 	cfg := adaptiveCfg(t, func(c *FlowConfig) { c.MaxRTO = time.Hour })
-	r := newRTOState(&cfg, st.Shard(0))
-	r.sample(10 * time.Millisecond) // base = 30ms
-	base := r.current()
+	r := newRTO(&cfg, st.Shard(0))
+	r.Ack(10*time.Millisecond, true) // base = 30ms
+	base := r.Current()
 	for i := 1; i <= rtoMaxShift; i++ {
-		r.backoff()
-		if got, want := r.current(), base<<uint(i); got != want {
+		r.Backoff()
+		if got, want := r.Current(), base<<uint(i); got != want {
 			t.Fatalf("after %d backoffs current = %s, want %s", i, got, want)
 		}
 	}
 	// Past the shift cap the armed RTO stops growing (but is still counted).
-	capped := r.current()
-	r.backoff()
-	r.backoff()
-	if got := r.current(); got != capped {
+	capped := r.Current()
+	r.Backoff()
+	r.Backoff()
+	if got := r.Current(); got != capped {
 		t.Fatalf("backoff past the cap grew the RTO: %s, want %s", got, capped)
 	}
 	if got := st.Total(obs.RTOBackoffs); got != rtoMaxShift+2 {
@@ -124,37 +124,37 @@ func TestRTOBackoffDoublesAndCaps(t *testing.T) {
 	}
 	// MaxRTO binds before the shift cap when configured tighter.
 	tight := adaptiveCfg(t, func(c *FlowConfig) { c.MaxRTO = 50 * time.Millisecond })
-	r2 := newRTOState(&tight, obs.Of(nil))
-	r2.sample(10 * time.Millisecond)
+	r2 := newRTO(&tight, obs.Of(nil))
+	r2.Ack(10*time.Millisecond, true)
 	for i := 0; i < 10; i++ {
-		r2.backoff()
+		r2.Backoff()
 	}
-	if got := r2.current(); got != 50*time.Millisecond {
+	if got := r2.Current(); got != 50*time.Millisecond {
 		t.Fatalf("backoff exceeded MaxRTO: %s", got)
 	}
 }
 
 func TestRTOResetOnAck(t *testing.T) {
 	cfg := adaptiveCfg(t, nil)
-	r := newRTOState(&cfg, obs.Of(nil))
-	r.sample(10 * time.Millisecond)
-	base := r.current()
-	r.backoff()
-	r.backoff()
-	if r.current() != base<<2 {
-		t.Fatalf("two backoffs: current = %s, want %s", r.current(), base<<2)
+	r := newRTO(&cfg, obs.Of(nil))
+	r.Ack(10*time.Millisecond, true)
+	base := r.Current()
+	r.Backoff()
+	r.Backoff()
+	if r.Current() != base<<2 {
+		t.Fatalf("two backoffs: current = %s, want %s", r.Current(), base<<2)
 	}
-	// Progress without a valid sample (Karn-suppressed retransmit ack):
+	// An ack without a valid sample (Karn-suppressed retransmit ack):
 	// backoff clears, estimator state survives.
-	r.progress()
-	if got := r.current(); got != base {
-		t.Fatalf("progress did not reset backoff: %s, want %s", got, base)
+	r.Ack(0, false)
+	if got := r.Current(); got != base {
+		t.Fatalf("a non-clean ack did not reset backoff: %s, want %s", got, base)
 	}
 	// A valid sample also clears backoff and re-estimates.
-	r.backoff()
-	r.sample(10 * time.Millisecond)
-	if got := r.current(); got >= base<<1 {
-		t.Fatalf("sample did not reset backoff: %s", got)
+	r.Backoff()
+	r.Ack(10*time.Millisecond, true)
+	if got := r.Current(); got >= base<<1 {
+		t.Fatalf("a clean ack did not reset backoff: %s", got)
 	}
 }
 
@@ -163,18 +163,18 @@ func TestRTOClampBounds(t *testing.T) {
 		c.MinRTO = 20 * time.Millisecond
 		c.MaxRTO = 100 * time.Millisecond
 	})
-	r := newRTOState(&cfg, obs.Of(nil))
-	r.sample(time.Millisecond) // base would be ~4ms unclamped
-	if got := r.current(); got != 20*time.Millisecond {
+	r := newRTO(&cfg, obs.Of(nil))
+	r.Ack(time.Millisecond, true) // base would be ~4ms unclamped
+	if got := r.Current(); got != 20*time.Millisecond {
 		t.Fatalf("MinRTO floor: current = %s, want 20ms", got)
 	}
-	r.sample(time.Second) // base would be seconds unclamped
-	if got := r.current(); got != 100*time.Millisecond {
+	r.Ack(time.Second, true) // base would be seconds unclamped
+	if got := r.Current(); got != 100*time.Millisecond {
 		t.Fatalf("MaxRTO ceiling: current = %s, want 100ms", got)
 	}
 	// Negative samples clamp to zero instead of corrupting the filter.
-	r.sample(-time.Second)
-	if got := r.current(); got < 20*time.Millisecond || got > 100*time.Millisecond {
+	r.Ack(-time.Second, true)
+	if got := r.Current(); got < 20*time.Millisecond || got > 100*time.Millisecond {
 		t.Fatalf("negative sample escaped the clamp: %s", got)
 	}
 }
@@ -189,15 +189,15 @@ func TestRTOInvalidBoundsRejected(t *testing.T) {
 func TestRTOPublishesGauge(t *testing.T) {
 	st := obs.New(1, 0)
 	cfg := adaptiveCfg(t, nil)
-	r := newRTOState(&cfg, st.Shard(0))
+	r := newRTO(&cfg, st.Shard(0))
 	if got := st.Shard(0).Gauge(obs.GaugeRTO); got != int64(cfg.RTO) {
 		t.Fatalf("initial gauge = %d, want %d", got, int64(cfg.RTO))
 	}
-	r.sample(10 * time.Millisecond)
+	r.Ack(10*time.Millisecond, true)
 	if got := st.Shard(0).Gauge(obs.GaugeRTO); got != int64(30*time.Millisecond) {
 		t.Fatalf("post-sample gauge = %d, want 30ms", got)
 	}
-	r.backoff()
+	r.Backoff()
 	if got := st.Shard(0).Gauge(obs.GaugeRTO); got != int64(60*time.Millisecond) {
 		t.Fatalf("post-backoff gauge = %d, want 60ms", got)
 	}

@@ -177,7 +177,7 @@ type SRConfig struct {
 
 // RunTransferSR runs a selective-repeat transfer over its own simulator.
 // Window 0 selects 8.
-func RunTransferSR(cfg SRConfig, payloads [][]byte) (*SRResult, error) {
+func RunTransferSR(cfg SRConfig, payloads [][]byte) (*WindowResult, error) {
 	fcfg := FlowConfig{Window: cfg.Window, RTO: cfg.RTO, MaxRetries: cfg.MaxRetries, Adaptive: cfg.Adaptive}
 	if err := fcfg.applyDefaults(); err != nil {
 		return nil, err

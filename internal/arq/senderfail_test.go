@@ -52,7 +52,7 @@ func TestSendersFailOnEncodeError(t *testing.T) {
 		if err := sim.RunUntilIdle(10000); err != nil {
 			t.Fatal(err)
 		}
-		check(t, s.Done(), s.OK(), s.Err())
+		check(t, s.done, s.OK(), s.Err())
 	})
 	t.Run("go-back-n", func(t *testing.T) {
 		sim, sEP, rEP := newSim(t)
@@ -76,4 +76,48 @@ func TestSendersFailOnEncodeError(t *testing.T) {
 		}
 		check(t, f.Done(), f.Result().OK, f.Err())
 	})
+}
+
+// failPort is a netsim.Port whose every Send fails.
+type failPort struct{ sendLog }
+
+var errPortDown = errors.New("port down")
+
+func (p *failPort) Send(netsim.Addr, []byte) error { return errPortDown }
+
+// TestReceiversStopOnSendError drives each receiver's stop path: the
+// first ack Send fails, so Err names it, and the receiver delivers
+// nothing after that.
+func TestReceiversStopOnSendError(t *testing.T) {
+	codec, err := NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		new  func(netsim.Port) (*WindowReceiver, error)
+	}{
+		{"gbn", func(p netsim.Port) (*WindowReceiver, error) { return NewGBNReceiver(p, "sender") }},
+		{"sr", func(p netsim.Port) (*WindowReceiver, error) { return NewSRReceiver(p, "sender", FlowConfig{Window: 4}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := tc.new(&failPort{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for idx := 0; idx < 3; idx++ {
+				pkt, err := codec.EncodePacket(uint8(idx), []byte{byte(idx)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.OnDatagram("sender", pkt)
+			}
+			if !errors.Is(r.Err(), errPortDown) {
+				t.Fatalf("Err() = %v, want it to wrap %v", r.Err(), errPortDown)
+			}
+			if n := len(r.Delivered()); n != 1 || r.Expect() != 1 {
+				t.Fatalf("delivered %d, expect %d after the failed ack; want 1 and 1", n, r.Expect())
+			}
+		})
+	}
 }

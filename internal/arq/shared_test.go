@@ -74,8 +74,8 @@ func TestEnginesRunLoadedProgram(t *testing.T) {
 	}
 	for name, c := range map[string]*Codec{
 		"stop-and-wait sender": s.codec, "stop-and-wait receiver": r.codec,
-		"gbn sender": gs.s.codec, "gbn receiver": gr.r.codec,
-		"sr sender": ss.s.codec, "sr receiver": sr.r.codec,
+		"gbn sender": gs.codec, "gbn receiver": gr.codec,
+		"sr sender": ss.codec, "sr receiver": sr.codec,
 	} {
 		if c.PacketProgram() != pktProg || c.AckProgram() != ackProg {
 			t.Errorf("%s: codec does not use the loaded Packet/Ack programs", name)

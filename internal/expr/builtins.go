@@ -9,7 +9,6 @@ import (
 // Builtin describes a builtin function of the language: its arity and
 // typing discipline plus its evaluator. All builtins are total.
 type Builtin struct {
-	Name string
 	// CheckArgs validates argument types and returns the result type.
 	CheckArgs func(args []Type) (Type, error)
 	// Eval computes the result. Arguments are fully evaluated.
@@ -37,7 +36,6 @@ func LookupBuiltin(name string) (*Builtin, bool) {
 }
 
 var builtinLen = &Builtin{
-	Name: "len",
 	CheckArgs: func(args []Type) (Type, error) {
 		if len(args) != 1 {
 			return Type{}, fmt.Errorf("len takes 1 argument, got %d", len(args))
@@ -61,7 +59,6 @@ var builtinLen = &Builtin{
 
 func castBuiltin(name string, bits int) *Builtin {
 	return &Builtin{
-		Name: name,
 		CheckArgs: func(args []Type) (Type, error) {
 			if len(args) != 1 {
 				return Type{}, fmt.Errorf("%s takes 1 argument, got %d", name, len(args))
@@ -79,7 +76,6 @@ func castBuiltin(name string, bits int) *Builtin {
 
 func minMaxBuiltin(name string, pickMax bool) *Builtin {
 	return &Builtin{
-		Name: name,
 		CheckArgs: func(args []Type) (Type, error) {
 			if len(args) != 2 {
 				return Type{}, fmt.Errorf("%s takes 2 arguments, got %d", name, len(args))
@@ -118,7 +114,6 @@ var (
 // the additive-mod-256 sum over all argument bytes. Uint arguments
 // contribute their big-endian bytes; bytes arguments contribute each byte.
 var builtinSum8 = &Builtin{
-	Name: "sum8",
 	CheckArgs: func(args []Type) (Type, error) {
 		if len(args) == 0 {
 			return Type{}, fmt.Errorf("sum8 requires at least 1 argument")
@@ -157,7 +152,6 @@ func Inet16(data []byte) uint16 {
 }
 
 var builtinInet16 = &Builtin{
-	Name: "inet16",
 	CheckArgs: func(args []Type) (Type, error) {
 		if len(args) != 1 || args[0].Kind != KindBytes {
 			return Type{}, fmt.Errorf("inet16 takes 1 bytes argument")
@@ -170,7 +164,6 @@ var builtinInet16 = &Builtin{
 }
 
 var builtinCRC32 = &Builtin{
-	Name: "crc32",
 	CheckArgs: func(args []Type) (Type, error) {
 		if len(args) != 1 || args[0].Kind != KindBytes {
 			return Type{}, fmt.Errorf("crc32 takes 1 bytes argument")

@@ -32,7 +32,6 @@ type token struct {
 type SyntaxError struct {
 	Offset int
 	Msg    string
-	Src    string
 }
 
 // Error implements error.
@@ -46,7 +45,7 @@ type lexer struct {
 }
 
 func (l *lexer) errf(pos int, format string, args ...any) error {
-	return &SyntaxError{Offset: pos, Msg: fmt.Sprintf(format, args...), Src: l.src}
+	return &SyntaxError{Offset: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *lexer) next() (token, error) {

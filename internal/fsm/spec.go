@@ -53,7 +53,6 @@ type Param struct {
 // parameters, including message-typed parameters (a received packet).
 type Event struct {
 	Name   string
-	Doc    string
 	Params []Param
 }
 
@@ -90,13 +89,11 @@ type Transition struct {
 type Ignore struct {
 	State string
 	Event string
-	Doc   string
 }
 
 // Spec is a complete machine specification.
 type Spec struct {
 	Name        string
-	Doc         string
 	Vars        []Var
 	States      []State
 	Events      []Event

@@ -37,7 +37,7 @@ func TestAggregateIntoMatchesAggregate(t *testing.T) {
 	// Run twice to prove reuse does not leak previous contents.
 	AggregateInto(&rep, perShard)
 
-	if rep.Shards != want.Shards || rep.Flows != want.Flows || rep.OKFlows != want.OKFlows ||
+	if rep.Flows != want.Flows || rep.OKFlows != want.OKFlows ||
 		rep.PacketsSent != want.PacketsSent || rep.Retransmits != want.Retransmits {
 		t.Fatalf("counter mismatch: got %+v want %+v", rep, *want)
 	}

@@ -190,14 +190,12 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 		Window: cfg.Window, RTO: cfg.RTO, MaxRetries: cfg.MaxRetries,
 		Adaptive: cfg.Adaptive, MinRTO: cfg.MinRTO, MaxRTO: cfg.MaxRTO,
 	}
-	type flowHandle interface {
-		Done() bool
-		Err() error
+	start := arq.StartGBN
+	if cfg.Variant == VariantSR {
+		start = arq.StartSR
 	}
-	gbn := make([]*arq.GBNFlow, 0)
-	sr := make([]*arq.SRFlow, 0)
-	handles := make([]flowHandle, 0, cfg.Flows)
-	for f := 0; f < cfg.Flows; f++ {
+	flows := make([]*arq.WindowFlow, cfg.Flows)
+	for f := range flows {
 		sport, err := lm.Flow(byte(f))
 		if err != nil {
 			return nil, err
@@ -206,60 +204,36 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		payloads := flowPayloads(&cfg, shard, f)
-		switch cfg.Variant {
-		case VariantSR:
-			fl, err := arq.StartSR(sim, sport, rport, fcfg, payloads)
-			if err != nil {
-				return nil, err
-			}
-			sr = append(sr, fl)
-			handles = append(handles, fl)
-		default:
-			fl, err := arq.StartGBN(sim, sport, rport, fcfg, payloads)
-			if err != nil {
-				return nil, err
-			}
-			gbn = append(gbn, fl)
-			handles = append(handles, fl)
+		if flows[f], err = start(sim, sport, rport, fcfg, flowPayloads(&cfg, shard, f)); err != nil {
+			return nil, err
 		}
 	}
 
 	if err := sim.RunUntilIdle(cfg.budget()); err != nil {
 		return nil, fmt.Errorf("harness shard %d: %w", shard, err)
 	}
-	for f, h := range handles {
-		if err := h.Err(); err != nil {
+	for f, fl := range flows {
+		if err := fl.Err(); err != nil {
 			return nil, fmt.Errorf("harness shard %d flow %d: %w", shard, f, err)
 		}
-		if !h.Done() {
+		if !fl.Done() {
 			return nil, fmt.Errorf("harness shard %d flow %d: idle but unfinished", shard, f)
 		}
 	}
 
 	results := make([]FlowResult, cfg.Flows)
 	for f := range results {
-		var ok bool
-		var dur time.Duration
-		var delivered [][]byte
-		var sent, retrans int
-		if cfg.Variant == VariantSR {
-			r := sr[f].Result()
-			ok, dur, delivered, sent, retrans = r.OK, r.Duration, r.Delivered, r.PacketsSent, r.Retransmits
-		} else {
-			r := gbn[f].Result()
-			ok, dur, delivered, sent, retrans = r.OK, r.Duration, r.Delivered, r.PacketsSent, r.Retransmits
-		}
+		r := flows[f].Result()
 		// Verify content, not just counts: each flow's payloads are
 		// distinct (flowPayloads), so any cross-flow mixup or silent
 		// corruption slipping past the wire checksums surfaces here.
 		expected := flowPayloads(&cfg, shard, f)
-		if len(delivered) > len(expected) {
+		if len(r.Delivered) > len(expected) {
 			return nil, fmt.Errorf("harness shard %d flow %d: delivered %d > sent %d",
-				shard, f, len(delivered), len(expected))
+				shard, f, len(r.Delivered), len(expected))
 		}
 		deliveredBytes := 0
-		for i, p := range delivered {
+		for i, p := range r.Delivered {
 			if !bytes.Equal(p, expected[i]) {
 				return nil, fmt.Errorf("harness shard %d flow %d: payload %d content mismatch",
 					shard, f, i)
@@ -267,8 +241,8 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 			deliveredBytes += len(p)
 		}
 		results[f] = FlowResult{
-			Shard: shard, Flow: f, OK: ok, Duration: dur,
-			Bytes: deliveredBytes, PacketsSent: sent, Retransmits: retrans,
+			Shard: shard, Flow: f, OK: r.OK, Duration: r.Duration,
+			Bytes: deliveredBytes, PacketsSent: r.PacketsSent, Retransmits: r.Retransmits,
 		}
 	}
 	return results, nil
@@ -276,10 +250,10 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 
 // Report aggregates a sharded multi-flow run.
 type Report struct {
-	Shards, Flows int // flows = total across shards
-	OKFlows       int
-	PacketsSent   int
-	Retransmits   int
+	Flows       int // total across shards
+	OKFlows     int
+	PacketsSent int
+	Retransmits int
 	// Duration and Goodput summarise per-flow outcomes; Fairness
 	// summarises Jain's index of per-flow goodputs within each shard.
 	Duration metrics.Summary // seconds of virtual time
@@ -374,7 +348,7 @@ func AggregateInto(rep *Report, perShard [][]FlowResult) {
 	if cap(goodputs) < maxFlows {
 		goodputs = make([]float64, 0, maxFlows)
 	}
-	*rep = Report{Shards: len(perShard), Results: results, goodputs: goodputs}
+	*rep = Report{Results: results, goodputs: goodputs}
 	for _, results := range perShard {
 		shardGoodputs := rep.goodputs[:0]
 		for _, r := range results {

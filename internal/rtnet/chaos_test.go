@@ -21,7 +21,7 @@ import (
 // paths.
 type chaosServer struct {
 	mu      sync.Mutex
-	recvs   map[recvKey]*arq.GBNReceiver
+	recvs   map[recvKey]*arq.WindowReceiver
 	resumes map[byte]uint64 // resume.Expect per flow, last accept wins
 	e62     *count62
 	e62gen  int // bumped on every flow-62 accept (handshake or resume)
@@ -42,7 +42,7 @@ const proverPace = 300 * time.Microsecond
 
 const proverPayloads = 2000
 
-func (s *chaosServer) receiver(peer netsim.Addr, flow byte) *arq.GBNReceiver {
+func (s *chaosServer) receiver(peer netsim.Addr, flow byte) *arq.WindowReceiver {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recvs[recvKey{peer, flow}]
@@ -68,7 +68,7 @@ func serveChaosSessions(node *Node, scfg SessionConfig) (*chaosServer, error) {
 	}); err != nil {
 		return nil, err
 	}
-	s := &chaosServer{recvs: make(map[recvKey]*arq.GBNReceiver), resumes: make(map[byte]uint64)}
+	s := &chaosServer{recvs: make(map[recvKey]*arq.WindowReceiver), resumes: make(map[byte]uint64)}
 	err = node.ServeSession(scfg, func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte, resume *session.Resume) *session.Engine {
 		if resume != nil {
 			s.mu.Lock()
@@ -150,7 +150,7 @@ func awaitProversMidFlight(t *testing.T, server *Node, srv *chaosServer, client 
 type sessFlow struct {
 	id     byte
 	done   chan struct{}
-	sender *arq.GBNSender
+	sender *arq.WindowSender
 }
 
 // startSessionFlows launches count session transfers on flows

@@ -62,7 +62,7 @@ func TestReusePortSocketGroup(t *testing.T) {
 			client.Close()
 			t.Fatal(err)
 		}
-		var sender *arq.GBNSender
+		var sender *arq.WindowSender
 		var aerr error
 		if err := f.Do(func(rt netsim.Runtime, port netsim.Port) {
 			sender, aerr = arq.AttachGBNSender(rt, port, peer,

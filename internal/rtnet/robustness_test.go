@@ -24,9 +24,9 @@ import (
 // startGBNFlowsFrom attaches count GBN senders on client towards peer,
 // one per flow id in [base, base+count), and returns their senders and
 // done channels (indexed from 0).
-func startGBNFlowsFrom(t *testing.T, client *Node, peer netsim.Addr, cfg arq.FlowConfig, base, count, payloadsPerFlow, payloadSize int) ([]*arq.GBNSender, []chan struct{}) {
+func startGBNFlowsFrom(t *testing.T, client *Node, peer netsim.Addr, cfg arq.FlowConfig, base, count, payloadsPerFlow, payloadSize int) ([]*arq.WindowSender, []chan struct{}) {
 	t.Helper()
-	senders := make([]*arq.GBNSender, count)
+	senders := make([]*arq.WindowSender, count)
 	dones := make([]chan struct{}, count)
 	for i := 0; i < count; i++ {
 		i := i

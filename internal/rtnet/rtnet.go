@@ -537,20 +537,21 @@ func (n *Node) Flow(id byte) (*Flow, error) {
 	if ferr != nil {
 		return nil, ferr
 	}
-	return &Flow{sh: sh, fp: fp, id: id}, nil
+	return &Flow{sh: sh, fp: fp}, nil
 }
 
 // Flow is one claimed logical flow of a Node.
 type Flow struct {
 	sh *Shard
 	fp *netsim.FlowPort
-	id byte
 }
 
 // Do runs fn inside the owning shard's event loop, handing it the
 // shard's Runtime and this flow's Port, and waits for it to finish.
-// Engines are attached here:
+// Engines are attached here; both window variants return the one
+// *arq.WindowSender type:
 //
+//	var sender *arq.WindowSender
 //	flow.Do(func(rt netsim.Runtime, port netsim.Port) {
 //	    sender, err = arq.AttachGBNSender(rt, port, peer, cfg, payloads, onDone)
 //	})
@@ -601,16 +602,11 @@ type peerEngine struct {
 // acceptor owns one served flow's peer table. It lives entirely inside
 // its shard's loop; the shard registers it for the idle sweep.
 type acceptor struct {
-	sh      *Shard
-	fp      *netsim.FlowPort
-	id      byte
-	accept  AcceptFunc
 	engines map[netsim.Addr]*peerEngine
 }
 
 func installAcceptor(sh *Shard, fp *netsim.FlowPort, id byte, accept AcceptFunc) {
-	a := &acceptor{sh: sh, fp: fp, id: id, accept: accept,
-		engines: make(map[netsim.Addr]*peerEngine)}
+	a := &acceptor{engines: make(map[netsim.Addr]*peerEngine)}
 	sh.acceptors = append(sh.acceptors, a)
 	maxPeers := sh.node.cfg.MaxPeersPerFlow
 	fp.SetHandler(func(from netsim.Addr, data []byte) {
@@ -833,10 +829,8 @@ type outPkt struct {
 // Everything in it belongs to its own goroutine.
 type Shard struct {
 	node  *Node
-	idx   int
 	loop  *Loop
-	obs   *obs.Shard   // this shard's stats block (same index in node.stats)
-	conn  *net.UDPConn // the shard's send socket
+	obs   *obs.Shard // this shard's stats block (same index in node.stats)
 	raw   syscall.RawConn
 	in    inbox  // filled by the readers (route), emptied by take
 	spare *batch // empty; swapped into in on the next take
@@ -863,10 +857,8 @@ type Shard struct {
 func newShard(n *Node, idx int) *Shard {
 	s := &Shard{
 		node:   n,
-		idx:    idx,
 		loop:   newLoop(n.start),
 		obs:    n.stats.Shard(idx),
-		conn:   n.conns[idx%len(n.conns)],
 		raw:    n.raws[idx%len(n.raws)],
 		in:     inbox{cur: newBatch(n.cfg), wake: make(chan struct{}, 1)},
 		spare:  newBatch(n.cfg),

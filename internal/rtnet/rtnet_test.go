@@ -30,11 +30,11 @@ type recvKey struct {
 // gbnServer tracks per-(peer,flow) receivers spawned by Serve.
 type gbnServer struct {
 	mu    sync.Mutex
-	recvs map[recvKey]*arq.GBNReceiver
+	recvs map[recvKey]*arq.WindowReceiver
 }
 
 func newGBNServer(node *Node) (*gbnServer, error) {
-	s := &gbnServer{recvs: make(map[recvKey]*arq.GBNReceiver)}
+	s := &gbnServer{recvs: make(map[recvKey]*arq.WindowReceiver)}
 	err := node.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
 		r, err := arq.NewGBNReceiver(port, peer)
 		if err != nil {
@@ -48,7 +48,7 @@ func newGBNServer(node *Node) (*gbnServer, error) {
 	return s, err
 }
 
-func (s *gbnServer) receiver(peer netsim.Addr, flow byte) *arq.GBNReceiver {
+func (s *gbnServer) receiver(peer netsim.Addr, flow byte) *arq.WindowReceiver {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recvs[recvKey{peer, flow}]
@@ -84,7 +84,7 @@ func TestLoopbackGBN64Flows(t *testing.T) {
 	cfg := arq.FlowConfig{Window: 32, RTO: 100 * time.Millisecond, MaxRetries: 20}
 
 	type flowState struct {
-		sender *arq.GBNSender
+		sender *arq.WindowSender
 		done   chan struct{}
 	}
 	states := make([]flowState, e2eFlows)
@@ -158,7 +158,7 @@ func TestLoopbackSR64Flows(t *testing.T) {
 	defer server.Close()
 	cfg := arq.FlowConfig{Window: 32, RTO: 100 * time.Millisecond, MaxRetries: 20}
 	var mu sync.Mutex
-	recvs := make(map[recvKey]*arq.SRReceiver)
+	recvs := make(map[recvKey]*arq.WindowReceiver)
 	err = server.Serve(func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte) func(netsim.Addr, []byte) {
 		r, err := arq.NewSRReceiver(port, peer, cfg)
 		if err != nil {
@@ -183,7 +183,7 @@ func TestLoopbackSR64Flows(t *testing.T) {
 	}
 
 	const payloadsPerFlow, payloadSize = 20, 256
-	senders := make([]*arq.SRSender, e2eFlows)
+	senders := make([]*arq.WindowSender, e2eFlows)
 	dones := make([]chan struct{}, e2eFlows)
 	for id := 0; id < e2eFlows; id++ {
 		id := id
@@ -325,7 +325,7 @@ func TestMuxFramingHostileBytes(t *testing.T) {
 	}
 	done := make(chan struct{})
 	payloads := flowPayloads(9, 10, 128)
-	var sender *arq.GBNSender
+	var sender *arq.WindowSender
 	var aerr error
 	if err := f.Do(func(rt netsim.Runtime, port netsim.Port) {
 		sender, aerr = arq.AttachGBNSender(rt, port, peer,

@@ -16,11 +16,11 @@ import (
 // cookie handshake, the lifecycle analog of gbnServer.
 type sessionServer struct {
 	mu    sync.Mutex
-	recvs map[recvKey]*arq.GBNReceiver
+	recvs map[recvKey]*arq.WindowReceiver
 }
 
 func serveSessions(node *Node, cfg SessionConfig) (*sessionServer, error) {
-	s := &sessionServer{recvs: make(map[recvKey]*arq.GBNReceiver)}
+	s := &sessionServer{recvs: make(map[recvKey]*arq.WindowReceiver)}
 	err := node.ServeSession(cfg, func(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, flow byte, resume *session.Resume) *session.Engine {
 		r, err := arq.NewGBNReceiver(port, peer)
 		if err != nil {
@@ -37,7 +37,7 @@ func serveSessions(node *Node, cfg SessionConfig) (*sessionServer, error) {
 	return s, err
 }
 
-func (s *sessionServer) receiver(peer netsim.Addr, flow byte) *arq.GBNReceiver {
+func (s *sessionServer) receiver(peer netsim.Addr, flow byte) *arq.WindowReceiver {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recvs[recvKey{peer, flow}]
@@ -47,7 +47,7 @@ func (s *sessionServer) receiver(peer netsim.Addr, flow byte) *arq.GBNReceiver {
 // a go-back-N sender to its data port once the handshake completes. The
 // returned channel closes when the client reaches Down (clean teardown
 // or declared failure); inspect *senderOut and cli.Err() afterwards.
-func connectAndSend(t *testing.T, f *Flow, peer netsim.Addr, payloads [][]byte, senderOut **arq.GBNSender) (*session.Client, chan struct{}) {
+func connectAndSend(t *testing.T, f *Flow, peer netsim.Addr, payloads [][]byte, senderOut **arq.WindowSender) (*session.Client, chan struct{}) {
 	t.Helper()
 	down := make(chan struct{})
 	var cli *session.Client
@@ -108,7 +108,7 @@ func TestServeSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payloads := flowPayloads(5, 20, 256)
-	var sender *arq.GBNSender
+	var sender *arq.WindowSender
 	cli, down := connectAndSend(t, f, peer, payloads, &sender)
 
 	select {
@@ -185,7 +185,7 @@ func TestServeSessionRestartResume(t *testing.T) {
 	// plug is pulled — a short stream would finish and tear down cleanly
 	// (dropping its state slot) before the crash lands.
 	payloads := flowPayloads(5, 2000, 256)
-	var sender *arq.GBNSender
+	var sender *arq.WindowSender
 	_, down := connectAndSend(t, f, peer, payloads, &sender)
 
 	// Let the transfer make real progress, then pull the plug.

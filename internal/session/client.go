@@ -112,7 +112,6 @@ type Client struct {
 	confirmed bool // server demonstrably holds our session (ack or beat seen)
 	nonce     uint32
 	cookie    uint32
-	beatsSent uint64
 	done      bool
 	err       error
 }
@@ -221,10 +220,6 @@ func (d dataPort) ObsShard() *obs.Shard {
 	return nil
 }
 
-// Done reports whether the lifecycle has terminated (Down reached or
-// the connect abandoned).
-func (c *Client) Done() bool { return c.done }
-
 // Err returns the terminal error (nil while running or after a clean
 // close).
 func (c *Client) Err() error { return c.err }
@@ -286,11 +281,7 @@ func (c *Client) onSynAck() {
 		if c.retryT != nil {
 			c.retryT.Cancel()
 		}
-		if c.retries == 0 {
-			c.rto.Sample(c.rt.Now() - c.synSentAt)
-		} else {
-			c.rto.Progress()
-		}
+		c.rto.Ack(c.rt.Now()-c.synSentAt, c.retries == 0)
 		c.retries = 0
 		c.sh.Inc(obs.HandshakesOK)
 		// The ACK-C went out with the transition. Until the server
@@ -353,7 +344,7 @@ func (c *Client) confirm() {
 	}
 	c.confirmed = true
 	if c.retries > 0 {
-		c.rto.Progress()
+		c.rto.Ack(0, false)
 	}
 }
 
@@ -382,7 +373,6 @@ func (c *Client) onTick() {
 			return
 		}
 	}
-	c.beatsSent++
 	c.step(c.evTick)
 	if !c.confirmed {
 		// No ack and no BEAT-ACK yet: keep re-answering the cookie in

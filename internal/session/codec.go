@@ -36,7 +36,6 @@ type msgCodec struct {
 	kind   int
 	nonce  int
 	cookie int
-	seq    int
 }
 
 // Codec encodes and classifies control frames. It is single-goroutine
@@ -67,15 +66,13 @@ func NewCodec() (*Codec, error) {
 		mc := msgCodec{prog: prog, enc: prog.NewFrame(), dec: prog.NewFrame(), size: size}
 		mc.magic = mustSlot(prog, name, "magic")
 		mc.kind = mustSlot(prog, name, "kind")
-		mc.nonce, mc.cookie, mc.seq = -1, -1, -1
+		mc.nonce, mc.cookie = -1, -1
 		switch k {
 		case KindSyn:
 			mc.nonce = mustSlot(prog, name, "nonce")
 		case KindSynAck, KindAckC:
 			mc.nonce = mustSlot(prog, name, "nonce")
 			mc.cookie = mustSlot(prog, name, "cookie")
-		case KindBeat, KindBeatAck:
-			mc.seq = mustSlot(prog, name, "seq")
 		}
 		c.by[k] = mc
 	}

@@ -103,7 +103,7 @@ func twoNodeSim(t *testing.T, seed int64, link netsim.LinkParams, gcfg GateConfi
 
 func TestHandshakeTransferTeardown(t *testing.T) {
 	for _, loss := range []float64{0, 0.2} {
-		var recv *arq.GBNReceiver
+		var recv *arq.WindowReceiver
 		gcfg := GateConfig{
 			HeartbeatEvery: 50 * time.Millisecond,
 			Accept: func(peer netsim.Addr, resume *Resume) *Engine {
@@ -124,7 +124,7 @@ func TestHandshakeTransferTeardown(t *testing.T) {
 		}
 
 		payloads := testPayloads(12, 32)
-		var sender *arq.GBNSender
+		var sender *arq.WindowSender
 		var cli *Client
 		done := false
 		cfg := ClientConfig{
@@ -197,7 +197,7 @@ func (p *dropFirstAckC) Send(to netsim.Addr, data []byte) error {
 // lands within 3 × RTO.
 func TestLostAckCRetriedOnRTO(t *testing.T) {
 	const rto = 30 * time.Millisecond
-	var recv *arq.GBNReceiver
+	var recv *arq.WindowReceiver
 	firstAt := time.Duration(-1)
 	sim, cEP, sEP, gate := twoNodeSim(t, 5, netsim.LinkParams{Delay: time.Millisecond}, GateConfig{
 		Accept: func(peer netsim.Addr, resume *Resume) *Engine { return nil },
@@ -222,7 +222,7 @@ func TestLostAckCRetriedOnRTO(t *testing.T) {
 	port := &dropFirstAckC{Port: cEP, codec: codec}
 	payloads := testPayloads(4, 32)
 	var cli *Client
-	var sender *arq.GBNSender
+	var sender *arq.WindowSender
 	cli, err = Connect(sim, port, sEP.Addr(), ClientConfig{
 		RTO:            rto,
 		HeartbeatEvery: time.Second,
@@ -385,6 +385,11 @@ func TestSweepReapsSilentPeerAndResumes(t *testing.T) {
 
 func TestClientDeclaresPeerDown(t *testing.T) {
 	var peerDown, downErr = false, error(nil)
+	codec, err := NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	beats := 0
 	sim, cEP, sEP, _ := twoNodeSim(t, 9, netsim.LinkParams{Delay: time.Millisecond}, GateConfig{
 		HeartbeatEvery: 10 * time.Second, // server sweep out of the picture
 		Accept: func(peer netsim.Addr, resume *Resume) *Engine {
@@ -396,7 +401,13 @@ func TestClientDeclaresPeerDown(t *testing.T) {
 		HeartbeatEvery:  30 * time.Millisecond,
 		HeartbeatMisses: 3,
 		OnEstablished: func() {
-			sEP.SetHandler(func(netsim.Addr, []byte) {}) // server goes dark after the handshake
+			// The server goes dark after the handshake; count the beats
+			// that reach it unanswered.
+			sEP.SetHandler(func(_ netsim.Addr, data []byte) {
+				if codec.Classify(data) == KindBeat {
+					beats++
+				}
+			})
 		},
 		OnPeerDown: func() { peerDown = true },
 		OnDown:     func(err error) { downErr = err },
@@ -405,13 +416,13 @@ func TestClientDeclaresPeerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(sim, 2*time.Second)
-	if !peerDown || downErr != ErrPeerDown || !cli.Done() {
-		t.Fatalf("peerDown=%v err=%v done=%v", peerDown, downErr, cli.Done())
+	if !peerDown || downErr != ErrPeerDown || !cli.done {
+		t.Fatalf("peerDown=%v err=%v done=%v", peerDown, downErr, cli.done)
 	}
 	if got := obs.Of(sim).Get(obs.PeerDown); got == 0 {
 		t.Error("peer_down counter never moved")
 	}
-	if cli.beatsSent == 0 {
+	if beats == 0 {
 		t.Error("no heartbeats were sent")
 	}
 }
@@ -436,8 +447,8 @@ func TestConnectGivesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	advance(sim, 5*time.Second)
-	if downErr != ErrConnectTimeout || !cli.Done() || cli.m.State() != "Down" {
-		t.Fatalf("err=%v done=%v state=%s", downErr, cli.Done(), cli.m.State())
+	if downErr != ErrConnectTimeout || !cli.done || cli.m.State() != "Down" {
+		t.Fatalf("err=%v done=%v state=%s", downErr, cli.done, cli.m.State())
 	}
 }
 
@@ -479,8 +490,8 @@ func TestTimeWaitAbsorbsStaleControl(t *testing.T) {
 		t.Errorf("stale control moved the machine to %s", cli.m.State())
 	}
 	advance(sim, time.Second)
-	if cli.m.State() != "Down" || !cli.Done() || cli.Err() != nil {
-		t.Errorf("after expire: state=%s done=%v err=%v", cli.m.State(), cli.Done(), cli.Err())
+	if cli.m.State() != "Down" || !cli.done || cli.Err() != nil {
+		t.Errorf("after expire: state=%s done=%v err=%v", cli.m.State(), cli.done, cli.Err())
 	}
 }
 
@@ -640,13 +651,13 @@ func (c *Codec) AppendFin(dst []byte) []byte { return c.encode(dst, KindFin) }
 // AppendBeat appends an encoded heartbeat with sequence seq.
 func (c *Codec) AppendBeat(dst []byte, seq uint32) []byte {
 	mc := &c.by[KindBeat]
-	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
+	mc.enc.Set(mustSlot(mc.prog, "Beat", "seq"), expr.U32(uint64(seq)))
 	return c.encode(dst, KindBeat)
 }
 
 // AppendBeatAck appends an encoded heartbeat echo.
 func (c *Codec) AppendBeatAck(dst []byte, seq uint32) []byte {
 	mc := &c.by[KindBeatAck]
-	mc.enc.Set(mc.seq, expr.U32(uint64(seq)))
+	mc.enc.Set(mustSlot(mc.prog, "BeatAck", "seq"), expr.U32(uint64(seq)))
 	return c.encode(dst, KindBeatAck)
 }

@@ -75,7 +75,6 @@ type Case struct {
 
 // Suite is a generated test suite.
 type Suite struct {
-	Spec               string
 	Cases              []Case
 	TransitionsTotal   int
 	TransitionsCovered int
@@ -123,7 +122,7 @@ func Generate(spec *fsm.Spec, opts Options) (*Suite, error) {
 		return nil, err
 	}
 
-	suite := &Suite{Spec: spec.Name, TransitionsTotal: len(spec.Transitions)}
+	suite := &Suite{TransitionsTotal: len(spec.Transitions)}
 	firedSeen := make(map[string]bool)     // transition label
 	rejectSeen := make(map[[2]string]bool) // (state, event)
 	ignoreSeen := make(map[[2]string]bool) // (state, event)

@@ -140,9 +140,7 @@ type RelayStats struct {
 
 // Result reports a completed run.
 type Result struct {
-	Delivered int
-	Attempts  int
-	// SuccessRate is Delivered/Attempts.
+	// SuccessRate is the share of messages delivered.
 	SuccessRate float64
 	// LateSuccessRate is the success rate over the final quarter of the
 	// run — where learning has converged.
@@ -214,7 +212,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("trust: %w", err)
 	}
 
-	res := &Result{Delivered: runner.delivered, Attempts: cfg.Messages}
+	res := &Result{}
 	if cfg.Messages > 0 {
 		res.SuccessRate = float64(runner.delivered) / float64(cfg.Messages)
 	}

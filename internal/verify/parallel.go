@@ -172,7 +172,7 @@ func newExplorer(sys *System, opts Options) (*pexplorer, error) {
 func (e *pexplorer) run() (*Result, error) {
 	w0 := e.workers[0]
 	w0.save(w0.baseQ, w0.cur)
-	rootRef, _, full := e.tbl.insert(hashRecord(w0.cur), w0.cur, refNil, -1, 0)
+	rootRef, _, full := e.tbl.insert(hashRecord(w0.cur), w0.cur, refNil, -1)
 	if !full {
 		w0.checkInvariants(rootRef, 0, w0.cur)
 		e.frontiers[0].refs = []ref{rootRef}
@@ -360,7 +360,7 @@ func (w *pworker) expand(r ref, depth int32) {
 			continue // fired but changed nothing
 		}
 		productive = true
-		nr, isNew, full := w.e.tbl.insert(hashRecord(w.succ), w.succ, r, int32(mi), depth+1)
+		nr, isNew, full := w.e.tbl.insert(hashRecord(w.succ), w.succ, r, int32(mi))
 		if full {
 			continue // table already marked truncated
 		}

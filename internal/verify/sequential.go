@@ -30,7 +30,6 @@ type seqVisited struct {
 }
 
 type sexplorer struct {
-	sys     *System
 	opts    Options
 	res     *Result
 	visited map[string]seqVisited
@@ -57,7 +56,7 @@ func ExploreSequential(sys *System, opts Options) (*Result, error) {
 	}
 	initial.key = globalKey(sys, initial.machines, initial.queues)
 
-	e := &sexplorer{sys: sys, opts: opts, res: &Result{
+	e := &sexplorer{opts: opts, res: &Result{
 		Overruns: make([]uint64, len(sys.Routes)),
 	}}
 	e.visited = map[string]seqVisited{initial.key: {}}

@@ -7,7 +7,7 @@ package verify
 //   - hash high bits pick one of 256 shards, each with its own mutex —
 //     concurrent inserts rarely contend;
 //   - within a shard an open-addressed index maps hashes to an
-//     append-only meta array (hash, parent ref, move index, depth) and an
+//     append-only meta array (hash, parent ref, move index) and an
 //     append-only word arena holding the records back to back, record i
 //     at words [i*L, (i+1)*L) — one big allocation per shard instead of
 //     one per state;
@@ -45,7 +45,6 @@ type nodeMeta struct {
 	fp     uint64
 	parent ref
 	moveID int32 // index into the parent's enabledMoves list (-1 for root)
-	depth  int32
 }
 
 type tableShard struct {
@@ -80,7 +79,7 @@ func newTable(words, max int) *table {
 // insert adds the record if unseen. It returns the state's ref, whether
 // this call inserted it, and whether the global bound rejected it (full
 // implies not inserted and an invalid ref).
-func (t *table) insert(fp uint64, rec []uint64, parent ref, moveID int32, depth int32) (r ref, isNew bool, full bool) {
+func (t *table) insert(fp uint64, rec []uint64, parent ref, moveID int32) (r ref, isNew bool, full bool) {
 	shard := fp >> 56
 	s := &t.shards[shard]
 	L := t.words
@@ -109,7 +108,7 @@ func (t *table) insert(fp uint64, rec []uint64, parent ref, moveID int32, depth 
 		return refNil, false, true
 	}
 	s.arena = append(s.arena, rec...)
-	s.meta = append(s.meta, nodeMeta{fp: fp, parent: parent, moveID: moveID, depth: depth})
+	s.meta = append(s.meta, nodeMeta{fp: fp, parent: parent, moveID: moveID})
 	s.idx[i] = uint32(len(s.meta))
 	if uint64(len(s.meta))*4 >= uint64(len(s.idx))*3 {
 		s.grow()

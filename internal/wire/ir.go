@@ -18,15 +18,9 @@ type OpIR struct {
 	Slot int
 	// Bits is the width of a FieldUint op.
 	Bits int
-	// BitOffset is the field's fixed bit offset from the start of the
-	// message, or -1 if it sits after a variable-length field.
-	BitOffset int
 	// IsChecksum marks checksum fields: encoded as zeros, patched after
 	// serialisation (see ChecksumIR).
 	IsChecksum bool
-	// Compute is non-nil for computed fields (ComputeExpr carries the
-	// checked AST a source backend can translate).
-	Compute *Compute
 
 	// Length discipline for FieldBytes ops.
 	LenKind  LenKind
@@ -40,14 +34,12 @@ type OpIR struct {
 type AutoLenIR struct {
 	PayloadSlot int
 	LenSlot     int
-	LenBits     int
 }
 
 // ChecksumIR records a checksum field's fixed byte offset for the
 // deferred patch (encode) and the zero-verify-restore cycle (decode).
 type ChecksumIR struct {
 	Name    string
-	Slot    int
 	Algo    ChecksumAlgo
 	ByteOff int
 	NBytes  int
@@ -81,9 +73,7 @@ func (p *Program) IR() ProgramIR {
 			Kind:       op.kind,
 			Slot:       op.slot,
 			Bits:       op.bits,
-			BitOffset:  p.layout.fixedBitOff[op.slot],
 			IsChecksum: op.isChecksum,
-			Compute:    f.Compute,
 			LenKind:    op.lenKind,
 			LenBytes:   op.lenBytes,
 			LenSlot:    -1,
@@ -101,13 +91,13 @@ func (p *Program) IR() ProgramIR {
 	for i := range p.autoLens {
 		al := &p.autoLens[i]
 		ir.AutoLens = append(ir.AutoLens, AutoLenIR{
-			PayloadSlot: al.payloadSlot, LenSlot: al.lenSlot, LenBits: al.lenBits,
+			PayloadSlot: al.payloadSlot, LenSlot: al.lenSlot,
 		})
 	}
 	for i := range p.checksums {
 		cs := &p.checksums[i]
 		ir.Checksums = append(ir.Checksums, ChecksumIR{
-			Name: cs.name, Slot: cs.slot, Algo: cs.algo, ByteOff: cs.byteOff, NBytes: cs.nBytes,
+			Name: cs.name, Algo: cs.algo, ByteOff: cs.byteOff, NBytes: cs.nBytes,
 		})
 	}
 	return ir

@@ -100,7 +100,6 @@ type Compute struct {
 // Field is one field of a message layout, in wire order.
 type Field struct {
 	Name string
-	Doc  string
 	Kind FieldKind
 
 	// Bits is the width of a FieldUint field (1..64).

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,9 +91,17 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 // deadExempt lists the declarations the dead-symbol gate accepts
 // although no non-test code uses them, each with the reason it is kept.
 // Keys are named as the gate names its findings: pkg.Name, or
-// pkg.Type.Method for a method.
+// pkg.Type.Member for a method or a field.
 var deadExempt = map[string]string{
-	"genrt.CRC32": "the runtime half of a crc32 checksum field: codegen emits calls to it (checksumHelper), as for examples/quickstart's Ping, but no generated package in the tree has such a field",
+	"genrt.CRC32":                "the runtime half of a crc32 checksum field: codegen emits calls to it (checksumHelper), as for examples/quickstart's Ping, but no generated package in the tree has such a field",
+	"fsm.FrameResult.Ignored":    "StepEv's outcome mirrors Step's StepResult, whose Ignored testgen reads; the frame-path parity tests pin that the two agree, and Fired == nil alone cannot tell an ignored event from a rejected one",
+	"fsm.FrameResult.Rejected":   "as FrameResult.Ignored",
+	"harness.FlowResult.Shard":   "labels each flow in Report.Results; bench/sim.go's traced sweep sets it, so deleting it breaks the benchmark's build",
+	"harness.FlowResult.Flow":    "as FlowResult.Shard",
+	"sockets.Result.Delivered":   "internal/sockets is E2's hand-written baseline, measured line by line (cmd/experiments e2); its Result mirrors arq.Result so the comparison is like for like, and trimming it would change the measurement",
+	"sockets.Result.Retransmits": "as sockets.Result.Delivered",
+	"sockets.Result.Duration":    "as sockets.Result.Delivered",
+	"verify.Stats.Workers":       "the parallelism Explore actually used (0 selects GOMAXPROCS, capped by the frontier); the differential test pins that Options.Workers is honoured, and nothing else shows it",
 }
 
 // TestNoDeadExports fails on every declaration that ships but that
@@ -100,7 +109,12 @@ var deadExempt = map[string]string{
 // declared in non-test, non-generated code under internal/ or in the
 // root package that no non-test code uses outside its own declaration,
 // and an unexported one under internal/ that no code uses at all, tests
-// included. The root package is a facade: a use inside it counts only
+// included. It fails too on a field of a struct type declared there
+// that no non-test code reads: setting it in a composite literal,
+// assigning it and ++/-- are writes. A promoted selection reads the
+// embedded fields it passes through, == and map keys read every field
+// of the struct they compare, and a json tag has reflection read it.
+// The root package is a facade: a use inside it counts only
 // when it sits in a root declaration that code outside the root keeps,
 // such as a type a kept signature names. A method that implements an
 // interface the program uses is reached through that interface; an
@@ -157,18 +171,24 @@ func TestDeadSymbolClassifier(t *testing.T) {
 		"a.OwnTestOnly internal/a/a.go:30: exported but used only by its own package's tests",
 		"a.XTestOnly internal/a/a.go:33: exported but used only by its own package's tests",
 		"a.unexportedDead internal/a/a.go:38: unexported and used nowhere",
+		"a.Fields.Literal internal/a/fields.go:13: field never read",
+		"a.Fields.Assigned internal/a/fields.go:14: field never read",
+		"a.Fields.Counted internal/a/fields.go:15: field never read",
+		"a.Fields.TestRead internal/a/fields.go:17: field read only by tests",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
 	errs := deadGateErrors(findings, map[string]string{
-		"a.Nowhere":      "exempt: listed, so not an error",
-		"a.New":          "stale: New is used",
-		"a.Gone":         "stale: no such declaration",
-		"a.OtherTestAPI": "stale: another package's test uses it",
+		"a.Nowhere":         "exempt: listed, so not an error",
+		"a.Fields.Assigned": "exempt: listed, so not an error",
+		"a.New":             "stale: New is used",
+		"a.Gone":            "stale: no such declaration",
+		"a.OtherTestAPI":    "stale: another package's test uses it",
 	})
-	want = append(want[:3:3], want[4:]...) // a.Nowhere is exempt
+	want = append(want[:3:3], want[4:]...)                               // a.Nowhere is exempt
+	want = append(want[:len(want)-3:len(want)-3], want[len(want)-2:]...) // so is a.Fields.Assigned
 	want = append(want,
 		"a.Gone: exempt as dead but used, or gone; drop the exemption",
 		"a.New: exempt as dead but used, or gone; drop the exemption",
@@ -181,7 +201,7 @@ func TestDeadSymbolClassifier(t *testing.T) {
 
 // A deadFinding is one declaration the dead-symbol gate rejects.
 type deadFinding struct {
-	name string // pkg.Name, or pkg.Type.Method for a method
+	name string // pkg.Name, or pkg.Type.Member for a method or a field
 	pos  string // file:line, relative to the module root
 	why  string
 }
@@ -218,6 +238,10 @@ type symbolScan struct {
 	uses   map[string][]useSite
 	ifaces []*types.Interface // interfaces non-test code names or passes
 	seen   map[types.Type]bool
+	// reads and testReads hold the declaration positions of the struct
+	// fields that non-test and test code read. A position names a field
+	// alike in a package's non-test and test-variant type-checks.
+	reads, testReads map[token.Pos]bool
 }
 
 // scanDeadSymbols applies the dead-symbol rules to the module rooted at
@@ -227,7 +251,10 @@ func scanDeadSymbols(root string) ([]deadFinding, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &symbolScan{pkgs: map[string]*symPkg{}, uses: map[string][]useSite{}, seen: map[types.Type]bool{}}
+	s := &symbolScan{
+		pkgs: map[string]*symPkg{}, uses: map[string][]useSite{}, seen: map[types.Type]bool{},
+		reads: map[token.Pos]bool{}, testReads: map[token.Pos]bool{},
+	}
 	for _, line := range strings.Split(string(mod), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
 			s.module = f[1]
@@ -265,6 +292,7 @@ func scanDeadSymbols(root string) ([]deadFinding, error) {
 	var out []deadFinding
 	for _, p := range paths {
 		out = append(out, s.findings(root, s.pkgs[p])...)
+		out = append(out, s.fieldFindings(root, s.pkgs[p])...)
 	}
 	return out, nil
 }
@@ -324,13 +352,17 @@ func (s *symbolScan) check(p string) (*types.Package, error) {
 	if sp.pkg != nil {
 		return sp.pkg, nil
 	}
-	sp.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	sp.info = &types.Info{
+		Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	pkg, err := (&types.Config{Importer: s}).Check(p, symFset, sp.files, sp.info)
 	if err != nil {
 		return nil, err
 	}
 	sp.pkg = pkg
 	s.record(sp.info, sp.dir, false, nil)
+	recordFieldReads(sp.info, sp.files, false, s.reads)
 	for _, tv := range sp.info.Types {
 		s.collectIfaces(tv.Type)
 	}
@@ -348,16 +380,17 @@ func (s *symbolScan) check(p string) (*types.Package, error) {
 func (s *symbolScan) checkTests(sp *symPkg) error {
 	under := sp.pkg
 	if len(sp.tests) > 0 {
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := newTestInfo()
 		pkg, err := (&types.Config{Importer: s}).Check(sp.path, symFset, append(append([]*ast.File{}, sp.files...), sp.tests...), info)
 		if err != nil {
 			return err
 		}
 		s.record(info, sp.dir, true, sp.tests)
+		recordFieldReads(info, sp.tests, true, s.testReads)
 		under = pkg
 	}
 	if len(sp.xtests) > 0 {
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := newTestInfo()
 		// As go test does, packages that import the package under test
 		// are rebuilt against its test variant.
 		rebuilt := map[string]*types.Package{sp.path: under}
@@ -377,8 +410,101 @@ func (s *symbolScan) checkTests(sp *symPkg) error {
 			return err
 		}
 		s.record(info, sp.dir, true, nil)
+		recordFieldReads(info, sp.xtests, false, s.testReads)
 	}
 	return nil
+}
+
+func newTestInfo() *types.Info {
+	return &types.Info{
+		Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+// recordFieldReads adds to into the declaration position of every
+// struct field that files read; with only set, it ignores what info
+// holds for other files. A composite-literal key, an assignment's
+// target and an ++/-- operand write their field; any other use reads
+// it. A promoted selection reads each embedded field it passes through,
+// and a struct compared with == or != or used as a map key has every
+// field read by the comparison.
+func recordFieldReads(info *types.Info, files []*ast.File, only bool, into map[token.Pos]bool) {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							writes[id] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					readAllFields(info.TypeOf(n.X), into)
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] && (!only || within(id.Pos(), files)) {
+			into[v.Origin().Pos()] = true
+		}
+	}
+	for sel, selection := range info.Selections {
+		if only && !within(sel.Pos(), files) {
+			continue
+		}
+		t, path := selection.Recv(), selection.Index()
+		for _, i := range path[:len(path)-1] {
+			if ptr, ok := t.Underlying().(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			into[st.Field(i).Origin().Pos()] = true
+			t = st.Field(i).Type()
+		}
+	}
+	for e, tv := range info.Types {
+		if m, ok := tv.Type.(*types.Map); ok && (!only || within(e.Pos(), files)) {
+			readAllFields(m.Key(), into)
+		}
+	}
+}
+
+// readAllFields marks every field of a struct type read, through nested
+// structs and arrays, as comparing two values of it does.
+func readAllFields(t types.Type, into map[token.Pos]bool) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			into[u.Field(i).Origin().Pos()] = true
+			readAllFields(u.Field(i).Type(), into)
+		}
+	case *types.Array:
+		readAllFields(u.Elem(), into)
+	}
 }
 
 // dependsOn reports whether pkg imports the package at path, directly
@@ -663,6 +789,58 @@ func (s *symbolScan) findings(root string, sp *symPkg) []deadFinding {
 			pos:  fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line),
 			why:  why,
 		})
+	}
+	return out
+}
+
+// fieldFindings applies the field rule to the struct types declared at
+// package level in sp's non-test, non-generated files.
+func (s *symbolScan) fieldFindings(root string, sp *symPkg) []deadFinding {
+	if sp.dir != "." && !strings.HasPrefix(sp.dir, "internal/") {
+		return nil
+	}
+	var out []deadFinding
+	for _, f := range sp.files {
+		if ast.IsGenerated(f) {
+			continue
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				obj := sp.info.Defs[ts.Name]
+				if _, lit := ts.Type.(*ast.StructType); !lit || obj == nil {
+					continue
+				}
+				st := obj.Type().Underlying().(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					fv := st.Field(i)
+					if fv.Name() == "_" || s.reads[fv.Pos()] {
+						continue
+					}
+					if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+						continue
+					}
+					why := "field never read"
+					if s.testReads[fv.Pos()] {
+						why = "field read only by tests"
+					}
+					pos := symFset.Position(fv.Pos())
+					file, err := filepath.Rel(root, pos.Filename)
+					if err != nil {
+						file = pos.Filename
+					}
+					out = append(out, deadFinding{
+						name: sp.name + "." + ts.Name.Name + "." + fv.Name(),
+						pos:  fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line),
+						why:  why,
+					})
+				}
+			}
+		}
 	}
 	return out
 }
