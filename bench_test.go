@@ -390,32 +390,9 @@ func BenchmarkCompiledVsTreeWalk(b *testing.B) {
 	})
 
 	// The same comparison at machine granularity: a full send/ack step
-	// pair through the interpreter, which executes the compiled program.
-	b.Run("machine-step", func(b *testing.B) {
-		m, err := fsm.NewMachine(arq.SenderSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		data := expr.Bytes([]byte{1, 2, 3})
-		sendArgs := map[string]expr.Value{"data": data}
-		ackFields := map[string]expr.Value{"seq": expr.U8(0), "chk": expr.U8(0)}
-		okArgs := map[string]expr.Value{"ack": expr.MsgView("Ack", ackFields)}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Step(arq.EvSend, sendArgs); err != nil {
-				b.Fatal(err)
-			}
-			seq, _ := m.Var("seq")
-			ackFields["seq"] = seq
-			if _, err := m.Step(arq.EvOK, okArgs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// And the slot-frame path the engines actually run: positional args,
-	// shape-backed message values, frame outputs (fsm.Machine.StepEv).
+	// pair through the interpreter, which executes the compiled program
+	// (fsm.Machine.StepEv: positional args, an ack in the compiled
+	// message shape, frame outputs).
 	b.Run("machine-step-frame", func(b *testing.B) {
 		m, err := fsm.NewMachine(arq.SenderSpec())
 		if err != nil {
@@ -444,25 +421,29 @@ func BenchmarkCompiledVsTreeWalk(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationInterpVsCodegen: the fsm interpreter's Step against
+// BenchmarkAblationInterpVsCodegen: the fsm interpreter's StepEv against
 // the generated typed-state transitions, on the ARQ send/ack hot loop.
+// Each side builds its ack anew every round: the interpreter with
+// expr.Msg, the generated code by encoding and decoding it.
 func BenchmarkAblationInterpVsCodegen(b *testing.B) {
 	b.Run("interpreter", func(b *testing.B) {
 		m, err := fsm.NewMachine(arq.SenderSpec())
 		if err != nil {
 			b.Fatal(err)
 		}
+		evSend, _ := m.EventID(arq.EvSend)
+		evOK, _ := m.EventID(arq.EvOK)
 		data := expr.Bytes([]byte{1, 2, 3})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Step(arq.EvSend, map[string]expr.Value{"data": data}); err != nil {
+			if _, err := m.StepEv(evSend, data); err != nil {
 				b.Fatal(err)
 			}
 			seq, _ := m.Var("seq")
 			ack := expr.Msg("Ack", map[string]expr.Value{
 				"seq": seq, "chk": expr.U8(0),
 			})
-			if _, err := m.Step(arq.EvOK, map[string]expr.Value{"ack": ack}); err != nil {
+			if _, err := m.StepEv(evOK, ack); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -66,7 +66,9 @@ func run(args []string, out io.Writer) error {
 
 	// Flow/peer/byte counters are written from shard loops and read by
 	// the stats printer: atomics, nothing shared beyond them.
-	var flows, frames, bytes, failed atomic.Uint64
+	// frameBytes sums len(data) of every frame a flow handler receives:
+	// the ARQ header, retransmissions and duplicates included.
+	var flows, frames, frameBytes, failed atomic.Uint64
 	cfg := arq.FlowConfig{Window: *window}
 	newReceiver := arq.NewGBNReceiver
 	if *variant == "sr" {
@@ -81,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	handle := func(r *arq.WindowReceiver) func(netsim.Addr, []byte) {
 		return func(from netsim.Addr, data []byte) {
 			frames.Add(1)
-			bytes.Add(uint64(len(data)))
+			frameBytes.Add(uint64(len(data)))
 			if r.Err() != nil {
 				return
 			}
@@ -149,7 +151,7 @@ func run(args []string, out io.Writer) error {
 			return map[string]uint64{
 				"flows":          flows.Load(),
 				"flow_frames":    frames.Load(),
-				"payload_bytes":  bytes.Load(),
+				"frame_bytes":    frameBytes.Load(),
 				"engines_failed": failed.Load(),
 			}
 		})
@@ -176,8 +178,8 @@ func run(args []string, out io.Writer) error {
 	// flows finish, new peers see loss (drop_draining). A failed drain is
 	// reported but not fatal — Close still reclaims everything.
 	drain := func(reason string) {
-		fmt.Fprintf(out, "protoserve: %s; flows=%d frames=%d payload_bytes=%d engines_failed=%d\n",
-			reason, flows.Load(), frames.Load(), bytes.Load(), failed.Load())
+		fmt.Fprintf(out, "protoserve: %s; flows=%d frames=%d frame_bytes=%d engines_failed=%d\n",
+			reason, flows.Load(), frames.Load(), frameBytes.Load(), failed.Load())
 		if *drainTO <= 0 {
 			return
 		}
@@ -191,8 +193,8 @@ func run(args []string, out io.Writer) error {
 	for {
 		select {
 		case <-tick:
-			fmt.Fprintf(out, "protoserve: flows=%d frames=%d payload_bytes=%d engines_failed=%d header_drops=%d send_errs=%d\n",
-				flows.Load(), frames.Load(), bytes.Load(), failed.Load(), node.Drops(), node.SendErrors())
+			fmt.Fprintf(out, "protoserve: flows=%d frames=%d frame_bytes=%d engines_failed=%d header_drops=%d send_errs=%d\n",
+				flows.Load(), frames.Load(), frameBytes.Load(), failed.Load(), node.Drops(), node.SendErrors())
 		case <-interrupt:
 			drain("interrupted")
 			return nil

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -62,7 +63,7 @@ func TestServeExitsAfterDuration(t *testing.T) {
 	if !listenLine.MatchString(s) {
 		t.Fatalf("no listen address announced in output:\n%s", s)
 	}
-	if !strings.Contains(s, "done;") || !strings.Contains(s, "engines_failed=0") {
+	if !strings.Contains(s, "done;") || !strings.Contains(s, "frame_bytes=0 ") || !strings.Contains(s, "engines_failed=0") {
 		t.Fatalf("no shutdown summary in output:\n%s", s)
 	}
 }
@@ -401,4 +402,28 @@ func TestStatsEndpointsUnderLoad(t *testing.T) {
 			t.Errorf("/metrics missing %q; got:\n%s", want, prom)
 		}
 	}
+	// frame_bytes counts whole frames as the flow handlers receive them:
+	// every data frame is the payload plus the 4-byte ARQ header, so it
+	// is exactly flow_frames × (size + 4), retransmissions included.
+	frameBytes, flowFrames := promValue(t, prom, "pdsl_frame_bytes"), promValue(t, prom, "pdsl_flow_frames")
+	if want := flowFrames * (size + 4); frameBytes != want {
+		t.Errorf("pdsl_frame_bytes = %d, want pdsl_flow_frames %d × %d = %d", frameBytes, flowFrames, size+4, want)
+	}
+	if flowFrames < nFlows*nPayloads {
+		t.Errorf("pdsl_flow_frames = %d, want >= %d (one per acked payload)", flowFrames, nFlows*nPayloads)
+	}
+}
+
+// promValue reads an unlabelled sample from Prometheus text output.
+func promValue(t *testing.T, prom []byte, name string) uint64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` ([0-9]+)$`).FindSubmatch(prom)
+	if m == nil {
+		t.Fatalf("/metrics has no %s sample; got:\n%s", name, prom)
+	}
+	v, err := strconv.ParseUint(string(m[1]), 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

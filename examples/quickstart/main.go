@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"protodsl"
 )
@@ -44,12 +46,12 @@ const source = `protocol pingpong {
 }`
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// 1. Compile: parse + every static check. A protocol that compiles
 	//    is correct by construction — unsound or incomplete machines are
 	//    rejected here, before anything can run.
@@ -57,16 +59,16 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("compile: %w", err)
 	}
-	fmt.Printf("compiled protocol %q: %d message(s), %d machine(s)\n",
+	fmt.Fprintf(w, "compiled protocol %q: %d message(s), %d machine(s)\n",
 		proto.Name, len(proto.MessageOrder), len(proto.Machines))
 	for _, r := range reports {
-		fmt.Printf("  machine %s: %d error(s), %d warning(s)\n",
+		fmt.Fprintf(w, "  machine %s: %d error(s), %d warning(s)\n",
 			r.Spec, len(r.Errors()), len(r.Warnings()))
 	}
 
 	// 2. The wire layout, rendered as the canonical RFC-style picture.
-	fmt.Println("\nwire format:")
-	fmt.Println(protodsl.Diagram(proto.Messages["Ping"]))
+	fmt.Fprintln(w, "\nwire format:")
+	fmt.Fprintln(w, protodsl.Diagram(proto.Messages["Ping"]))
 
 	// 3. Encode and decode a message. Decoding validates the CRC; the
 	//    values are only handed out once every check passed. The layout
@@ -82,12 +84,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("encoded Ping: %x\n", encoded)
+	fmt.Fprintf(w, "encoded Ping: %x\n", encoded)
 	decoded, err := layout.Decode(encoded)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("decoded seq=%d body=%q (crc verified)\n",
+	fmt.Fprintf(w, "decoded seq=%d body=%q (crc verified)\n",
 		decoded["seq"].AsUint(), decoded["body"].RawBytes())
 
 	// 4. Execute the machine. Only transitions the checked spec declares
@@ -98,28 +100,41 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err := machine.Step("GO", map[string]protodsl.Value{
-		"data": protodsl.BytesValue([]byte("ping!")),
-	})
+	goEv, okGo := machine.EventID("GO")
+	pongEv, okPong := machine.EventID("PONG")
+	stopEv, okStop := machine.EventID("STOP")
+	if !okGo || !okPong || !okStop {
+		return fmt.Errorf("machine %s lacks GO, PONG or STOP", machine.Spec().Name)
+	}
+	res, err := machine.StepEv(goEv, protodsl.BytesValue([]byte("ping!")))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nGO: %s -> %s, emitted %d message(s)\n", res.From, res.To, len(res.Outputs))
+	fmt.Fprintf(w, "\nGO: %s -> %s, emitted %d message(s)\n", res.From, res.To, len(res.Outputs))
+	for _, out := range res.Outputs {
+		fmt.Fprintf(w, "  %s:", out.Message)
+		for i := 0; i < out.Shape.NumFields(); i++ {
+			if v := out.Frame.Get(i); v.IsValid() { // crc is the codec's to compute
+				fmt.Fprintf(w, " %s=%s", out.Shape.FieldName(i), v)
+			}
+		}
+		fmt.Fprintln(w)
+	}
 
 	pong := protodsl.MsgValue("Ping", map[string]protodsl.Value{
 		"seq": protodsl.U16(0), "crc": protodsl.U32(0), "body": protodsl.BytesValue(nil),
 	})
-	res, err = machine.Step("PONG", map[string]protodsl.Value{"p": pong})
+	res, err = machine.StepEv(pongEv, pong)
 	if err != nil {
 		return err
 	}
 	seq, _ := machine.Var("seq")
-	fmt.Printf("PONG: %s -> %s, seq now %d\n", res.From, res.To, seq.AsUint())
+	fmt.Fprintf(w, "PONG: %s -> %s, seq now %d\n", res.From, res.To, seq.AsUint())
 
-	if _, err := machine.Step("STOP", nil); err != nil {
+	if _, err := machine.StepEv(stopEv); err != nil {
 		return err
 	}
-	fmt.Printf("STOP: machine finished in state %s\n", machine.State())
+	fmt.Fprintf(w, "STOP: machine finished in state %s\n", machine.State())
 
 	// 5. Derive the behavioural test suite the definition implies (§2.3).
 	suite, err := protodsl.GenerateTests(proto.Machines[0])
@@ -129,7 +144,7 @@ func run() error {
 	if err := protodsl.RunTests(proto.Machines[0], suite); err != nil {
 		return err
 	}
-	fmt.Printf("\nauto-generated tests: %d cases, %.0f%% transition coverage — replay PASS\n",
+	fmt.Fprintf(w, "\nauto-generated tests: %d cases, %.0f%% transition coverage — replay PASS\n",
 		len(suite.Cases), 100*suite.Coverage())
 
 	// 6. Generate Go code: typed per-state machines + inline codecs.
@@ -137,6 +152,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("generated %d bytes of Go (try `pdslc gen` to see it)\n", len(code))
+	fmt.Fprintf(w, "generated %d bytes of Go (try `pdslc gen` to see it)\n", len(code))
 	return nil
 }

@@ -11,6 +11,7 @@ package gen
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -163,9 +164,19 @@ func machineByName(t *testing.T, proto *dsl.Protocol, name string) *fsm.Spec {
 	return nil
 }
 
+// stepNamed delivers the named event to the interpreter with positional
+// arguments.
+func stepNamed(m *fsm.Machine, event string, args ...expr.Value) (fsm.FrameResult, error) {
+	ev, ok := m.EventID(event)
+	if !ok {
+		return fsm.FrameResult{}, fmt.Errorf("%w: %q", fsm.ErrUnknownEvent, event)
+	}
+	return m.StepEv(ev, args...)
+}
+
 // checkStep compares one delivery's result across the two execution
-// models: interpreter StepResult vs flat StepOutcome.
-func checkStep(t *testing.T, step int, res fsm.StepResult, ierr error, out genrt.StepOutcome, ferr error, names []string) {
+// models: interpreter FrameResult vs flat StepOutcome.
+func checkStep(t *testing.T, step int, res fsm.FrameResult, ierr error, out genrt.StepOutcome, ferr error, names []string) {
 	t.Helper()
 	if (ierr == nil) != (ferr == nil) {
 		t.Fatalf("step %d: interp err %v, flat err %v", step, ierr, ferr)
@@ -201,14 +212,14 @@ func TestFlatSenderMatchesInterpreter(t *testing.T) {
 	names := SenderTransitionNames[:]
 	rng := rand.New(rand.NewSource(42))
 	for step := 0; step < 5000; step++ {
-		var res fsm.StepResult
+		var res fsm.FrameResult
 		var ierr, ferr error
 		var out genrt.StepOutcome
 		switch rng.Intn(6) {
 		case 0:
 			data := make([]byte, rng.Intn(8))
 			rng.Read(data)
-			res, ierr = interp.Step("SEND", map[string]expr.Value{"data": expr.Bytes(data)})
+			res, ierr = stepNamed(interp, "SEND", expr.Bytes(data))
 			out, ferr = flat.SEND(data)
 		case 1:
 			// Half the acks match the in-flight seq, half are stale.
@@ -216,21 +227,21 @@ func TestFlatSenderMatchesInterpreter(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				seq += uint8(1 + rng.Intn(3))
 			}
-			res, ierr = interp.Step("OK", map[string]expr.Value{"ack": expr.Msg("Ack", map[string]expr.Value{
+			res, ierr = stepNamed(interp, "OK", expr.Msg("Ack", map[string]expr.Value{
 				"seq": expr.U8(uint64(seq)), "chk": expr.U8(0),
-			})})
+			}))
 			out, ferr = flat.OK(&Ack{Seq: seq})
 		case 2:
-			res, ierr = interp.Step("FAIL", nil)
+			res, ierr = stepNamed(interp, "FAIL")
 			out, ferr = flat.FAIL()
 		case 3:
-			res, ierr = interp.Step("TIMEOUT", nil)
+			res, ierr = stepNamed(interp, "TIMEOUT")
 			out, ferr = flat.TIMEOUT()
 		case 4:
-			res, ierr = interp.Step("RETRY", nil)
+			res, ierr = stepNamed(interp, "RETRY")
 			out, ferr = flat.RETRY()
 		case 5:
-			res, ierr = interp.Step("FINISH", nil)
+			res, ierr = stepNamed(interp, "FINISH")
 			out, ferr = flat.FINISH()
 		}
 		checkStep(t, step, res, ierr, out, ferr, names)
@@ -239,8 +250,10 @@ func TestFlatSenderMatchesInterpreter(t *testing.T) {
 			if o.Message != "Packet" {
 				t.Fatalf("step %d: unexpected output %s", step, o.Message)
 			}
-			if o.Fields["seq"].AsUint() != uint64(flat.OutPacket.Seq) ||
-				!bytes.Equal(o.Fields["payload"].AsBytes(), flat.OutPacket.Payload) {
+			pkt := expr.FrameMsg(o.Shape, o.Frame)
+			seq, _ := pkt.Field("seq")
+			payload, _ := pkt.Field("payload")
+			if seq.AsUint() != uint64(flat.OutPacket.Seq) || !bytes.Equal(payload.RawBytes(), flat.OutPacket.Payload) {
 				t.Fatalf("step %d: output packet diverges", step)
 			}
 		}
@@ -273,11 +286,11 @@ func TestFlatReceiverMatchesInterpreter(t *testing.T) {
 	names := ReceiverTransitionNames[:]
 	rng := rand.New(rand.NewSource(7))
 	for step := 0; step < 5000; step++ {
-		var res fsm.StepResult
+		var res fsm.FrameResult
 		var ierr, ferr error
 		var out genrt.StepOutcome
 		if rng.Intn(20) == 0 {
-			res, ierr = interp.Step("CLOSE", nil)
+			res, ierr = stepNamed(interp, "CLOSE")
 			out, ferr = flat.CLOSE()
 		} else {
 			seq := flat.Vars.Seq
@@ -286,10 +299,10 @@ func TestFlatReceiverMatchesInterpreter(t *testing.T) {
 			}
 			payload := make([]byte, rng.Intn(8))
 			rng.Read(payload)
-			res, ierr = interp.Step("RECV", map[string]expr.Value{"p": expr.Msg("Packet", map[string]expr.Value{
+			res, ierr = stepNamed(interp, "RECV", expr.Msg("Packet", map[string]expr.Value{
 				"seq": expr.U8(uint64(seq)), "chk": expr.U8(0),
 				"paylen": expr.U16(uint64(len(payload))), "payload": expr.Bytes(payload),
-			})})
+			}))
 			out, ferr = flat.RECV(&Packet{Seq: seq, Payload: payload})
 		}
 		checkStep(t, step, res, ierr, out, ferr, names)

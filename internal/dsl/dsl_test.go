@@ -64,7 +64,10 @@ func TestDSLMatchesProgrammaticARQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive the happy path exactly as the arq tests do.
-	res, err := m.Step("SEND", map[string]expr.Value{"data": expr.Bytes([]byte("hi"))})
+	sendEv, _ := m.EventID("SEND")
+	okEv, _ := m.EventID("OK")
+	finishEv, _ := m.EventID("FINISH")
+	res, err := m.StepEv(sendEv, expr.Bytes([]byte("hi")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestDSLMatchesProgrammaticARQ(t *testing.T) {
 		t.Fatalf("SEND: %+v", res)
 	}
 	ack := expr.Msg("Ack", map[string]expr.Value{"seq": expr.U8(0), "chk": expr.U8(0)})
-	res, err = m.Step("OK", map[string]expr.Value{"ack": ack})
+	res, err = m.StepEv(okEv, ack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestDSLMatchesProgrammaticARQ(t *testing.T) {
 	if seq, _ := m.Var("seq"); seq.AsUint() != 1 {
 		t.Errorf("seq = %d", seq.AsUint())
 	}
-	if _, err := m.Step("FINISH", nil); err != nil {
+	if _, err := m.StepEv(finishEv); err != nil {
 		t.Fatal(err)
 	}
 	if !m.InFinal() {

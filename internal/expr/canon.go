@@ -11,8 +11,8 @@ package expr
 // Every variable-length component is length-prefixed with a uvarint, so
 // concatenations cannot alias across component boundaries. Message
 // fields are emitted in sorted name order with an up-front field count,
-// which makes map-backed and frame-backed messages with the same present
-// fields encode identically.
+// so messages with the same present fields encode identically whatever
+// slot order their shapes give them.
 //
 // DecodeCanon accepts exactly what AppendCanon emits and validates tags,
 // widths and lengths, but it does not reject non-minimal uvarints or
@@ -82,7 +82,8 @@ func (v Value) AppendCanon(dst []byte) []byte {
 }
 
 // DecodeCanon decodes one value from the front of data, returning the
-// value and the remaining bytes. Decoded messages are map-backed.
+// value and the remaining bytes. A decoded message is built by Msg: its
+// shape lists the decoded field names sorted.
 func DecodeCanon(data []byte) (Value, []byte, error) {
 	return decodeCanon(data, 0)
 }
@@ -172,7 +173,7 @@ func decodeCanon(data []byte, depth int) (Value, []byte, error) {
 		if uint64(len(fields)) != nFields {
 			return Value{}, nil, fmt.Errorf("%w: duplicate message field", ErrCanon)
 		}
-		return MsgView(string(nameB), fields), data, nil
+		return Msg(string(nameB), fields), data, nil
 	default:
 		return Value{}, nil, fmt.Errorf("%w: tag 0x%02x", ErrCanon, tag)
 	}

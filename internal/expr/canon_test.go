@@ -60,8 +60,8 @@ func TestCanonInjective(t *testing.T) {
 	for _, v := range canonValues() {
 		k := string(v.AppendCanon(nil))
 		if prev, dup := seen[k]; dup {
-			// The two frame/map representations of the same message are
-			// supposed to collide; anything else is an injectivity bug.
+			// FrameMsg and Msg builds of the same message are supposed
+			// to collide; anything else is an injectivity bug.
 			if !prev.Equal(v) {
 				t.Errorf("canon collision: %s vs %s (%x)", prev, v, k)
 			}
@@ -79,7 +79,7 @@ func TestCanonMapAndFrameMsgsEncodeIdentically(t *testing.T) {
 	framed := FrameMsg(shape, fr)
 	mapped := Msg("Pkt", map[string]Value{"seq": U8(7), "payload": Bytes([]byte{0xAA})})
 	if a, b := framed.AppendCanon(nil), mapped.AppendCanon(nil); !bytes.Equal(a, b) {
-		t.Fatalf("frame-backed %x vs map-backed %x", a, b)
+		t.Fatalf("FrameMsg %x vs Msg %x", a, b)
 	}
 }
 

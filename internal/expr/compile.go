@@ -242,9 +242,9 @@ func CompileBool(e Expr, layout *ScopeLayout) func(*Frame) (bool, error) {
 }
 
 // fieldAccessSlow is the generic `ident.field` read shared by the fused
-// field-access closures: it handles map-backed messages, frame-backed
-// messages of a different shape than the compile-time declaration, and
-// the error cases, reproducing Eval's behaviour exactly.
+// field-access closures: it handles messages of a different shape than
+// the compile-time declaration and the error cases, reproducing Eval's
+// behaviour exactly.
 func fieldAccessSlow(xv Value, name, idName string, off, idOff int) (Value, error) {
 	if xv.kind == KindMsg {
 		if fv, ok := xv.fieldByName(name); ok {

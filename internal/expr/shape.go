@@ -1,6 +1,9 @@
 package expr
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // This file implements slot-backed message values: the expression-language
 // view of a wire.Program frame. A MsgShape assigns each field of a message
@@ -35,12 +38,9 @@ func NewMsgShape(name string, fields []string) *MsgShape {
 	for i, f := range s.names {
 		s.slots[f] = i
 	}
-	s.sortedNames = append([]string(nil), s.names...)
-	// insertion sort: field lists are tiny.
-	for i := 1; i < len(s.sortedNames); i++ {
-		for j := i; j > 0 && s.sortedNames[j] < s.sortedNames[j-1]; j-- {
-			s.sortedNames[j], s.sortedNames[j-1] = s.sortedNames[j-1], s.sortedNames[j]
-		}
+	s.sortedNames = s.names
+	if !slices.IsSorted(s.names) {
+		s.sortedNames = slices.Sorted(slices.Values(s.names))
 	}
 	return s
 }
@@ -61,10 +61,10 @@ func (s *MsgShape) Slot(name string) (int, bool) {
 func (s *MsgShape) FieldName(slot int) string { return s.names[slot] }
 
 // FrameMsg returns a message value whose fields live in the slots of f,
-// laid out by shape, without copying. It is the slot-frame counterpart of
-// MsgView: the caller must not mutate f while the value is live. A slot
-// holding the invalid zero Value reads as a missing field, so a partially
-// filled frame behaves like a map lacking those keys.
+// laid out by shape, without copying: the caller must not mutate f while
+// the value is live. A slot holding the invalid zero Value reads as a
+// missing field, so a partially filled frame is a message lacking those
+// fields.
 //
 // The frame must be at least shape.NumFields() slots (a frame laid out
 // by any canonical shape of the same message qualifies); a smaller frame
@@ -74,7 +74,7 @@ func FrameMsg(shape *MsgShape, f *Frame) Value {
 	if f.Len() < len(shape.names) {
 		panic("expr: FrameMsg: frame smaller than shape")
 	}
-	return Value{kind: KindMsg, bits: msgSlots, p: unsafe.Pointer(shape), q: unsafe.Pointer(f)}
+	return Value{kind: KindMsg, p: unsafe.Pointer(shape), q: unsafe.Pointer(f)}
 }
 
 // SameLayout reports whether two shapes describe the same message type
@@ -94,48 +94,34 @@ func (s *MsgShape) SameLayout(o *MsgShape) bool {
 	return true
 }
 
-// fieldByName resolves a field of a KindMsg value of either
-// representation. Invalid slot values in a frame-backed message read as
-// missing, mirroring a map without the key. Other kinds have no fields.
+// fieldByName resolves a field of a KindMsg value. An unset (invalid)
+// slot reads as a missing field. Other kinds have no fields.
 func (v Value) fieldByName(name string) (Value, bool) {
 	if v.kind != KindMsg {
 		return Value{}, false
 	}
-	if v.bits == msgSlots {
-		slot, ok := (*MsgShape)(v.p).slots[name]
-		if !ok {
-			return Value{}, false
-		}
-		fv := (*Frame)(v.q).slots[slot]
-		if fv.kind == KindInvalid {
-			return Value{}, false
-		}
-		return fv, true
+	slot, ok := (*MsgShape)(v.p).slots[name]
+	if !ok {
+		return Value{}, false
 	}
-	f, ok := v.fieldMap()[name]
-	return f, ok
+	fv := (*Frame)(v.q).slots[slot]
+	return fv, fv.kind != KindInvalid
 }
 
-// msgFieldNames returns the field names of a KindMsg value sorted (both
-// representations), for deterministic rendering and hashing.
+// msgFieldNames returns the field names of a KindMsg value's shape
+// sorted, for deterministic rendering and hashing.
 func (v Value) msgFieldNames() []string {
-	if v.slotBacked() {
-		return (*MsgShape)(v.p).sortedNames
-	}
-	return sortedKeys(v.fieldMap())
+	return (*MsgShape)(v.p).sortedNames
 }
 
 // numMsgFields returns the number of present fields of a KindMsg value.
 func (v Value) numMsgFields() int {
-	if v.slotBacked() {
-		fr := (*Frame)(v.q)
-		n := 0
-		for i := range (*MsgShape)(v.p).names {
-			if fr.slots[i].kind != KindInvalid {
-				n++
-			}
+	fr := (*Frame)(v.q)
+	n := 0
+	for i := range (*MsgShape)(v.p).names {
+		if fr.slots[i].kind != KindInvalid {
+			n++
 		}
-		return n
 	}
-	return len(v.fieldMap())
+	return n
 }

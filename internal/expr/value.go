@@ -19,6 +19,8 @@ package expr
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -69,11 +71,10 @@ func (k Kind) String() string {
 //	uint     the number        -                  -
 //	bytes    length            data               -
 //	string   length            data               -
-//	message  name length       field map          name data   (map-backed)
-//	message  -                 *MsgShape          *Frame      (slot-backed, bits == msgSlots)
+//	message  -                 *MsgShape          *Frame
 //
 // bits holds a uint's width. Bytes, strings and messages alias the
-// memory they were built from; see BytesView, Str, MsgView and FrameMsg.
+// memory they were built from; see BytesView, Str and FrameMsg.
 type Value struct {
 	_    [0]func() // not comparable: == would compare p and q by identity, not by content
 	u    uint64
@@ -82,9 +83,6 @@ type Value struct {
 	kind Kind
 	bits uint8
 }
-
-// msgSlots is the bits value that marks a slot-backed KindMsg value.
-const msgSlots = 1
 
 // Bool returns a boolean value.
 func Bool(b bool) Value {
@@ -137,38 +135,17 @@ func Str(s string) Value {
 	return Value{kind: KindString, u: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
 }
 
-// Msg returns a message value with the given type name and fields.
-// The field map is copied.
+// Msg returns a message value with the given type name and fields. The
+// fields are copied into a fresh frame laid out by a shape over their
+// sorted names; an invalid field value reads as a missing field.
 func Msg(name string, fields map[string]Value) Value {
-	cp := make(map[string]Value, len(fields))
-	for k, v := range fields {
-		cp[k] = v
+	shape := NewMsgShape(name, slices.Sorted(maps.Keys(fields)))
+	f := NewFrame(shape.NumFields())
+	for i, k := range shape.names {
+		f.slots[i] = fields[k]
 	}
-	return MsgView(name, cp)
+	return FrameMsg(shape, f)
 }
-
-// MsgView returns a message value that aliases the field map without
-// copying. It is the allocation-free counterpart of Msg for hot loops:
-// the caller must not mutate fields while the value is live (in
-// particular, not while a machine variable could still hold it).
-func MsgView(name string, fields map[string]Value) Value {
-	// A map value is one pointer word; p keeps that word.
-	return Value{
-		kind: KindMsg,
-		u:    uint64(len(name)),
-		p:    *(*unsafe.Pointer)(unsafe.Pointer(&fields)),
-		q:    unsafe.Pointer(unsafe.StringData(name)),
-	}
-}
-
-// fieldMap returns the field map of a map-backed message value.
-func (v Value) fieldMap() map[string]Value {
-	return *(*map[string]Value)(unsafe.Pointer(&v.p))
-}
-
-// slotBacked reports whether v is a slot-backed message (p is its
-// *MsgShape and q its *Frame).
-func (v Value) slotBacked() bool { return v.kind == KindMsg && v.bits == msgSlots }
 
 // Kind reports the kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -226,41 +203,29 @@ func (v Value) AsString() string {
 // MsgName returns the message type name of a message value ("" for
 // other kinds).
 func (v Value) MsgName() string {
-	switch {
-	case v.kind != KindMsg:
+	if v.kind != KindMsg {
 		return ""
-	case v.bits == msgSlots:
-		return (*MsgShape)(v.p).name
-	default:
-		return unsafe.String((*byte)(v.q), v.u)
 	}
+	return (*MsgShape)(v.p).name
 }
 
-// Field returns the named field of a message value (either
-// representation).
+// Field returns the named field of a message value.
 func (v Value) Field(name string) (Value, bool) {
 	return v.fieldByName(name)
 }
 
-// MsgFields returns a copy of the fields of a message value.
+// MsgFields returns a copy of the present fields of a message value (an
+// empty map for other kinds).
 func (v Value) MsgFields() map[string]Value {
-	if v.slotBacked() {
-		shape, fr := (*MsgShape)(v.p), (*Frame)(v.q)
-		cp := make(map[string]Value, len(shape.names))
-		for i, name := range shape.names {
-			if fv := fr.slots[i]; fv.kind != KindInvalid {
-				cp[name] = fv
-			}
+	if v.kind != KindMsg {
+		return map[string]Value{}
+	}
+	shape, fr := (*MsgShape)(v.p), (*Frame)(v.q)
+	cp := make(map[string]Value, len(shape.names))
+	for i, name := range shape.names {
+		if fv := fr.slots[i]; fv.kind != KindInvalid {
+			cp[name] = fv
 		}
-		return cp
-	}
-	var m map[string]Value
-	if v.kind == KindMsg {
-		m = v.fieldMap()
-	}
-	cp := make(map[string]Value, len(m))
-	for k, val := range m {
-		cp[k] = val
 	}
 	return cp
 }
@@ -293,7 +258,7 @@ func (v Value) Equal(o Value) bool {
 		for _, k := range v.msgFieldNames() {
 			fv, ok := v.fieldByName(k)
 			if !ok {
-				continue // absent in a frame-backed value's shape list
+				continue // an unset slot: the field is absent
 			}
 			ov, ok := o.fieldByName(k)
 			if !ok || !fv.Equal(ov) {
@@ -378,20 +343,6 @@ func (v Value) HashKey() string {
 	default:
 		return "?"
 	}
-}
-
-func sortedKeys(m map[string]Value) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// insertion sort: field maps are tiny.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 func normBits(bits int) int {

@@ -24,8 +24,8 @@ func TestValueLayout(t *testing.T) {
 // TestValueRepresentationEdgeCases pins the observable behaviour of the
 // representation's corner cases against output recorded from the
 // previous (one field per payload) layout: empty and nil byte slices, a
-// sub-slice view, the empty string, and one message in both the
-// slot-backed and the map-backed form.
+// sub-slice view, the empty string, and one message built both by
+// FrameMsg over a wire-order shape and by Msg from a field map.
 func TestValueRepresentationEdgeCases(t *testing.T) {
 	buf := []byte{9, 1, 2, 3, 4, 9}
 	shape := NewMsgShape("Pkt", []string{"seq", "payload", "tag"})

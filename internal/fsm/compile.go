@@ -12,7 +12,7 @@ import (
 // flat, state×event-indexed dispatch table whose guards, assignment
 // right-hand sides and output field expressions are all pre-compiled
 // (expr.Compile) closures over a slot-indexed frame. The Machine
-// interpreter executes Programs directly — a Step is an integer table
+// interpreter executes Programs directly — a StepEv is an integer table
 // lookup plus closure calls, with no map-backed scope resolution and no
 // per-step allocations on the hot path.
 

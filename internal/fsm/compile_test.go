@@ -42,7 +42,7 @@ func TestCompiledParamShadowsVar(t *testing.T) {
 	}
 	// The guard and the assignment must see the *parameter* x=7, not the
 	// variable x=5.
-	res, err := m.Step("E", map[string]expr.Value{"x": expr.U8(7)})
+	res, err := step(m, "E", expr.U8(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCompiledParamShadowsVar(t *testing.T) {
 		t.Errorf("var x = %s, want 5", x)
 	}
 	// An event without the parameter resolves x to the variable again.
-	if _, err := m.Step("PLAIN", nil); err != nil {
+	if _, err := step(m, "PLAIN"); err != nil {
 		t.Fatal(err)
 	}
 	if seen, _ := m.Var("seen"); seen.AsUint() != 5 {
@@ -71,7 +71,7 @@ func TestProgramReuseAcrossMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := prog.NewMachine(), prog.NewMachine()
-	if _, err := a.Step("E", map[string]expr.Value{"x": expr.U8(7)}); err != nil {
+	if _, err := step(a, "E", expr.U8(7)); err != nil {
 		t.Fatal(err)
 	}
 	// b is unaffected by a's step: machines share only the immutable

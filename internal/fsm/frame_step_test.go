@@ -44,9 +44,11 @@ func frameSpec() *Spec {
 	}
 }
 
-// msgArg builds both representations of the same message value.
-func msgArg(prog *Program, id uint64, body []byte) (mapBacked, frameBacked expr.Value) {
-	mapBacked = expr.Msg("Msg", map[string]expr.Value{
+// msgArg builds the same message twice: by Msg, whose shape lists the
+// fields sorted (body, id), and as a frame laid out by the program's
+// compiled shape (id, body).
+func msgArg(prog *Program, id uint64, body []byte) (byName, compiled expr.Value) {
+	byName = expr.Msg("Msg", map[string]expr.Value{
 		"id": expr.U8(id), "body": expr.Bytes(body),
 	})
 	shape := prog.MsgShape("Msg")
@@ -55,20 +57,22 @@ func msgArg(prog *Program, id uint64, body []byte) (mapBacked, frameBacked expr.
 	bodySlot, _ := shape.Slot("body")
 	f.Set(idSlot, expr.U8(id))
 	f.Set(bodySlot, expr.Bytes(body))
-	return mapBacked, expr.FrameMsg(shape, f)
+	return byName, expr.FrameMsg(shape, f)
 }
 
-// TestStepEvMatchesStep drives two machines of the same program through
-// an identical event sequence — one via Step with map-backed messages,
-// one via StepEv with slot-backed messages — and asserts identical
-// dispatch outcomes, states, variables and output field values.
-func TestStepEvMatchesStep(t *testing.T) {
+// TestStepEvShapeFastPathMatchesByName drives two machines of the same
+// program through an identical event sequence — one given messages of
+// the compiled shape, whose guards read field slots directly, one given
+// messages of another shape, which take the by-name field path — and
+// asserts identical dispatch outcomes, states, variables and output
+// field values.
+func TestStepEvShapeFastPathMatchesByName(t *testing.T) {
 	prog, err := CompileSpec(frameSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mMap := prog.NewMachine()
-	mFrame := prog.NewMachine()
+	mName := prog.NewMachine()
+	mShape := prog.NewMachine()
 	goID, ok := prog.EventID("GO")
 	if !ok {
 		t.Fatal("no GO event")
@@ -80,57 +84,44 @@ func TestStepEvMatchesStep(t *testing.T) {
 		// rejected paths are compared.
 		id := uint64(round / 2)
 		body := []byte{byte(round), byte(round + 1)}
-		mapMsg, frameMsg := msgArg(prog, id, body)
+		byName, compiled := msgArg(prog, id, body)
 
-		sres, serr := mMap.Step("GO", map[string]expr.Value{"m": mapMsg})
-		fres, ferr := mFrame.StepEv(goID, frameMsg)
-		if (serr == nil) != (ferr == nil) {
-			t.Fatalf("round %d: Step err %v, StepEv err %v", round, serr, ferr)
+		nres, nerr := mName.StepEv(goID, byName)
+		sres, serr := mShape.StepEv(goID, compiled)
+		if (nerr == nil) != (serr == nil) {
+			t.Fatalf("round %d: by-name err %v, shape err %v", round, nerr, serr)
 		}
-		if serr != nil {
+		if nerr != nil {
 			continue
 		}
-		if sres.From != fres.From || sres.To != fres.To ||
-			sres.Ignored != fres.Ignored || sres.Rejected != fres.Rejected ||
-			(sres.Fired == nil) != (fres.Fired == nil) {
-			t.Fatalf("round %d: dispatch mismatch: %+v vs %+v", round, sres, fres)
+		if nres.From != sres.From || nres.To != sres.To ||
+			nres.Ignored != sres.Ignored || nres.Rejected != sres.Rejected ||
+			(nres.Fired == nil) != (sres.Fired == nil) {
+			t.Fatalf("round %d: dispatch mismatch: %+v vs %+v", round, nres, sres)
 		}
-		if len(sres.Outputs) != len(fres.Outputs) {
-			t.Fatalf("round %d: %d vs %d outputs", round, len(sres.Outputs), len(fres.Outputs))
+		if len(nres.Outputs) != len(sres.Outputs) {
+			t.Fatalf("round %d: %d vs %d outputs", round, len(nres.Outputs), len(sres.Outputs))
 		}
-		for i := range sres.Outputs {
-			so, fo := sres.Outputs[i], fres.Outputs[i]
-			if so.Message != fo.Message {
-				t.Fatalf("round %d: output message %s vs %s", round, so.Message, fo.Message)
-			}
-			for name, sv := range so.Fields {
-				slot, ok := fo.Shape.Slot(name)
-				if !ok {
-					t.Fatalf("round %d: output shape lacks %q", round, name)
-				}
-				if fv := fo.Frame.Get(slot); !fv.Equal(sv) {
-					t.Fatalf("round %d: output field %s: %v vs %v", round, name, fv, sv)
-				}
+		for i := range nres.Outputs {
+			no, so := nres.Outputs[i], sres.Outputs[i]
+			if nv, sv := expr.FrameMsg(no.Shape, no.Frame), expr.FrameMsg(so.Shape, so.Frame); !nv.Equal(sv) {
+				t.Fatalf("round %d: output %v vs %v", round, nv, sv)
 			}
 		}
-		if mMap.State() != mFrame.State() {
-			t.Fatalf("round %d: state %s vs %s", round, mMap.State(), mFrame.State())
+		if mName.State() != mShape.State() {
+			t.Fatalf("round %d: state %s vs %s", round, mName.State(), mShape.State())
 		}
-		sv, _ := mMap.Var("seq")
-		fv, _ := mFrame.Var("seq")
-		if !sv.Equal(fv) {
-			t.Fatalf("round %d: seq %v vs %v", round, sv, fv)
+		nv, _ := mName.Var("seq")
+		sv, _ := mShape.Var("seq")
+		if !nv.Equal(sv) {
+			t.Fatalf("round %d: seq %v vs %v", round, nv, sv)
 		}
 	}
 
-	// Ignored event parity.
-	sres, err := mMap.Step("NOP", nil)
-	if err != nil || !sres.Ignored {
-		t.Fatalf("Step NOP: %+v, %v", sres, err)
-	}
-	fres, err := mFrame.StepEv(nopID)
-	if err != nil || !fres.Ignored {
-		t.Fatalf("StepEv NOP: %+v, %v", fres, err)
+	for _, m := range []*Machine{mName, mShape} {
+		if res, err := m.StepEv(nopID); err != nil || !res.Ignored {
+			t.Fatalf("StepEv NOP: %+v, %v", res, err)
+		}
 	}
 }
 

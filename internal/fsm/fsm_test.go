@@ -2,6 +2,7 @@ package fsm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"protodsl/internal/expr"
@@ -265,6 +266,22 @@ func TestCheckLivenessError(t *testing.T) {
 	}
 }
 
+// step resolves the event by name and delivers it with positional
+// arguments through StepEv.
+func step(m *Machine, event string, args ...expr.Value) (FrameResult, error) {
+	ev, ok := m.EventID(event)
+	if !ok {
+		return FrameResult{}, fmt.Errorf("%w: %q", ErrUnknownEvent, event)
+	}
+	return m.StepEv(ev, args...)
+}
+
+// outField reads a field of an emitted message.
+func outField(o FrameOutput, name string) expr.Value {
+	v, _ := expr.FrameMsg(o.Shape, o.Frame).Field(name)
+	return v
+}
+
 func ackValue(seq uint64) expr.Value {
 	return expr.Msg("Ack", map[string]expr.Value{
 		"seq": expr.U8(seq), "chk": expr.U8(0),
@@ -280,7 +297,7 @@ func TestMachineHappyPath(t *testing.T) {
 		t.Fatalf("initial state = %s, want Ready", m.State())
 	}
 
-	res, err := m.Step("SEND", map[string]expr.Value{"data": expr.Bytes([]byte("hi"))})
+	res, err := step(m, "SEND", expr.Bytes([]byte("hi")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +307,12 @@ func TestMachineHappyPath(t *testing.T) {
 	if len(res.Outputs) != 1 || res.Outputs[0].Message != "Packet" {
 		t.Fatalf("SEND outputs = %+v", res.Outputs)
 	}
-	if got := res.Outputs[0].Fields["seq"].AsUint(); got != 0 {
+	if got := outField(res.Outputs[0], "seq").AsUint(); got != 0 {
 		t.Errorf("output seq = %d, want 0", got)
 	}
 
 	// A mismatched ack is rejected (guard fails) and the state is unchanged.
-	res, err = m.Step("OK", map[string]expr.Value{"ack": ackValue(5)})
+	res, err = step(m, "OK", ackValue(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +321,7 @@ func TestMachineHappyPath(t *testing.T) {
 	}
 
 	// The matching ack advances seq.
-	res, err = m.Step("OK", map[string]expr.Value{"ack": ackValue(0)})
+	res, err = step(m, "OK", ackValue(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +332,7 @@ func TestMachineHappyPath(t *testing.T) {
 		t.Errorf("seq = %d, want 1", seq.AsUint())
 	}
 
-	if _, err := m.Step("FINISH", nil); err != nil {
+	if _, err := step(m, "FINISH"); err != nil {
 		t.Fatal(err)
 	}
 	if !m.InFinal() {
@@ -328,12 +345,12 @@ func TestMachineInvalidTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step("FINISH", nil); err != nil {
+	if _, err := step(m, "FINISH"); err != nil {
 		t.Fatal(err) // Ready --FINISH--> Sent
 	}
 	// Sent is final: every event is now an invalid transition.
-	if _, err := m.Step("SEND", map[string]expr.Value{"data": expr.Bytes(nil)}); !errors.Is(err, ErrInvalidTransition) {
-		t.Errorf("Step in final state err = %v, want ErrInvalidTransition", err)
+	if _, err := step(m, "SEND", expr.Bytes(nil)); !errors.Is(err, ErrInvalidTransition) {
+		t.Errorf("StepEv in final state err = %v, want ErrInvalidTransition", err)
 	}
 }
 
@@ -342,23 +359,22 @@ func TestMachineEventValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step("NOSUCH", nil); !errors.Is(err, ErrUnknownEvent) {
+	if _, ok := m.EventID("NOSUCH"); ok {
+		t.Error("undeclared event resolved to an id")
+	}
+	if _, err := m.StepEv(EventID(len(m.Spec().Events))); !errors.Is(err, ErrUnknownEvent) {
 		t.Errorf("unknown event err = %v", err)
 	}
-	if _, err := m.Step("SEND", nil); !errors.Is(err, ErrBadArg) {
+	if _, err := step(m, "SEND"); !errors.Is(err, ErrBadArg) {
 		t.Errorf("missing arg err = %v", err)
 	}
-	if _, err := m.Step("SEND", map[string]expr.Value{"data": expr.U8(1)}); !errors.Is(err, ErrBadArg) {
+	if _, err := step(m, "SEND", expr.U8(1)); !errors.Is(err, ErrBadArg) {
 		t.Errorf("wrong kind err = %v", err)
 	}
-	if _, err := m.Step("SEND", map[string]expr.Value{
-		"data": expr.Bytes(nil), "extra": expr.U8(1),
-	}); !errors.Is(err, ErrBadArg) {
+	if _, err := step(m, "SEND", expr.Bytes(nil), expr.U8(1)); !errors.Is(err, ErrBadArg) {
 		t.Errorf("extra arg err = %v", err)
 	}
-	if _, err := m.Step("OK", map[string]expr.Value{
-		"ack": expr.Msg("Packet", nil), // wrong message type
-	}); !errors.Is(err, ErrBadArg) {
+	if _, err := step(m, "OK", expr.Msg("Packet", nil)); !errors.Is(err, ErrBadArg) { // wrong message type
 		t.Errorf("wrong message type err = %v", err)
 	}
 }
@@ -368,7 +384,7 @@ func TestMachineIgnoredEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Step("FAIL", nil) // ignored in Ready
+	res, err := step(m, "FAIL") // ignored in Ready
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,10 +399,10 @@ func TestMachineSeqWrapsAt256(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 256; i++ {
-		if _, err := m.Step("SEND", map[string]expr.Value{"data": expr.Bytes([]byte{1})}); err != nil {
+		if _, err := step(m, "SEND", expr.Bytes([]byte{1})); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Step("OK", map[string]expr.Value{"ack": ackValue(uint64(i % 256))}); err != nil {
+		if _, err := step(m, "OK", ackValue(uint64(i%256))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,11 +416,11 @@ func TestMachineCloneAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step("SEND", map[string]expr.Value{"data": expr.Bytes([]byte{1})}); err != nil {
+	if _, err := step(m, "SEND", expr.Bytes([]byte{1})); err != nil {
 		t.Fatal(err)
 	}
 	clone := m.Clone()
-	if _, err := m.Step("OK", map[string]expr.Value{"ack": ackValue(0)}); err != nil {
+	if _, err := step(m, "OK", ackValue(0)); err != nil {
 		t.Fatal(err)
 	}
 	if clone.State() != "Wait" {
@@ -478,7 +494,7 @@ func TestSimultaneousAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Step("SWAP", nil); err != nil {
+	if _, err := step(m, "SWAP"); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := m.Var("a")

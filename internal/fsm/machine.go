@@ -9,7 +9,7 @@ import (
 
 // Interpreter errors.
 var (
-	// ErrInvalidTransition is returned by Step for an event that is
+	// ErrInvalidTransition is returned by StepEv for an event that is
 	// neither handled nor ignored in the current state — the dynamic
 	// enforcement of the soundness property (generated code enforces the
 	// same property at Go compile time).
@@ -21,36 +21,13 @@ var (
 	ErrBadArg = errors.New("bad event argument")
 )
 
-// OutputMsg is a message emission produced by a fired transition: field
-// values ready for wire encoding.
-type OutputMsg struct {
-	Message string
-	Fields  map[string]expr.Value
-}
-
-// StepResult describes the effect of one Step call.
-type StepResult struct {
-	// From and To are the machine states before and after the step.
-	From, To string
-	// Fired is the transition that fired (nil when Ignored or Rejected).
-	Fired *Transition
-	// Outputs are the messages emitted by the fired transition.
-	Outputs []OutputMsg
-	// Ignored is true when the event was declared-ignored in this state.
-	Ignored bool
-	// Rejected is true when transitions exist for (state, event) but no
-	// guard held. Rejection is a *defined* outcome (the receiver in §3.4
-	// "will reject a packet" whose sequence number does not match).
-	Rejected bool
-}
-
 // Machine executes a checked Spec — the paper's execTrans: only valid
 // transitions can be executed, and every step's effect is fully
 // determined by the spec.
 //
 // Execution runs on the compiled engine: NewMachine lowers the spec to a
 // Program (a flat state×event dispatch table of pre-compiled guard,
-// assignment and output closures over a slot-indexed frame), and Step
+// assignment and output closures over a slot-indexed frame), and StepEv
 // drives that table directly. The tree-walking expr.Eval path is not
 // consulted at runtime; it remains as the reference semantics that the
 // differential tests compare against.
@@ -124,15 +101,6 @@ func (m *Machine) Var(name string) (expr.Value, bool) {
 	return m.frame.Get(slot), true
 }
 
-// Vars returns a copy of all machine variables.
-func (m *Machine) Vars() map[string]expr.Value {
-	out := make(map[string]expr.Value, m.prog.nVars)
-	for i, name := range m.prog.varNames {
-		out[name] = m.frame.Get(i)
-	}
-	return out
-}
-
 // Clone returns an independent copy of the machine (used by the model
 // checker to branch the state space). The compiled program is shared —
 // it is immutable after compilation.
@@ -164,72 +132,30 @@ func (m *Machine) StateKey() string {
 	return key
 }
 
-// Step delivers an event (with arguments bound by parameter name) to the
-// machine.
-//
-// Semantics: the transitions declared for (state, event) are tried in
-// declaration order; the first whose guard holds fires. Firing evaluates
-// all assignment right-hand sides against the *pre*-state (simultaneous
-// assignment), applies them, evaluates outputs, and moves to the target
-// state. If no transition is declared and the event is not ignored, Step
-// returns ErrInvalidTransition.
-func (m *Machine) Step(event string, args map[string]expr.Value) (StepResult, error) {
-	p := m.prog
-	evIdx, ok := p.eventIdx[event]
-	if !ok {
-		return StepResult{}, fmt.Errorf("machine %s: %w: %q", p.spec.Name, ErrUnknownEvent, event)
-	}
-	ce := &p.events[evIdx]
-	if err := m.bindArgs(ce, args); err != nil {
-		return StepResult{}, err
-	}
-
-	state := p.states[m.stateIdx]
-	res := StepResult{From: state, To: state}
-	row := &p.rows[m.stateIdx*p.numEvents+evIdx]
-	if len(row.ts) == 0 {
-		if row.ignored {
-			res.Ignored = true
-			return res, nil
-		}
-		return StepResult{}, fmt.Errorf("machine %s: %w: event %q in state %q",
-			p.spec.Name, ErrInvalidTransition, event, state)
-	}
-
-	for i := range row.ts {
-		ct := &row.ts[i]
-		if ct.guard != nil {
-			hold, err := ct.guard(m.frame)
-			if err != nil {
-				return StepResult{}, fmt.Errorf("machine %s: guard of %s: %w", p.spec.Name, ct.t.String(), err)
-			}
-			if !hold {
-				continue
-			}
-		}
-		return m.fire(ct, res)
-	}
-	res.Rejected = true
-	return res, nil
-}
-
-// FrameOutput is a message emission on the frame path: field values in
-// the message's canonical field-order slots, ready for a wire program's
-// AppendEncode. The frame is machine-owned and reused — it is valid only
-// until the machine's next StepEv.
+// FrameOutput is a message emitted by a fired transition: field values
+// in the message's canonical field-order slots, ready for a wire
+// program's AppendEncode. The frame is machine-owned and reused — it is
+// valid only until the machine's next StepEv.
 type FrameOutput struct {
 	Message string
 	Shape   *expr.MsgShape
 	Frame   *expr.Frame
 }
 
-// FrameResult is StepEv's counterpart of StepResult. Outputs aliases a
+// FrameResult describes the effect of one StepEv call. Outputs aliases a
 // machine-owned slice and frames, valid until the next StepEv.
 type FrameResult struct {
+	// From and To are the machine states before and after the step.
 	From, To string
-	Fired    *Transition
-	Outputs  []FrameOutput
-	Ignored  bool
+	// Fired is the transition that fired (nil when Ignored or Rejected).
+	Fired *Transition
+	// Outputs are the messages emitted by the fired transition.
+	Outputs []FrameOutput
+	// Ignored is true when the event was declared-ignored in this state.
+	Ignored bool
+	// Rejected is true when transitions exist for (state, event) but no
+	// guard held. Rejection is a *defined* outcome (the receiver in §3.4
+	// "will reject a packet" whose sequence number does not match).
 	Rejected bool
 }
 
@@ -238,7 +164,7 @@ func (m *Machine) EventID(name string) (EventID, bool) { return m.prog.EventID(n
 
 // Executable reports whether ev is handled or declared ignored in the
 // current state, read from the compiled dispatch row: exactly the events
-// Step and StepEv accept without ErrInvalidTransition. It is the
+// StepEv accepts without ErrInvalidTransition. It is the
 // table-lookup form of asking Spec.TransitionsFrom and Spec.Ignored. An
 // out-of-range id is not executable.
 func (m *Machine) Executable(ev EventID) bool {
@@ -250,13 +176,18 @@ func (m *Machine) Executable(ev EventID) bool {
 	return len(row.ts) > 0 || row.ignored
 }
 
-// StepEv is the frame-path counterpart of Step: the event is named by a
-// pre-resolved EventID, arguments bind positionally to the event's
-// declared parameters, and fired outputs are written into preallocated
-// slot frames instead of freshly allocated field maps. Dispatch, guards
-// and assignment semantics are identical to Step — only the argument and
-// output plumbing differs — so the steady-state packet loop neither
-// hashes a string nor allocates.
+// StepEv delivers an event to the machine. The event is named by a
+// pre-resolved EventID and the arguments bind positionally to its
+// declared parameters; fired outputs are written into preallocated slot
+// frames, so the steady-state packet loop neither hashes a string nor
+// allocates.
+//
+// Semantics: the transitions declared for (state, event) are tried in
+// declaration order; the first whose guard holds fires. Firing evaluates
+// all assignment right-hand sides against the *pre*-state (simultaneous
+// assignment), applies them, evaluates outputs, and moves to the target
+// state. If no transition is declared and the event is not ignored,
+// StepEv returns ErrInvalidTransition.
 func (m *Machine) StepEv(ev EventID, args ...expr.Value) (FrameResult, error) {
 	p := m.prog
 	if ev < 0 || int(ev) >= len(p.events) {
@@ -298,16 +229,17 @@ func (m *Machine) StepEv(ev EventID, args ...expr.Value) (FrameResult, error) {
 				continue
 			}
 		}
-		return m.fireFrame(ct, res)
+		return m.fire(ct, res)
 	}
 	res.Rejected = true
 	return res, nil
 }
 
-// fireFrame is fire on the frame path: identical evaluation order
-// (assign RHS and outputs against the pre-state, then assignments
-// applied), with outputs staged in the machine's reusable frames.
-func (m *Machine) fireFrame(ct *compiledTransition, res FrameResult) (FrameResult, error) {
+// fire applies a transition whose guard held. Assignment right-hand sides
+// and outputs are evaluated against the pre-state — outputs describe the
+// packet being sent *by* this transition — and outputs are staged in the
+// machine's reusable frames before the assignments apply.
+func (m *Machine) fire(ct *compiledTransition, res FrameResult) (FrameResult, error) {
 	p := m.prog
 	for i := range ct.assigns {
 		a := &ct.assigns[i]
@@ -342,76 +274,6 @@ func (m *Machine) fireFrame(ct *compiledTransition, res FrameResult) (FrameResul
 	res.Fired = ct.t
 	res.Outputs = m.outBuf
 	return res, nil
-}
-
-func (m *Machine) fire(ct *compiledTransition, res StepResult) (StepResult, error) {
-	p := m.prog
-	// Simultaneous assignment: evaluate all RHS against the pre-state.
-	for i := range ct.assigns {
-		a := &ct.assigns[i]
-		v, err := a.rhs(m.frame)
-		if err != nil {
-			return StepResult{}, fmt.Errorf("machine %s: assign %s: %w", p.spec.Name, a.target, err)
-		}
-		m.scratch[i] = coerce(v, a.typ)
-	}
-	// Outputs are evaluated against the pre-state too: they describe the
-	// packet being sent *by* this transition.
-	for i := range ct.outputs {
-		o := &ct.outputs[i]
-		fields := make(map[string]expr.Value, len(o.names))
-		for j, name := range o.names {
-			v, err := o.exprs[j](m.frame)
-			if err != nil {
-				return StepResult{}, fmt.Errorf("machine %s: output %s field %s: %w",
-					p.spec.Name, o.message, name, err)
-			}
-			fields[name] = v
-		}
-		res.Outputs = append(res.Outputs, OutputMsg{Message: o.message, Fields: fields})
-	}
-	for i := range ct.assigns {
-		m.frame.Set(ct.assigns[i].slot, m.scratch[i])
-	}
-	m.stateIdx = ct.toIdx
-	res.To = p.states[ct.toIdx]
-	res.Fired = ct.t
-	return res, nil
-}
-
-// bindArgs validates the arguments against the event's declared
-// parameters and writes them into the frame's parameter slots.
-func (m *Machine) bindArgs(ce *compiledEvent, args map[string]expr.Value) error {
-	spec := m.prog.spec
-	for i := range ce.params {
-		param := &ce.params[i]
-		v, ok := args[param.name]
-		if !ok {
-			return fmt.Errorf("machine %s: event %s: %w: missing %q",
-				spec.Name, ce.ev.Name, ErrBadArg, param.name)
-		}
-		if !kindMatches(param.typ, v) {
-			return fmt.Errorf("machine %s: event %s: %w: %q has kind %s, want %s",
-				spec.Name, ce.ev.Name, ErrBadArg, param.name, v.Kind(), param.typ)
-		}
-		m.frame.Set(param.slot, v)
-	}
-	if len(args) > len(ce.params) {
-		for name := range args {
-			found := false
-			for i := range ce.params {
-				if ce.params[i].name == name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("machine %s: event %s: %w: unexpected argument %q",
-					spec.Name, ce.ev.Name, ErrBadArg, name)
-			}
-		}
-	}
-	return nil
 }
 
 func kindMatches(t expr.Type, v expr.Value) bool {

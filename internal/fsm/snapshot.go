@@ -9,7 +9,7 @@ package fsm
 // rehydrates a per-worker machine on demand.
 //
 // The parameter region of the frame is deliberately excluded: parameters
-// are bound afresh by every Step before any expression reads them, so
+// are bound afresh by every StepEv before any expression reads them, so
 // they are scratch, not state.
 //
 // StateIndex, VarSlot, SetStateIndex and SetVarSlot are the same state
@@ -78,5 +78,5 @@ func (m *Machine) SetStateIndex(idx int) { m.stateIdx = idx }
 
 // SetVarSlot sets variable i (Spec.Vars order) to v. Nothing is
 // validated: v must have the variable's declared kind, and a uint the
-// width Step's assignments give it.
+// width StepEv's assignments give it.
 func (m *Machine) SetVarSlot(i int, v expr.Value) { m.frame.Set(i, v) }

@@ -52,17 +52,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := prog.NewMachine()
 	other := prog.NewMachine()
 
-	pkt := func(seq uint64) map[string]expr.Value {
-		return map[string]expr.Value{"p": expr.Msg("Pkt", map[string]expr.Value{"seq": expr.U8(seq)})}
+	pkt := func(seq uint64) []expr.Value {
+		return []expr.Value{expr.Msg("Pkt", map[string]expr.Value{"seq": expr.U8(seq)})}
 	}
 	steps := []struct {
 		event string
-		args  map[string]expr.Value
+		args  []expr.Value
 	}{
 		{"GO", pkt(3)}, {"STOP", nil}, {"GO", pkt(7)},
 	}
 	for i, s := range steps {
-		if _, err := m.Step(s.event, s.args); err != nil {
+		if _, err := step(m, s.event, s.args...); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 		enc := m.AppendState(nil)
@@ -91,8 +91,8 @@ func TestSnapshotRestoredMachineSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := prog.NewMachine()
-	args := map[string]expr.Value{"p": expr.Msg("Pkt", map[string]expr.Value{"seq": expr.U8(1)})}
-	if _, err := m.Step("GO", args); err != nil {
+	p := expr.Msg("Pkt", map[string]expr.Value{"seq": expr.U8(1)})
+	if _, err := step(m, "GO", p); err != nil {
 		t.Fatal(err)
 	}
 	enc := m.AppendState(nil)
@@ -104,16 +104,16 @@ func TestSnapshotRestoredMachineSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := m.Step("STOP", nil); err != nil {
+		if _, err := step(m, "STOP"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.Step("STOP", nil); err != nil {
+		if _, err := step(other, "STOP"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Step("GO", args); err != nil {
+		if _, err := step(m, "GO", p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := other.Step("GO", args); err != nil {
+		if _, err := step(other, "GO", p); err != nil {
 			t.Fatal(err)
 		}
 		if m.StateKey() != other.StateKey() {

@@ -143,13 +143,13 @@ func Generate(spec *fsm.Spec, opts Options) (*Suite, error) {
 		for _, ev := range spec.Events {
 			for _, args := range argCandidates(spec, &ev, cur.m) {
 				probe := cur.m.Clone()
-				res, err := probe.Step(ev.Name, args)
+				step := Step{Event: ev.Name, Args: args}
+				res, err := deliver(probe, step)
 				if err != nil {
 					// Only possible for incomplete specs, which Check
 					// rejected; surface as a generator bug.
 					return nil, fmt.Errorf("testgen: %w", err)
 				}
-				step := Step{Event: ev.Name, Args: args}
 				switch {
 				case res.Fired != nil:
 					label := res.Fired.Name
@@ -216,7 +216,7 @@ func Run(spec *fsm.Spec, suite *Suite) error {
 			return err
 		}
 		for i, s := range c.Setup {
-			res, err := m.Step(s.Event, s.Args)
+			res, err := deliver(m, s)
 			if err != nil {
 				return fmt.Errorf("case %s: setup step %d: %w", c.Name, i, err)
 			}
@@ -227,7 +227,7 @@ func Run(spec *fsm.Spec, suite *Suite) error {
 		if m.State() != c.ExpectFrom {
 			return fmt.Errorf("case %s: setup ended in %s, want %s", c.Name, m.State(), c.ExpectFrom)
 		}
-		res, err := m.Step(c.Trigger.Event, c.Trigger.Args)
+		res, err := deliver(m, c.Trigger)
 		if err != nil {
 			return fmt.Errorf("case %s: trigger: %w", c.Name, err)
 		}
@@ -253,6 +253,30 @@ func Run(spec *fsm.Spec, suite *Suite) error {
 		}
 	}
 	return nil
+}
+
+// deliver steps m with s: the event resolved by name, the named
+// arguments bound by position to the event's declared parameters.
+func deliver(m *fsm.Machine, s Step) (fsm.FrameResult, error) {
+	ev, ok := m.EventID(s.Event)
+	if !ok {
+		return fsm.FrameResult{}, fmt.Errorf("machine %s: %w: %q", m.Spec().Name, fsm.ErrUnknownEvent, s.Event)
+	}
+	params := m.Program().EventAt(int(ev)).Params
+	args := make([]expr.Value, len(params))
+	for i, p := range params {
+		v, ok := s.Args[p.Name]
+		if !ok {
+			return fsm.FrameResult{}, fmt.Errorf("machine %s: event %s: %w: missing %q",
+				m.Spec().Name, s.Event, fsm.ErrBadArg, p.Name)
+		}
+		args[i] = v
+	}
+	if len(s.Args) != len(params) {
+		return fsm.FrameResult{}, fmt.Errorf("machine %s: event %s: %w: %d arguments for %d parameters",
+			m.Spec().Name, s.Event, fsm.ErrBadArg, len(s.Args), len(params))
+	}
+	return m.StepEv(ev, args...)
 }
 
 // FlatMachine adapts an AOT-generated flat machine (internal/arq/gen
@@ -402,8 +426,8 @@ func uintCandidates(bits int, m *fsm.Machine) []expr.Value {
 	add(0)
 	add(1)
 	add(maxV)
-	for _, v := range m.Vars() {
-		if v.Kind() == expr.KindUint {
+	for i := range m.Spec().Vars {
+		if v := m.VarSlot(i); v.Kind() == expr.KindUint {
 			add(v.AsUint())
 			add(v.AsUint() + 1)
 		}

@@ -111,7 +111,7 @@ func TestCheckFlagsStaleSymbol(t *testing.T) {
 	dir := t.TempDir()
 	for name, content := range map[string]string{
 		"DESIGN.md": "## §1 — A\n\n" +
-			"`fsm.Machine.AppendState` `fsm.Machine.Step(ev)` `fsm.Spec.Name` `fsm.Spec.Base` `fsm.Check` `fsm.Alias.Step`\n" +
+			"`fsm.Machine.AppendState` `fsm.Machine.StepEv(ev)` `fsm.Spec.Name` `fsm.Spec.Base` `fsm.Check` `fsm.Alias.StepEv`\n" +
 			"`protodsl.Compile` `time.Duration` `bits.Len64` `fsm.go` `fsm.unexported`\n" +
 			"stale: `fsm.Snapshot` `fsm.AppendState` `fsm.Machine.Gone` `fsm.Check.Member`\n",
 		"README.md":   "`protodsl.Removed`\n",
@@ -121,7 +121,7 @@ func TestCheckFlagsStaleSymbol(t *testing.T) {
 		"internal/fsm/machine.go": "package fsm\n\nimport \"x/base\"\n\n" +
 			"type Machine struct{ state int }\n\n" +
 			"func (m *Machine) AppendState(dst []byte) []byte { return dst }\n" +
-			"func (m *Machine) Step(ev string) {}\n\n" +
+			"func (m *Machine) StepEv(ev string) {}\n\n" +
 			"type Spec struct {\n\tName string\n\tbase.Base\n}\n\n" +
 			"type Alias = Machine\n\nfunc Check() {}\n",
 		"internal/fsm/machine_test.go": "package fsm\n\nfunc Snapshot() {}\n",

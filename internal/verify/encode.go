@@ -104,8 +104,8 @@ func (t *internTable) view() []internEntry {
 }
 
 // ownMsg returns an immutable copy of v: a message rebuilt in shape when
-// that represents it exactly (same canonical bytes), a copied map-backed
-// message otherwise. Other kinds are immutable already.
+// that represents it exactly (same canonical bytes), a copy built by
+// expr.Msg otherwise. Other kinds are immutable already.
 func ownMsg(shape *expr.MsgShape, v expr.Value, canon []byte) expr.Value {
 	if v.Kind() != expr.KindMsg {
 		return v

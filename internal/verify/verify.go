@@ -410,6 +410,9 @@ func positional(params []fsm.Param, named map[string]expr.Value) ([]expr.Value, 
 		}
 		args[i] = v
 	}
+	if len(named) == len(params) {
+		return args, nil // every name matched a parameter
+	}
 	for _, name := range slices.Sorted(maps.Keys(named)) {
 		if !slices.ContainsFunc(params, func(p fsm.Param) bool { return p.Name == name }) {
 			return nil, fmt.Errorf("argument %q is not a parameter of (%s)", name, paramList(params))
@@ -436,7 +439,8 @@ func newMachines(progs []*fsm.Program) []*fsm.Machine {
 }
 
 // deliverArgsFor prebuilds one single-key argument map per route, reused
-// across deliveries (Step copies the bound value out before returning).
+// across deliveries (stepByName copies the bound value out before
+// stepping).
 func deliverArgsFor(sys *System) []map[string]expr.Value {
 	out := make([]map[string]expr.Value, len(sys.Routes))
 	for i, r := range sys.Routes {
@@ -518,7 +522,7 @@ func applyMove(sys *System, ms []*fsm.Machine, queues [][]expr.Value, mv Move,
 		if len(env.Args) > 0 {
 			args = env.Args[mv.ArgIdx]
 		}
-		res, err := ms[env.Machine].Step(env.Event, args)
+		res, err := stepByName(ms[env.Machine], env.Event, args)
 		if err != nil {
 			return applyResult{}, err
 		}
@@ -534,7 +538,7 @@ func applyMove(sys *System, ms []*fsm.Machine, queues [][]expr.Value, mv Move,
 		queues[mv.Route] = removeAt(q, mv.QIdx)
 		args := deliverArgs[mv.Route]
 		args[r.Param] = msg
-		res, err := ms[r.To].Step(r.Event, args)
+		res, err := stepByName(ms[r.To], r.Event, args)
 		if err != nil {
 			return applyResult{}, err
 		}
@@ -553,6 +557,22 @@ func applyMove(sys *System, ms []*fsm.Machine, queues [][]expr.Value, mv Move,
 	}
 }
 
+// stepByName delivers an event to m by name, binding the named arguments
+// by position to the event's declared parameters. The reference engine
+// resolves every move this way rather than through compileSystem's
+// bound ids, so the two engines share no binding (DESIGN.md §12).
+func stepByName(m *fsm.Machine, event string, named map[string]expr.Value) (fsm.FrameResult, error) {
+	ev, ok := m.EventID(event)
+	if !ok {
+		return fsm.FrameResult{}, fmt.Errorf("verify: machine %s: %w: %q", m.Spec().Name, fsm.ErrUnknownEvent, event)
+	}
+	args, err := positional(m.Program().EventAt(int(ev)).Params, named)
+	if err != nil {
+		return fsm.FrameResult{}, fmt.Errorf("verify: machine %s: event %s: %w: %w", m.Spec().Name, event, fsm.ErrBadArg, err)
+	}
+	return m.StepEv(ev, args...)
+}
+
 // routeOutputs places emitted messages onto their routes, dropping one
 // queued message on overrun. Queue slices are replaced, never mutated.
 //
@@ -562,7 +582,7 @@ func applyMove(sys *System, ms []*fsm.Machine, queues [][]expr.Value, mv Move,
 // element, a choice both engines compute identically from the values
 // alone. Without an order-independent rule the two engines would drop
 // different messages and explore different graphs.
-func routeOutputs(sys *System, queues [][]expr.Value, from int, outputs []fsm.OutputMsg,
+func routeOutputs(sys *System, queues [][]expr.Value, from int, outputs []fsm.FrameOutput,
 	onOverrun func(route int, dropped expr.Value)) {
 	for _, out := range outputs {
 		for ri := range sys.Routes {
@@ -570,7 +590,7 @@ func routeOutputs(sys *System, queues [][]expr.Value, from int, outputs []fsm.Ou
 			if r.From != from || r.Message != out.Message {
 				continue
 			}
-			msg := expr.Msg(out.Message, out.Fields)
+			msg := ownFrame(out)
 			q := queues[ri]
 			if len(q) >= r.Capacity {
 				victim := 0
@@ -587,6 +607,16 @@ func routeOutputs(sys *System, queues [][]expr.Value, from int, outputs []fsm.Ou
 			queues[ri] = append(append(make([]expr.Value, 0, len(q)+1), q...), msg)
 		}
 	}
+}
+
+// ownFrame copies an emitted message out of the machine's reused output
+// frame, so the queued value outlives the machine's next step.
+func ownFrame(out fsm.FrameOutput) expr.Value {
+	f := expr.NewFrame(out.Shape.NumFields())
+	for i := 0; i < f.Len(); i++ {
+		f.Set(i, out.Frame.Get(i))
+	}
+	return expr.FrameMsg(out.Shape, f)
 }
 
 // canonMinIndex returns the index of the canonically smallest element.

@@ -94,8 +94,6 @@ func TestNoOrphanInternalPackages(t *testing.T) {
 // pkg.Type.Member for a method or a field.
 var deadExempt = map[string]string{
 	"genrt.CRC32":                "the runtime half of a crc32 checksum field: codegen emits calls to it (checksumHelper), as for examples/quickstart's Ping, but no generated package in the tree has such a field",
-	"fsm.FrameResult.Ignored":    "StepEv's outcome mirrors Step's StepResult, whose Ignored testgen reads; the frame-path parity tests pin that the two agree, and Fired == nil alone cannot tell an ignored event from a rejected one",
-	"fsm.FrameResult.Rejected":   "as FrameResult.Ignored",
 	"harness.FlowResult.Shard":   "labels each flow in Report.Results; bench/sim.go's traced sweep sets it, so deleting it breaks the benchmark's build",
 	"harness.FlowResult.Flow":    "as FlowResult.Shard",
 	"sockets.Result.Delivered":   "internal/sockets is E2's hand-written baseline, measured line by line (cmd/experiments e2); its Result mirrors arq.Result so the comparison is like for like, and trimming it would change the measurement",

@@ -25,7 +25,8 @@
 //	proto, reports, err := protodsl.CompileProtocol(src) // src is .pdsl text
 //	if err != nil { ... }
 //	machine, err := proto.NewMachine(proto.Machines[0].Name)
-//	res, err := machine.Step("SEND", args)
+//	send, _ := machine.EventID("SEND")
+//	res, err := machine.StepEv(send, protodsl.BytesValue(data))
 //
 // See examples/quickstart for a complete program, examples/arqfiletransfer
 // for the paper's §3.4 ARQ protocol running over a lossy simulated link,

@@ -33,7 +33,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := machine.Step("SEND", map[string]Value{"data": BytesValue([]byte("x"))})
+	sendEv, _ := machine.EventID("SEND")
+	okEv, _ := machine.EventID("OK")
+	res, err := machine.StepEv(sendEv, BytesValue([]byte("x")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("SEND -> %s", res.To)
 	}
 	ack := MsgValue("Ack", map[string]Value{"seq": expr.U8(0), "chk": expr.U8(0)})
-	if _, err := machine.Step("OK", map[string]Value{"ack": ack}); err != nil {
+	if _, err := machine.StepEv(okEv, ack); err != nil {
 		t.Fatal(err)
 	}
 
