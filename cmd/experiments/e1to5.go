@@ -174,7 +174,7 @@ func runE4(c *ctx, out io.Writer) error {
 			return err
 		}
 		if len(parRes.Violations) > 0 {
-			return fmt.Errorf("unexpected violations: %v", parRes.Violations)
+			return fmt.Errorf("%d unexpected violation(s), first: %v", len(parRes.Violations), parRes.Violations[0])
 		}
 		if parRes.States != seqRes.States {
 			return fmt.Errorf("engines disagree: %d vs %d states", parRes.States, seqRes.States)

@@ -7,19 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"protodsl"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Capacity trace: long swings between congestion and headroom.
 	capacities := protodsl.SteppedCapacity(
 		[]float64{900, 250, 700, 120, 850, 400}, 30)
@@ -37,7 +39,7 @@ func run() error {
 		{"fixed 120", protodsl.FixedSender{RateValue: 120}},
 	}
 
-	fmt.Printf("streaming over %d intervals, capacity %0.f..%0.f units/s\n\n",
+	fmt.Fprintf(w, "streaming over %d intervals, capacity %0.f..%0.f units/s\n\n",
 		len(capacities), 120.0, 900.0)
 	var fuzzy *protodsl.StreamResult
 	for _, s := range senders {
@@ -48,18 +50,18 @@ func run() error {
 		if s.name == "fuzzy adaptive" {
 			fuzzy = res
 		}
-		fmt.Printf("%-15s delivered %7.1f/interval, loss %5.1f%%, utilisation %5.1f%%\n",
+		fmt.Fprintf(w, "%-15s delivered %7.1f/interval, loss %5.1f%%, utilisation %5.1f%%\n",
 			s.name, res.AvgDelivered, 100*res.AvgLoss, 100*res.Utilisation)
 	}
 
 	// Trace the fuzzy sender through one capacity drop to show the
 	// adaptation in action.
-	fmt.Println("\nfuzzy sender tracking a capacity drop (intervals 25..40):")
-	fmt.Println("  interval  capacity  offered  delivered  loss")
+	fmt.Fprintln(w, "\nfuzzy sender tracking a capacity drop (intervals 25..40):")
+	fmt.Fprintln(w, "  interval  capacity  offered  delivered  loss")
 	for i := 25; i <= 40 && i < len(fuzzy.Steps); i++ {
 		st := fuzzy.Steps[i]
 		bar := strings.Repeat("#", int(st.Offered/25))
-		fmt.Printf("  %8d  %8.0f  %7.0f  %9.0f  %4.0f%%  %s\n",
+		fmt.Fprintf(w, "  %8d  %8.0f  %7.0f  %9.0f  %4.0f%%  %s\n",
 			i, st.Capacity, st.Offered, st.Delivered, 100*st.Loss, bar)
 	}
 	return nil

@@ -9,19 +9,21 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"protodsl"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Synthesise a 32 KiB "file" and chunk it.
 	file := make([]byte, 32*1024)
 	for i := range file {
@@ -36,7 +38,7 @@ func run() error {
 		}
 		payloads = append(payloads, file[off:end])
 	}
-	fmt.Printf("transferring %d bytes in %d chunks\n\n", len(file), len(payloads))
+	fmt.Fprintf(w, "transferring %d bytes in %d chunks\n\n", len(file), len(payloads))
 
 	// A hostile link: every §2.2 hazard at once.
 	link := protodsl.LinkParams{
@@ -55,12 +57,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stop-and-wait: ok=%v end-state=%s\n", res.OK, res.SenderState)
-	fmt.Printf("  packets sent: %d (%d retransmits, %d timeouts)\n",
+	fmt.Fprintf(w, "stop-and-wait: ok=%v end-state=%s\n", res.OK, res.SenderState)
+	fmt.Fprintf(w, "  packets sent: %d (%d retransmits, %d timeouts)\n",
 		res.Sender.PacketsSent, res.Sender.Retransmits, res.Sender.Timeouts)
-	fmt.Printf("  receiver: %d corrupted dropped, %d duplicates re-acked\n",
+	fmt.Fprintf(w, "  receiver: %d corrupted dropped, %d duplicates re-acked\n",
 		res.Receiver.PacketsCorrupted, res.Receiver.Duplicates)
-	fmt.Printf("  virtual time: %s, goodput %.0f B/s\n", res.Duration, res.Goodput())
+	fmt.Fprintf(w, "  virtual time: %s, goodput %.0f B/s\n", res.Duration, res.Goodput())
 
 	// Verify the file arrived intact — the checksum-witness discipline
 	// means a corrupted chunk can never have been delivered.
@@ -71,7 +73,7 @@ func run() error {
 	if !bytes.Equal(got.Bytes(), file) {
 		return fmt.Errorf("file corrupted in transit: %d bytes received", got.Len())
 	}
-	fmt.Printf("  file intact: %d bytes, byte-identical ✓\n\n", got.Len())
+	fmt.Fprintf(w, "  file intact: %d bytes, byte-identical ✓\n\n", got.Len())
 
 	// The further-work extension: a window of 16 on a long-delay link.
 	longLink := protodsl.LinkParams{Delay: 25 * time.Millisecond, LossProb: 0.05}
@@ -86,7 +88,7 @@ func run() error {
 		if !gres.OK {
 			return fmt.Errorf("go-back-N window %d failed", window)
 		}
-		fmt.Printf("go-back-N window=%-2d  time=%-12s goodput=%8.0f B/s  packets=%d\n",
+		fmt.Fprintf(w, "go-back-N window=%-2d  time=%-12s goodput=%8.0f B/s  packets=%d\n",
 			window, gres.Duration, gres.Goodput(), gres.PacketsSent)
 	}
 	return nil

@@ -6,18 +6,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"protodsl"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	codec, err := protodsl.NewIPv4Codec()
 	if err != nil {
 		return err
@@ -35,8 +37,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("encoded header (%d bytes): %x\n", len(wireBytes), wireBytes)
-	fmt.Printf("  checksum computed automatically: bytes 10..11 = %x\n\n", wireBytes[10:12])
+	fmt.Fprintf(w, "encoded header (%d bytes): %x\n", len(wireBytes), wireBytes)
+	fmt.Fprintf(w, "  checksum computed automatically: bytes 10..11 = %x\n\n", wireBytes[10:12])
 
 	// Decode it back — with a payload appended, as it would arrive.
 	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF}
@@ -45,23 +47,23 @@ func run() error {
 		return err
 	}
 	got := checked.Value()
-	fmt.Printf("decoded: v%d ihl=%d ttl=%d proto=%d len=%d\n",
+	fmt.Fprintf(w, "decoded: v%d ihl=%d ttl=%d proto=%d len=%d\n",
 		got.Version, got.IHL, got.TTL, got.Protocol, got.TotalLength)
-	fmt.Printf("  certificate: %v\n", checked.Certificate().Established())
-	fmt.Printf("  payload: % x (%d bytes)\n\n", rest, len(rest))
+	fmt.Fprintf(w, "  certificate: %v\n", checked.Certificate().Established())
+	fmt.Fprintf(w, "  payload: % x (%d bytes)\n\n", rest, len(rest))
 
 	// Corruption cannot get through: flip one bit anywhere.
 	bad := append([]byte(nil), wireBytes...)
 	bad[13] ^= 0x01 // a source-address bit
 	if _, _, err := codec.Decode(bad); err != nil {
-		fmt.Printf("single bit flip rejected: %v\n\n", err)
+		fmt.Fprintf(w, "single bit flip rejected: %v\n\n", err)
 	} else {
 		return fmt.Errorf("corrupted header was accepted")
 	}
 
 	// And Figure 1, regenerated from the machine-checked definition.
-	fmt.Println("Figure 1 (from the definition, not hand-drawn):")
-	fmt.Println()
-	fmt.Print(protodsl.IPv4Diagram())
+	fmt.Fprintln(w, "Figure 1 (from the definition, not hand-drawn):")
+	fmt.Fprintln(w)
+	fmt.Fprint(w, protodsl.IPv4Diagram())
 	return nil
 }

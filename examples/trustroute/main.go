@@ -7,18 +7,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"protodsl"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	base := protodsl.TrustConfig{
 		Relays:              8,
 		AdversarialFraction: 0.5,
@@ -40,18 +42,18 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("8 relays, 4 adversarial (p=0.9 misbehaviour), 400 messages\n\n")
-	fmt.Printf("random relay choice:   %5.1f%% delivered\n", 100*rres.SuccessRate)
-	fmt.Printf("trust learning:        %5.1f%% delivered (%5.1f%% in the final quarter)\n\n",
+	fmt.Fprintf(w, "8 relays, 4 adversarial (p=0.9 misbehaviour), 400 messages\n\n")
+	fmt.Fprintf(w, "random relay choice:   %5.1f%% delivered\n", 100*rres.SuccessRate)
+	fmt.Fprintf(w, "trust learning:        %5.1f%% delivered (%5.1f%% in the final quarter)\n\n",
 		100*tres.SuccessRate, 100*tres.LateSuccessRate)
 
-	fmt.Println("learned trust table (score = smoothed success rate):")
-	fmt.Println("  relay  behaviour  chosen  succeeded  score")
+	fmt.Fprintln(w, "learned trust table (score = smoothed success rate):")
+	fmt.Fprintln(w, "  relay  behaviour  chosen  succeeded  score")
 	for i, r := range tres.Relays {
-		fmt.Printf("  %5d  %-9s  %6d  %9d  %.3f\n",
+		fmt.Fprintf(w, "  %5d  %-9s  %6d  %9d  %.3f\n",
 			i, r.Behaviour, r.Chosen, r.Succeeded, r.Score)
 	}
-	fmt.Println("\nThe learner concentrates traffic on honest relays; the baseline keeps")
-	fmt.Println("feeding the adversaries — the paper's untrusted-environment hook.")
+	fmt.Fprintln(w, "\nThe learner concentrates traffic on honest relays; the baseline keeps")
+	fmt.Fprintln(w, "feeding the adversaries — the paper's untrusted-environment hook.")
 	return nil
 }

@@ -111,18 +111,21 @@ func diffGrid(t *testing.T) []diffConfig {
 // short counter-examples. The trace length is always pinned; the final
 // move is pinned only for step and overrun violations, where it is the
 // offending move itself rather than a parent-chain artifact.
-func violKey(v Violation) string {
+func violKey(t testing.TB, v Violation) string {
+	t.Helper()
+	moves := mustMoves(t, v)
 	last := "-"
 	if v.Kind == ViolationStep || v.Kind == ViolationOverrun {
-		last = lastMove(&v)
+		last = moves[len(moves)-1].String()
 	}
-	return fmt.Sprintf("%d|%s|%s|%s|len=%d|last=%s", v.Depth, v.Kind, v.Name, v.Msg, len(v.Moves), last)
+	return fmt.Sprintf("%d|%s|%s|%s|len=%d|last=%s", v.Depth, v.Kind, v.Name, v.Msg, len(moves), last)
 }
 
-func sortedViolKeys(vs []Violation) []string {
+func sortedViolKeys(t testing.TB, vs []Violation) []string {
+	t.Helper()
 	keys := make([]string, len(vs))
 	for i, v := range vs {
-		keys[i] = violKey(v)
+		keys[i] = violKey(t, v)
 	}
 	sort.Strings(keys)
 	return keys
@@ -148,7 +151,7 @@ func diffCompare(t *testing.T, name string, want, got *Result) {
 	if fmt.Sprint(got.Overruns) != fmt.Sprint(want.Overruns) {
 		t.Errorf("%s: Overruns = %v, want %v", name, got.Overruns, want.Overruns)
 	}
-	wk, gk := sortedViolKeys(want.Violations), sortedViolKeys(got.Violations)
+	wk, gk := sortedViolKeys(t, want.Violations), sortedViolKeys(t, got.Violations)
 	if len(wk) != len(gk) {
 		t.Fatalf("%s: %d violations, want %d\n got: %v\nwant: %v", name, len(gk), len(wk), gk, wk)
 	}
@@ -211,7 +214,7 @@ func TestDifferentialParallelIsSelfDeterministic(t *testing.T) {
 		}
 		keys := make([]string, len(res.Violations))
 		for i, v := range res.Violations {
-			keys[i] = violKey(v)
+			keys[i] = violKey(t, v)
 		}
 		if run == 0 {
 			ref = keys

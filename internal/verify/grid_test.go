@@ -66,7 +66,7 @@ func TestGridGolden(t *testing.T) {
 				}
 				keys := make([]string, len(res.Violations))
 				for i, v := range res.Violations {
-					keys[i] = violKey(v)
+					keys[i] = violKey(t, v)
 				}
 				r := strings.Join(keys, "\n")
 				if workers == 1 {
@@ -88,15 +88,16 @@ func replayAll(t *testing.T, sys *System, inv Invariant, vs []Violation) {
 		if v.Kind != ViolationInvariant || v.Name != inv.Name {
 			t.Fatalf("unexpected violation %s", v)
 		}
-		if len(v.Moves) != v.Depth || len(v.Trace) != len(v.Moves) {
-			t.Fatalf("trace of %d moves (%d rendered) at depth %d", len(v.Moves), len(v.Trace), v.Depth)
+		moves, trace := mustMoves(t, v), mustTrace(t, v)
+		if len(moves) != v.Depth || len(trace) != len(moves) {
+			t.Fatalf("trace of %d moves (%d rendered) at depth %d", len(moves), len(trace), v.Depth)
 		}
-		ms, _, err := Replay(sys, v.Moves)
+		ms, _, err := Replay(sys, moves)
 		if err != nil {
-			t.Fatalf("trace %v does not replay: %v", v.Trace, err)
+			t.Fatalf("trace %v does not replay: %v", trace, err)
 		}
 		if err := inv.evalMachines(ms); err == nil || err.Error() != v.Msg {
-			t.Fatalf("trace %v replays to %v, reported %q", v.Trace, err, v.Msg)
+			t.Fatalf("trace %v replays to %v, reported %q", trace, err, v.Msg)
 		}
 	}
 }

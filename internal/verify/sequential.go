@@ -164,8 +164,7 @@ func (e *sexplorer) violate(n *snode, extra *Move, v Violation) {
 	if extra != nil {
 		moves = append(moves, *extra)
 	}
-	v.Moves = moves
-	v.Trace = describeMoves(moves)
+	v.moves = moves
 	v.Depth = n.depth
 	e.res.Violations = append(e.res.Violations, v)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"protodsl/internal/expr"
@@ -54,15 +56,16 @@ func TestTraceReplayInvariantViolations(t *testing.T) {
 					if v.Kind != ViolationInvariant {
 						continue
 					}
-					if len(v.Moves) != v.Depth {
-						t.Errorf("workers=%d: trace length %d != depth %d", workers, len(v.Moves), v.Depth)
+					moves := mustMoves(t, v)
+					if len(moves) != v.Depth {
+						t.Errorf("workers=%d: trace length %d != depth %d", workers, len(moves), v.Depth)
 					}
-					ms, _, err := Replay(sys, v.Moves)
+					ms, _, err := Replay(sys, moves)
 					if err != nil {
 						t.Fatalf("workers=%d: trace does not replay: %v", workers, err)
 					}
 					if ierr := tc.inv.evalMachines(ms); ierr == nil {
-						t.Errorf("workers=%d: replayed trace %v does not violate %s", workers, v.Trace, tc.inv.Name)
+						t.Errorf("workers=%d: replayed trace %v does not violate %s", workers, mustTrace(t, v), tc.inv.Name)
 					} else if ierr.Error() != v.Msg {
 						t.Errorf("workers=%d: replayed violation %q, reported %q", workers, ierr, v.Msg)
 					}
@@ -123,13 +126,14 @@ func TestTraceReplayStepError(t *testing.T) {
 		if !strings.Contains(step.Msg, "division by zero") {
 			t.Errorf("workers=%d: step violation msg = %q", workers, step.Msg)
 		}
-		if len(step.Moves) == 0 {
+		moves := mustMoves(t, *step)
+		if len(moves) == 0 {
 			t.Fatal("step violation has no trace")
 		}
-		if _, _, err := Replay(sys, step.Moves[:len(step.Moves)-1]); err != nil {
+		if _, _, err := Replay(sys, moves[:len(moves)-1]); err != nil {
 			t.Errorf("workers=%d: trace prefix does not replay: %v", workers, err)
 		}
-		if _, _, err := Replay(sys, step.Moves); err == nil {
+		if _, _, err := Replay(sys, moves); err == nil {
 			t.Errorf("workers=%d: replaying the faulting move did not fault", workers)
 		} else if !strings.Contains(err.Error(), "division by zero") {
 			t.Errorf("workers=%d: replay error = %v", workers, err)
@@ -156,7 +160,8 @@ func TestTraceReplayDeadlock(t *testing.T) {
 	if dl == nil {
 		t.Fatal("no deadlock violation")
 	}
-	replayed, _, err := Replay(sys, dl.Moves)
+	dlMoves := mustMoves(t, *dl)
+	replayed, _, err := Replay(sys, dlMoves)
 	if err != nil {
 		t.Fatalf("deadlock trace does not replay: %v", err)
 	}
@@ -172,7 +177,7 @@ func TestTraceReplayDeadlock(t *testing.T) {
 	ms := newMachines(b.progs)
 	queues := make([][]expr.Value, len(sys.Routes))
 	deliverArgs := deliverArgsFor(sys)
-	for _, mv := range dl.Moves {
+	for _, mv := range dlMoves {
 		if _, err := applyMove(sys, ms, queues, mv, deliverArgs, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -253,15 +258,16 @@ func TestOverrunRegression(t *testing.T) {
 		if v.Msg != errDataOverrun.Error() {
 			t.Errorf("overrun msg = %q", v.Msg)
 		}
-		if len(v.Moves) == 0 {
+		moves := mustMoves(t, v)
+		if len(moves) == 0 {
 			t.Fatal("overrun violation has no trace")
 		}
-		_, overruns, err := Replay(sys, v.Moves)
+		_, overruns, err := Replay(sys, moves)
 		if err != nil {
 			t.Fatalf("overrun trace does not replay: %v", err)
 		}
 		if overruns[0] == 0 {
-			t.Errorf("replayed overrun trace %v drops nothing on route 0", v.Trace)
+			t.Errorf("replayed overrun trace %v drops nothing on route 0", mustTrace(t, v))
 		}
 		found++
 		if found >= 10 {
@@ -305,4 +311,113 @@ func Replay(sys *System, moves []Move) ([]*fsm.Machine, []uint64, error) {
 		}
 	}
 	return ms, overruns, nil
+}
+
+// mustMoves builds a violation's counter-example.
+func mustMoves(t testing.TB, v Violation) []Move {
+	t.Helper()
+	moves, err := v.Moves()
+	if err != nil {
+		t.Fatalf("%s %s: building the trace: %v", v.Kind, v.Name, err)
+	}
+	return moves
+}
+
+// mustTrace renders a violation's counter-example.
+func mustTrace(t testing.TB, v Violation) []string {
+	t.Helper()
+	trace, err := v.Trace()
+	if err != nil {
+		t.Fatalf("%s %s: rendering the trace: %v", v.Kind, v.Name, err)
+	}
+	return trace
+}
+
+// srUnsafe is the grid's violating selective-repeat target: 9,447 states
+// and 4,017 invariant violations at depths up to 26.
+func srUnsafe(t testing.TB) (*System, Options) {
+	t.Helper()
+	sys, err := BuildSR(SROptions{SeqSpace: 5, Window: 3, Total: 4, Capacity: 2, Lossy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, Options{Invariants: []Invariant{SRInvariantW(5, 3)}}
+}
+
+// TestExploreBuildsNoTraces bounds what one Explore of srUnsafe
+// allocates. Traces are built on demand, so the search pays only for
+// the violations' anchors; building all 4,017 traces inside Explore
+// roughly doubles the figure and fails the bound.
+func TestExploreBuildsNoTraces(t *testing.T) {
+	const ceiling = 9 << 20
+	sys, opts := srUnsafe(t)
+	for _, workers := range []int{1, 2} {
+		opts.Workers = workers
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Explore(sys, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Violations) != 4017 {
+			t.Fatalf("workers=%d: %d violations, want 4017", workers, len(res.Violations))
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		if alloc > ceiling {
+			t.Errorf("workers=%d: Explore allocated %.1f MB, ceiling %.0f MB", workers, float64(alloc)/(1<<20), float64(ceiling)/(1<<20))
+		} else {
+			t.Logf("workers=%d: Explore allocated %.1f MB", workers, float64(alloc)/(1<<20))
+		}
+	}
+}
+
+// TestLazyTracesConcurrent builds the traces of one Result from several
+// goroutines at once: each must equal the trace a single goroutine
+// builds from a second, identical search, whichever goroutine reaches a
+// shared prefix first. One search worker makes the parent chains, and
+// so the literal traces, the same in both searches.
+func TestLazyTracesConcurrent(t *testing.T) {
+	sys, opts := srUnsafe(t)
+	opts.Workers = 1
+	res, err := Explore(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Explore(sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := res.Violations
+	const goroutines = 4
+	got := make([][][]Move, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = make([][]Move, len(vs))
+			// Each goroutine walks the report from its own offset, so
+			// they race on different violations' shared prefixes.
+			for k := range vs {
+				i := (k + g*len(vs)/goroutines) % len(vs)
+				moves, err := vs[i].Moves()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][i] = moves
+			}
+		}()
+	}
+	wg.Wait()
+	for i, v := range ref.Violations {
+		want := fmt.Sprint(mustMoves(t, v))
+		for g := range got {
+			if s := fmt.Sprint(got[g][i]); s != want {
+				t.Fatalf("violation %d: goroutine %d built %s, want %s", i, g, s, want)
+			}
+		}
+	}
 }

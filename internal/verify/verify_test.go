@@ -60,7 +60,7 @@ func TestARQBrokenGuardIsCaught(t *testing.T) {
 	if v.Kind != ViolationInvariant || v.Name != "stop-and-wait-window" {
 		t.Errorf("violation = %+v", v)
 	}
-	if len(v.Trace) == 0 {
+	if len(mustTrace(t, v)) == 0 {
 		t.Error("violation has no counter-example trace")
 	}
 	if v.String() == "" {
@@ -178,7 +178,7 @@ func TestDeadlockDetection(t *testing.T) {
 	for _, v := range res.Violations {
 		if v.Kind == ViolationDeadlock {
 			found = true
-			if len(v.Trace) == 0 {
+			if len(mustTrace(t, v)) == 0 {
 				t.Error("deadlock without trace")
 			}
 		}
