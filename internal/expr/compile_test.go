@@ -160,6 +160,32 @@ func TestMsgCopiesFields(t *testing.T) {
 	}
 }
 
+// TestMsgSharesShapes: messages of one name and field set share one
+// shape but not a frame; another name or field set, even one whose
+// name and field names concatenate to the same text, gets its own.
+func TestMsgSharesShapes(t *testing.T) {
+	a := Msg("Ack", map[string]Value{"seq": U8(1), "chk": U8(2)})
+	b := Msg("Ack", map[string]Value{"chk": U8(3), "seq": U8(4)})
+	if a.p != b.p {
+		t.Error("two Ack{chk, seq} messages have different shapes")
+	}
+	if a.q == b.q {
+		t.Error("two Msg calls share a frame")
+	}
+	if got, _ := a.Field("seq"); got.AsUint() != 1 {
+		t.Errorf("a.seq = %v after building b", got)
+	}
+	for _, m := range []Value{
+		Msg("Ack", map[string]Value{"seq": U8(1)}),
+		Msg("Pkt", map[string]Value{"seq": U8(1), "chk": U8(2)}),
+		Msg("Ackc", map[string]Value{"hk": U8(1), "seq": U8(2)}),
+	} {
+		if m.p == a.p {
+			t.Errorf("%s shares Ack{chk, seq}'s shape", m)
+		}
+	}
+}
+
 // TestCompiledFusedShapesParity drives the peephole-fused closures
 // (msg.field ==/!= var, var op literal) against Eval on success and
 // failure inputs.
