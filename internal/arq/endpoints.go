@@ -41,6 +41,7 @@ type Sender struct {
 	current  []byte
 
 	timer      netsim.Timer
+	timeoutFn  func() // pre-bound onTimeout, so re-arming never closes over s
 	rto        time.Duration
 	maxRetries int
 	retries    int
@@ -85,6 +86,7 @@ func NewSender(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr,
 	s.evTimeout, _ = machine.EventID(EvTimeout)
 	s.evRetry, _ = machine.EventID(EvRetry)
 	s.evFinish, _ = machine.EventID(EvFinish)
+	s.timeoutFn = s.onTimeout
 	ep.SetHandler(s.onDatagram)
 	return s, nil
 }
@@ -179,7 +181,7 @@ func (s *Sender) armTimer() {
 	if s.timer != nil {
 		s.timer.Cancel()
 	}
-	s.timer = s.sim.After(s.rto, s.onTimeout)
+	s.timer = s.sim.After(s.rto, s.timeoutFn)
 }
 
 // onDatagram handles anything arriving at the sender: only acks are

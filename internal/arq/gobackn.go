@@ -35,7 +35,8 @@ type GBNConfig struct {
 // gbnSender slides a window of in-flight packets under one timer.
 type gbnSender struct {
 	WindowSender
-	retries int // timeouts since the window last advanced
+	retries   int    // timeouts since the window last advanced
+	timeoutFn func() // pre-bound onTimeout, so re-arming never closes over s
 }
 
 // pump fills the window and restarts the window timer.
@@ -62,7 +63,7 @@ func (s *gbnSender) armTimer() {
 		s.timer.Cancel()
 	}
 	if s.base < len(s.payloads) {
-		s.timer = s.rt.After(s.rto.Current(), s.onTimeout)
+		s.timer = s.rt.After(s.rto.Current(), s.timeoutFn)
 	}
 }
 
@@ -150,6 +151,7 @@ func AttachGBNSender(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, cfg 
 	if err := s.init(rt, port, peer, cfg, payloads, onDone); err != nil {
 		return nil, err
 	}
+	s.timeoutFn = s.onTimeout
 	port.SetHandler(s.onAck)
 	rt.Post(s.pump)
 	return &s.WindowSender, nil

@@ -12,7 +12,15 @@ import (
 // packet costs one retransmission, not a window's worth.
 
 // srSender retransmits individually timed packets.
-type srSender struct{ WindowSender }
+type srSender struct {
+	WindowSender
+	// timeouts holds one pre-bound timeout callback per window slot,
+	// built at attach, so re-arming a packet's timer never builds a
+	// closure. Callback k retransmits the payload slot k holds when it
+	// fires: a slot's timer is cancelled before the slot is reused, so
+	// that is always the payload the timer was armed for.
+	timeouts []func()
+}
 
 // pump fills the window, arming one timer per packet.
 func (s *srSender) pump() {
@@ -41,7 +49,7 @@ func (s *srSender) send(idx int, retx bool) error {
 	if slot.timer != nil {
 		slot.timer.Cancel()
 	}
-	slot.timer = s.rt.After(s.rto.Current(), func() { s.onTimeout(idx) })
+	slot.timer = s.rt.After(s.rto.Current(), s.timeouts[idx%s.window])
 	return nil
 }
 
@@ -148,6 +156,10 @@ func AttachSRSender(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, cfg F
 	s := &srSender{}
 	if err := s.init(rt, port, peer, cfg, payloads, onDone); err != nil {
 		return nil, err
+	}
+	s.timeouts = make([]func(), s.window)
+	for k := range s.timeouts {
+		s.timeouts[k] = func() { s.onTimeout(s.slots[k].idx) }
 	}
 	port.SetHandler(s.onAck)
 	rt.Post(s.pump)

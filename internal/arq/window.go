@@ -100,6 +100,7 @@ func (r *WindowResult) Goodput() float64 {
 // sendSlot is the sender's bookkeeping for one in-flight packet, held
 // in a ring of window slots indexed by payload index mod window.
 type sendSlot struct {
+	idx     int           // the payload index the slot holds
 	at      time.Duration // first transmit, for RTT samples
 	retries int           // retransmissions; Karn's rule samples only at 0
 	acked   bool          // individually acknowledged (selective repeat)
@@ -204,7 +205,7 @@ func (s *WindowSender) transmit(idx int, retx bool) error {
 		s.obs.Inc(obs.Retransmits)
 		slot.retries++
 	} else {
-		*slot = sendSlot{at: s.rt.Now()}
+		*slot = sendSlot{idx: idx, at: s.rt.Now()}
 	}
 	return nil
 }

@@ -133,22 +133,55 @@ func (r FlowResult) Goodput() float64 {
 // rtnet loopback tests and cmd/protosim's real-network client, keeping
 // the "distinct per-flow payloads" guarantee identical across the
 // simulated and real paths.
+//
+// Byte j of payload i is byte(key+i+j). The payloads share one backing
+// array, each copied from payloadPattern and capped at its length, so
+// appending to one can never overwrite the next.
 func DistinctPayloads(key, count, size int) [][]byte {
 	out := make([][]byte, count)
+	pattern := payloadPattern(key, size)
+	buf := make([]byte, count*size)
 	for i := range out {
-		p := make([]byte, size)
-		for j := range p {
-			p[j] = byte(key + i + j)
-		}
-		out[i] = p
+		a, b := i*size, (i+1)*size
+		copy(buf[a:b], pattern[i%256:])
+		out[i] = buf[a:b:b]
 	}
 	return out
 }
 
-// flowPayloads builds deterministic per-flow payloads: distinct across
+// payloadPattern returns the 256+size bytes byte(key+k). Payload i of
+// DistinctPayloads(key, _, size) is pattern[i%256 : i%256+size]: the
+// payload bytes wrap modulo 256, so 256 offsets cover every index.
+func payloadPattern(key, size int) []byte {
+	p := make([]byte, 256+size)
+	for k := range p {
+		p[k] = byte(key + k)
+	}
+	return p
+}
+
+// flowKey is the DistinctPayloads key of one flow: distinct across
 // shards and flows so cross-flow delivery mixups cannot cancel out.
-func flowPayloads(cfg *MultiFlowConfig, shard, flow int) [][]byte {
-	return DistinctPayloads(shard*31+flow*7, cfg.PayloadsPerFlow, cfg.PayloadSize)
+func flowKey(shard, flow int) int { return shard*31 + flow*7 }
+
+// checkDelivered verifies delivered against the rule that generated the
+// flow's payloads (DistinctPayloads(key, count, size)) and returns the
+// payload bytes delivered. It recomputes the content from the rule
+// rather than reading the sender's slices, so an engine that corrupted
+// its own copy cannot also corrupt the reference.
+func checkDelivered(delivered [][]byte, key, count, size int) (int, error) {
+	if len(delivered) > count {
+		return 0, fmt.Errorf("delivered %d > sent %d", len(delivered), count)
+	}
+	pattern := payloadPattern(key, size)
+	n := 0
+	for i, p := range delivered {
+		if !bytes.Equal(p, pattern[i%256:i%256+size]) {
+			return 0, fmt.Errorf("payload %d content mismatch", i)
+		}
+		n += len(p)
+	}
+	return n, nil
 }
 
 // RunShard runs one seeded simulation hosting cfg.Flows concurrent
@@ -204,7 +237,8 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if flows[f], err = start(sim, sport, rport, fcfg, flowPayloads(&cfg, shard, f)); err != nil {
+		payloads := DistinctPayloads(flowKey(shard, f), cfg.PayloadsPerFlow, cfg.PayloadSize)
+		if flows[f], err = start(sim, sport, rport, fcfg, payloads); err != nil {
 			return nil, err
 		}
 	}
@@ -225,20 +259,11 @@ func RunShard(cfg MultiFlowConfig, shard int) ([]FlowResult, error) {
 	for f := range results {
 		r := flows[f].Result()
 		// Verify content, not just counts: each flow's payloads are
-		// distinct (flowPayloads), so any cross-flow mixup or silent
+		// distinct (flowKey), so any cross-flow mixup or silent
 		// corruption slipping past the wire checksums surfaces here.
-		expected := flowPayloads(&cfg, shard, f)
-		if len(r.Delivered) > len(expected) {
-			return nil, fmt.Errorf("harness shard %d flow %d: delivered %d > sent %d",
-				shard, f, len(r.Delivered), len(expected))
-		}
-		deliveredBytes := 0
-		for i, p := range r.Delivered {
-			if !bytes.Equal(p, expected[i]) {
-				return nil, fmt.Errorf("harness shard %d flow %d: payload %d content mismatch",
-					shard, f, i)
-			}
-			deliveredBytes += len(p)
+		deliveredBytes, err := checkDelivered(r.Delivered, flowKey(shard, f), cfg.PayloadsPerFlow, cfg.PayloadSize)
+		if err != nil {
+			return nil, fmt.Errorf("harness shard %d flow %d: %w", shard, f, err)
 		}
 		results[f] = FlowResult{
 			Shard: shard, Flow: f, OK: r.OK, Duration: r.Duration,

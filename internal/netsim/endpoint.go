@@ -207,14 +207,44 @@ func (s *Sim) corrupt(p LinkParams, from, to Addr, payload []byte) []byte {
 	return payload
 }
 
+// delivery is one packet in flight and the wheel event's target. The
+// records are pooled per Sim (Sim.freeDeliveries), so scheduling a
+// delivery builds no closure and, once the pool is warm, allocates
+// nothing beyond the payload copy Send already made.
+type delivery struct {
+	sim     *Sim
+	from    Addr
+	dst     *Endpoint
+	payload []byte
+	next    *delivery // free-list link
+}
+
+// scheduleDelivery queues payload for dst's handler at time at, in a
+// delivery record taken from the Sim's free list.
 func (s *Sim) scheduleDelivery(from Addr, dst *Endpoint, payload []byte, at time.Duration) {
-	s.schedule(at, func() {
-		s.stats.Delivered++
-		s.obsSh.Inc(obs.FramesIn)
-		s.obsSh.Add(obs.BytesIn, uint64(len(payload)))
-		s.traceEvent(TraceDeliver, from, dst.addr, len(payload))
-		if dst.handler != nil {
-			dst.handler(from, payload)
-		}
-	})
+	d := s.freeDeliveries
+	if d != nil {
+		s.freeDeliveries = d.next
+		d.next = nil
+	} else {
+		d = &delivery{sim: s}
+	}
+	d.from, d.dst, d.payload = from, dst, payload
+	s.schedule(at, d)
+}
+
+// Fire delivers the packet (timerwheel.Target). The record goes back to
+// the free list before the handler runs, so a handler that sends again
+// reuses it.
+func (d *delivery) Fire() {
+	s, from, dst, payload := d.sim, d.from, d.dst, d.payload
+	d.from, d.dst, d.payload = "", nil, nil
+	d.next, s.freeDeliveries = s.freeDeliveries, d
+	s.stats.Delivered++
+	s.obsSh.Inc(obs.FramesIn)
+	s.obsSh.Add(obs.BytesIn, uint64(len(payload)))
+	s.traceEvent(TraceDeliver, from, dst.addr, len(payload))
+	if dst.handler != nil {
+		dst.handler(from, payload)
+	}
 }

@@ -20,6 +20,12 @@
 // replaced (the golden-trace tests in internal/arq and internal/harness
 // pin this). See DESIGN.md §9.
 //
+// The data path repeats no allocation it can avoid: a wheel event's
+// target is the simulator's own timer or delivery record, not a
+// closure, so After allocates only the Timer handle, and delivery
+// records are pooled per Sim — on a warm Sim, Send allocates only the
+// payload copy (two on a duplicated packet).
+//
 // Concurrency contract: a Sim and everything attached to it (endpoints,
 // muxes, timers) belong to exactly one goroutine. Scaling out means many
 // Sims — one per goroutine, each fully independent — which is what
@@ -85,6 +91,11 @@ type Sim struct {
 	links     map[linkKey]*link
 	stats     Stats
 	processed uint64
+
+	// freeDeliveries is the pool of delivery records (endpoint.go):
+	// a record is taken when a packet is scheduled and returned when it
+	// arrives, so the event loop reuses them instead of allocating.
+	freeDeliveries *delivery
 
 	// Observability: one stats shard (the sim is single-threaded) whose
 	// ring buffer replaces the old unbounded []TraceEvent trace. The
@@ -178,21 +189,30 @@ func (s *Sim) addrOf(id uint16) Addr {
 	return s.addrs[id-1]
 }
 
-// schedule enqueues fn at absolute virtual time at. Event structs are
-// pooled inside the wheel: the steady-state send/timeout loop reuses
-// them instead of allocating.
-func (s *Sim) schedule(at time.Duration, fn func()) *timerwheel.Event {
+// schedule enqueues target at absolute virtual time at. Event structs
+// are pooled inside the wheel: the steady-state send/timeout loop
+// reuses them instead of allocating.
+func (s *Sim) schedule(at time.Duration, target timerwheel.Target) *timerwheel.Event {
 	if at < s.now {
 		at = s.now
 	}
-	return s.wheel.Arm(at, fn)
+	return s.wheel.Arm(at, target)
 }
 
-// simTimer is the simulator's Timer implementation.
+// simTimer is the simulator's Timer implementation. It is also the
+// wheel event's target, so arming one allocates only the timer itself.
 type simTimer struct {
 	sim   *Sim
 	ev    *timerwheel.Event
+	fn    func() // the callback; dropped once it fires or is cancelled
 	fired bool
+}
+
+// Fire runs the callback (timerwheel.Target).
+func (t *simTimer) Fire() {
+	fn := t.fn
+	t.fired, t.ev, t.fn = true, nil, nil
+	fn()
 }
 
 // Cancel prevents the timer from firing and removes its event from the
@@ -204,7 +224,7 @@ func (t *simTimer) Cancel() {
 		return
 	}
 	t.sim.wheel.Cancel(t.ev)
-	t.ev = nil
+	t.ev, t.fn = nil, nil
 }
 
 // Fired reports whether the callback has run.
@@ -216,18 +236,14 @@ func (t *simTimer) Active() bool { return t.ev != nil }
 // After schedules fn to run after virtual duration d and returns a
 // cancellable timer.
 func (s *Sim) After(d time.Duration, fn func()) Timer {
-	t := &simTimer{sim: s}
-	t.ev = s.schedule(s.now+d, func() {
-		t.fired = true
-		t.ev = nil
-		fn()
-	})
+	t := &simTimer{sim: s, fn: fn}
+	t.ev = s.schedule(s.now+d, t)
 	return t
 }
 
 // Post schedules fn to run "immediately" (at the current time, after any
 // events already queued for this instant).
-func (s *Sim) Post(fn func()) { s.schedule(s.now, fn) }
+func (s *Sim) Post(fn func()) { s.schedule(s.now, timerwheel.Func(fn)) }
 
 // Run processes events until the queue is empty or virtual time would
 // exceed `until`. It returns the number of events processed.
@@ -238,9 +254,9 @@ func (s *Sim) Run(until time.Duration) int {
 		if !ok || at > until {
 			break
 		}
-		at, fn, _ := s.wheel.Pop()
+		at, target, _ := s.wheel.Pop()
 		s.now = at
-		fn()
+		target.Fire()
 		s.processed++
 		n++
 	}
@@ -261,9 +277,9 @@ func (s *Sim) RunUntilIdle(maxEvents int) error {
 		if n >= maxEvents {
 			return fmt.Errorf("%w: %d events", ErrBudgetExceeded, maxEvents)
 		}
-		at, fn, _ := s.wheel.Pop()
+		at, target, _ := s.wheel.Pop()
 		s.now = at
-		fn()
+		target.Fire()
 		s.processed++
 	}
 }

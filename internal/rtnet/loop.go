@@ -51,11 +51,20 @@ func newLoop(start time.Time) *Loop {
 	return &Loop{start: start, wheel: timerwheel.New(loopGranularity)}
 }
 
-// rtTimer is the real-clock netsim.Timer implementation.
+// rtTimer is the real-clock netsim.Timer implementation. It is also the
+// wheel event's target, so arming one allocates only the timer itself.
 type rtTimer struct {
 	loop  *Loop
 	ev    *timerwheel.Event
+	fn    func() // the callback; dropped once it fires or is cancelled
 	fired bool
+}
+
+// Fire runs the callback (timerwheel.Target).
+func (t *rtTimer) Fire() {
+	fn := t.fn
+	t.fired, t.ev, t.fn = true, nil, nil
+	fn()
 }
 
 // Cancel prevents the timer from firing and removes its event from the
@@ -66,7 +75,7 @@ func (t *rtTimer) Cancel() {
 		return
 	}
 	t.loop.wheel.Cancel(t.ev)
-	t.ev = nil
+	t.ev, t.fn = nil, nil
 }
 
 // Fired reports whether the callback has run.
@@ -80,16 +89,12 @@ func (l *Loop) Now() time.Duration { return time.Since(l.start) }
 
 // After schedules fn to run after real duration d on this shard's loop.
 func (l *Loop) After(d time.Duration, fn func()) netsim.Timer {
-	t := &rtTimer{loop: l}
+	t := &rtTimer{loop: l, fn: fn}
 	at := l.Now() + d
 	if at < 0 {
 		at = 0
 	}
-	t.ev = l.wheel.Arm(at, func() {
-		t.fired = true
-		t.ev = nil
-		fn()
-	})
+	t.ev = l.wheel.Arm(at, t)
 	return t
 }
 
@@ -119,12 +124,13 @@ func (l *Loop) recovered() {
 	}
 }
 
-// shielded runs one engine callback under panic containment. The
+// shielded fires one engine callback under panic containment: a timer
+// popped from the wheel, or a plain func through timerwheel.Func. The
 // defer/recover pair is alloc-free, so the steady-state loop stays at
 // zero allocations per frame.
-func (l *Loop) shielded(fn func()) {
+func (l *Loop) shielded(t timerwheel.Target) {
 	defer l.recovered()
-	fn()
+	t.Fire()
 }
 
 // shieldHandler is shielded for frame handlers (plain arguments, so the
@@ -143,8 +149,8 @@ func (l *Loop) runDue() {
 		if !ok || at > now {
 			return
 		}
-		_, fn, _ := l.wheel.Pop()
-		l.shielded(fn)
+		_, target, _ := l.wheel.Pop()
+		l.shielded(target)
 		l.runPosted()
 	}
 }
@@ -159,6 +165,6 @@ func (l *Loop) runPosted() {
 		copy(l.posted, l.posted[1:])
 		l.posted[len(l.posted)-1] = nil
 		l.posted = l.posted[:len(l.posted)-1]
-		l.shielded(fn)
+		l.shielded(timerwheel.Func(fn))
 	}
 }

@@ -67,6 +67,7 @@ import (
 	"protodsl/internal/netsim"
 	"protodsl/internal/obs"
 	"protodsl/internal/session"
+	"protodsl/internal/timerwheel"
 )
 
 // traceRingSlots sizes each shard's packet-trace ring. Tracing is off
@@ -932,7 +933,7 @@ func (s *Shard) run() {
 				return
 			}
 		case fn := <-s.call:
-			s.loop.shielded(fn)
+			s.loop.shielded(timerwheel.Func(fn))
 			s.loop.runPosted()
 		case <-timerC:
 			s.loop.runDue()
@@ -948,7 +949,7 @@ func (s *Shard) run() {
 				}
 				continue
 			case fn := <-s.call:
-				s.loop.shielded(fn)
+				s.loop.shielded(timerwheel.Func(fn))
 				s.loop.runPosted()
 				continue
 			default:

@@ -506,6 +506,20 @@ loop:
 	}
 }
 
+// TestLoopTimerArmCancelAllocs pins the real-clock loop's timer cost:
+// the wheel pools its events and the timer is the event's target, so an
+// After+Cancel cycle allocates only the Timer handle.
+func TestLoopTimerArmCancelAllocs(t *testing.T) {
+	l := newLoop(time.Now())
+	l.After(time.Second, func() {}).Cancel() // warm the event pool
+	allocs := testing.AllocsPerRun(1000, func() {
+		l.After(time.Second, func() {}).Cancel()
+	})
+	if allocs > 1 {
+		t.Errorf("After+Cancel allocates %.1f objects, want <= 1 (the Timer handle)", allocs)
+	}
+}
+
 // TestFlowClaiming: claiming a flow twice fails; claims and Serve
 // coexist.
 func TestFlowClaiming(t *testing.T) {

@@ -103,7 +103,8 @@ type Client struct {
 	retryT  netsim.Timer
 	beatT   netsim.Timer
 	expireT netsim.Timer
-	tickFn  func() // pre-bound onTick, so re-arming never closes over c
+	// Pre-bound timer callbacks, so re-arming never closes over c.
+	tickFn, retryFn, ackCRetryFn, recloseFn, expireFn func()
 
 	synSentAt time.Duration
 	retries   int
@@ -151,12 +152,13 @@ func Connect(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, cfg ClientCo
 		return nil, err
 	}
 	c.synAckShape = c.m.Program().MsgShape("SynAck")
-	c.tickFn = c.onTick
+	c.tickFn, c.retryFn, c.ackCRetryFn = c.onTick, c.onRetry, c.onAckCRetry
+	c.recloseFn, c.expireFn = c.onReclose, c.onExpire
 	port.SetHandler(c.onFrame)
 
 	c.synSentAt = rt.Now()
 	c.step(c.evConnect, expr.U32(uint64(c.nonce)))
-	c.retryT = rt.After(c.rto.Current(), c.onRetry)
+	c.retryT = rt.After(c.rto.Current(), c.retryFn)
 	return c, nil
 }
 
@@ -258,7 +260,7 @@ func (c *Client) onFrame(from netsim.Addr, data []byte) {
 		res := c.step(c.evFinack)
 		if res.Fired != nil { // FinWait -> TimeWait
 			c.cancelTimers()
-			c.expireT = c.rt.After(c.cfg.TimeWait, c.onExpire)
+			c.expireT = c.rt.After(c.cfg.TimeWait, c.expireFn)
 		} else if c.m.State() == stateTimeWait {
 			c.sh.Inc(obs.TimewaitAbsorbed)
 		}
@@ -287,7 +289,7 @@ func (c *Client) onSynAck() {
 		// The ACK-C went out with the transition. Until the server
 		// shows it holds the session, re-send it on the RTO clock: it
 		// drops every data frame from us until the ACK-C lands.
-		c.retryT = c.rt.After(c.rto.Current(), c.onAckCRetry)
+		c.retryT = c.rt.After(c.rto.Current(), c.ackCRetryFn)
 		if c.cfg.HeartbeatEvery > 0 {
 			c.beatT = c.rt.After(c.cfg.HeartbeatEvery, c.tickFn)
 		}
@@ -317,7 +319,7 @@ func (c *Client) onRetry() {
 	}
 	c.rto.Backoff()
 	c.step(c.evRetry, expr.U32(uint64(c.nonce)))
-	c.retryT = c.rt.After(c.rto.Current(), c.onRetry)
+	c.retryT = c.rt.After(c.rto.Current(), c.retryFn)
 }
 
 // onAckCRetry is the ACK-C retransmit timer: with backoff, bounded by
@@ -333,7 +335,7 @@ func (c *Client) onAckCRetry() {
 	}
 	c.rto.Backoff()
 	c.sendAckC()
-	c.retryT = c.rt.After(c.rto.Current(), c.onAckCRetry)
+	c.retryT = c.rt.After(c.rto.Current(), c.ackCRetryFn)
 }
 
 // confirm records that the server demonstrably holds our session and
@@ -397,7 +399,7 @@ func (c *Client) Close() {
 		c.retryT.Cancel() // the ACK-C retry timer, if still armed
 		c.retries = 0
 		c.step(c.evClose)
-		c.retryT = c.rt.After(c.rto.Current(), c.onReclose)
+		c.retryT = c.rt.After(c.rto.Current(), c.recloseFn)
 	}
 }
 
@@ -415,7 +417,7 @@ func (c *Client) onReclose() {
 	}
 	c.rto.Backoff()
 	c.step(c.evReclose)
-	c.retryT = c.rt.After(c.rto.Current(), c.onReclose)
+	c.retryT = c.rt.After(c.rto.Current(), c.recloseFn)
 }
 
 // onExpire ends TIME_WAIT.

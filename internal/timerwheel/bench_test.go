@@ -28,7 +28,7 @@ func BenchmarkTimerChurn(b *testing.B) {
 		// 1 in 16 timers is never acked: it expires and fires.
 		fireEvery = 16
 	)
-	fn := func() {}
+	fn := Func(func() {})
 	deadline := func(now time.Duration, i int) time.Duration {
 		// Deterministic sub-tick jitter spreads deadlines across slots.
 		return now + rto + time.Duration((i*7)&1023)
@@ -56,8 +56,8 @@ func BenchmarkTimerChurn(b *testing.B) {
 				if !ok || at > now {
 					break
 				}
-				_, f, _ := w.Pop()
-				f()
+				_, target, _ := w.Pop()
+				target.Fire()
 			}
 			slot := i % nLive
 			if slot%fireEvery != 0 && ats[slot] > now {

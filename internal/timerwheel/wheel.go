@@ -26,6 +26,11 @@
 // Event structs are pooled and recycled across arm/fire/cancel cycles;
 // the steady-state arm/cancel churn of an ARQ sender allocates nothing.
 //
+// An event carries a Target — anything with a Fire method — rather
+// than a func(). The owner's own timer or delivery record is the
+// target, so arming one builds no wrapper closure; a plain func rides
+// through the Func adapter, which allocates nothing either.
+//
 // Concurrency: a Wheel belongs to exactly one goroutine (the event loop
 // that owns it), exactly like the Sim or Loop wrapping it.
 package timerwheel
@@ -45,13 +50,24 @@ const (
 	numLevels = 11
 )
 
+// Target is what an event fires: Pop hands it back and the owning
+// event loop calls Fire.
+type Target interface{ Fire() }
+
+// Func adapts a plain func to Target. A func value fits an interface
+// word as it is, so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Event is one armed timer. It is owned by the wheel (allocated from
 // its pool, recycled on fire/cancel); callers hold it only as an opaque
 // cancellation handle and must not touch it after Fire or Cancel.
 type Event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at     time.Duration
+	seq    uint64
+	target Target
 
 	prev, next *Event // intrusive slot list links (nil while due/free)
 	level      int8   // slot level, or levelDue / levelFree
@@ -151,7 +167,7 @@ func (w *Wheel) alloc() *Event {
 }
 
 func (w *Wheel) release(e *Event) {
-	e.fn = nil
+	e.target = nil
 	e.prev = nil
 	e.level = levelFree
 	e.next = w.free
@@ -159,13 +175,13 @@ func (w *Wheel) release(e *Event) {
 	w.freeN++
 }
 
-// Arm schedules fn at absolute deadline at and returns the event as a
-// cancellation handle. Deadlines may be in the "past" relative to the
+// Arm schedules target at absolute deadline at and returns the event as
+// a cancellation handle. Deadlines may be in the "past" relative to the
 // wheel's advancement (e.g. Post-at-now while draining the current
 // instant); they join the due buffer in exact (at, seq) position.
-func (w *Wheel) Arm(at time.Duration, fn func()) *Event {
+func (w *Wheel) Arm(at time.Duration, target Target) *Event {
 	e := w.alloc()
-	e.at, e.seq, e.fn = at, w.seq, fn
+	e.at, e.seq, e.target = at, w.seq, target
 	w.seq++
 	w.size++
 	if t := w.tickOf(at); t > w.cur {
@@ -250,10 +266,10 @@ func (w *Wheel) PeekDeadline() (time.Duration, bool) {
 }
 
 // Pop removes and returns the earliest pending event's deadline and
-// callback; ok is false when the wheel is empty. The event struct is
-// recycled before fn runs, mirroring the heap cores' pop-then-call
-// shape.
-func (w *Wheel) Pop() (at time.Duration, fn func(), ok bool) {
+// target; ok is false when the wheel is empty. The event struct is
+// recycled before the caller fires the target, mirroring the heap
+// cores' pop-then-call shape.
+func (w *Wheel) Pop() (at time.Duration, target Target, ok bool) {
 	if w.size == 0 {
 		return 0, nil, false
 	}
@@ -261,10 +277,10 @@ func (w *Wheel) Pop() (at time.Duration, fn func(), ok bool) {
 	e := w.due[w.dueHead]
 	w.due[w.dueHead] = nil
 	w.dueHead++
-	at, fn = e.at, e.fn
+	at, target = e.at, e.target
 	w.size--
 	w.release(e)
-	return at, fn, true
+	return at, target, true
 }
 
 // prime ensures the due buffer holds the earliest pending events,

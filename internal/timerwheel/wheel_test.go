@@ -75,7 +75,7 @@ func differential(t *testing.T, seed int64, ops int, nextDeadline func(rng *rand
 		}
 		id := nextID
 		nextID++
-		we := w.Arm(at, func() { fired[id] = true })
+		we := w.Arm(at, Func(func() { fired[id] = true }))
 		he := &refEvent{at: at, seq: seq, id: id}
 		seq++
 		heap.Push(&h, he)
@@ -111,11 +111,11 @@ func differential(t *testing.T, seed int64, ops int, nextDeadline func(rng *rand
 		if wat != want.at {
 			t.Fatalf("PeekDeadline = %s, heap min = %s (event %d)", wat, want.at, want.id)
 		}
-		at, fn, ok := w.Pop()
+		at, target, ok := w.Pop()
 		if !ok || at != want.at {
 			t.Fatalf("wheel popped at=%s ok=%v, heap popped event %d at %s", at, ok, want.id, want.at)
 		}
-		fn()
+		target.Fire()
 		if !fired[want.id] {
 			t.Fatalf("wheel fired a different event than heap's %d at %s (FIFO tie-break broken)", want.id, want.at)
 		}
@@ -229,14 +229,14 @@ func TestFIFOAtEqualDeadlines(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		i := i
-		w.Arm(time.Millisecond, func() { order = append(order, i) })
+		w.Arm(time.Millisecond, Func(func() { order = append(order, i) }))
 	}
 	for {
-		_, fn, ok := w.Pop()
+		_, target, ok := w.Pop()
 		if !ok {
 			break
 		}
-		fn()
+		target.Fire()
 	}
 	if len(order) != n {
 		t.Fatalf("fired %d events, want %d", len(order), n)
@@ -254,7 +254,7 @@ func TestCancelUnlinksEverywhere(t *testing.T) {
 	deadlines := []time.Duration{0, 10 * time.Microsecond, time.Millisecond, time.Second}
 	var evs []*Event
 	for _, d := range deadlines {
-		evs = append(evs, w.Arm(d, func() { t.Error("cancelled event fired") }))
+		evs = append(evs, w.Arm(d, Func(func() { t.Error("cancelled event fired") })))
 	}
 	// Prime so the 0-delta event reaches the due buffer.
 	if at, ok := w.PeekDeadline(); !ok || at != 0 {
@@ -279,7 +279,7 @@ func TestCancelUnlinksEverywhere(t *testing.T) {
 
 func TestPoolRecyclesChurn(t *testing.T) {
 	w := New(time.Microsecond)
-	fn := func() {}
+	fn := Func(func() {})
 	// Warm the pool.
 	w.Cancel(w.Arm(time.Millisecond, fn))
 	if w.PooledEvents() == 0 {
@@ -311,13 +311,13 @@ func TestDeadlinesStayExact(t *testing.T) {
 	w := New(time.Microsecond)
 	at := 123456789 * time.Nanosecond
 	var got time.Duration
-	w.Arm(at, func() {})
-	pat, fn, ok := w.Pop()
+	w.Arm(at, Func(func() {}))
+	pat, target, ok := w.Pop()
 	if !ok {
 		t.Fatal("empty wheel")
 	}
 	got = pat
-	fn()
+	target.Fire()
 	if got != at {
 		t.Errorf("popped deadline %s, want exact %s (granularity must not quantise deadlines)", got, at)
 	}
@@ -328,18 +328,18 @@ func TestDeadlinesStayExact(t *testing.T) {
 func TestArmDuringDrainSameInstant(t *testing.T) {
 	w := New(time.Microsecond)
 	var order []string
-	w.Arm(500*time.Nanosecond, func() {
+	w.Arm(500*time.Nanosecond, Func(func() {
 		order = append(order, "a")
 		// 600ns is within the same 1µs tick and must fire before 900ns.
-		w.Arm(600*time.Nanosecond, func() { order = append(order, "b") })
-	})
-	w.Arm(900*time.Nanosecond, func() { order = append(order, "c") })
+		w.Arm(600*time.Nanosecond, Func(func() { order = append(order, "b") }))
+	}))
+	w.Arm(900*time.Nanosecond, Func(func() { order = append(order, "c") }))
 	for {
-		_, fn, ok := w.Pop()
+		_, target, ok := w.Pop()
 		if !ok {
 			break
 		}
-		fn()
+		target.Fire()
 	}
 	if want := "a b c"; len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("fire order %v, want %s", order, want)
