@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"protodsl/examples/specs"
@@ -48,7 +49,6 @@ func runE1(_ *ctx, out io.Writer) error {
 	tb.AddRow("header checksum", fmt.Sprintf("%#04x (verified on decode)", checked.Value().Checksum))
 	tb.AddRow("round-trip", checked.Value().Source == h.Source && checked.Value().Destination == h.Destination)
 	tb.AddRow("payload remainder", fmt.Sprintf("%d bytes", len(rest)))
-	tb.AddRow("semantic certificate", fmt.Sprintf("%v", checked.Certificate().Established()))
 	fmt.Fprintln(out, tb)
 	fmt.Fprintln(out, "Figure 1, regenerated from the definition:")
 	fmt.Fprintln(out)
@@ -57,28 +57,32 @@ func runE1(_ *ctx, out io.Writer) error {
 }
 
 // runE2 measures the error-handling share of the hand-written baseline vs
-// the DSL definition and the generated code.
+// the DSL definition, the generated code and each shipped engine — its
+// spec plus the hand-written glue that drives it, with overhead counted
+// in the glue.
 func runE2(c *ctx, out io.Writer) error {
-	readRel := func(rel string) (string, error) {
-		data, err := os.ReadFile(filepath.Join(c.repoRoot, rel))
-		if err != nil {
-			return "", fmt.Errorf("read %s (run from the repo root or pass -repo): %w", rel, err)
+	analyze := func(rels ...string) (loc.Report, error) {
+		var sum loc.Report
+		for _, rel := range rels {
+			data, err := os.ReadFile(filepath.Join(c.repoRoot, rel))
+			if err != nil {
+				return loc.Report{}, fmt.Errorf("read %s (run from the repo root or pass -repo): %w", rel, err)
+			}
+			r, err := loc.AnalyzeSource(filepath.Base(rel), string(data))
+			if err != nil {
+				return loc.Report{}, err
+			}
+			sum.CodeLines += r.CodeLines
+			sum.OverheadLines += r.OverheadLines
 		}
-		return string(data), nil
+		return sum, nil
 	}
-	socketsSrc, err := readRel("internal/sockets/sockets.go")
+	share := func(r loc.Report) string { return fmt.Sprintf("%.1f%%", 100*r.Fraction()) }
+	socketsRep, err := analyze("internal/sockets/sockets.go")
 	if err != nil {
 		return err
 	}
-	genSrc, err := readRel("internal/arq/gen/arq_gen.go")
-	if err != nil {
-		return err
-	}
-	socketsRep, err := loc.AnalyzeSource("sockets.go", socketsSrc)
-	if err != nil {
-		return err
-	}
-	genRep, err := loc.AnalyzeSource("arq_gen.go", genSrc)
+	genRep, err := analyze("internal/arq/gen/arq_gen.go")
 	if err != nil {
 		return err
 	}
@@ -87,36 +91,68 @@ func runE2(c *ctx, out io.Writer) error {
 	tb := metrics.NewTable("E2: error-handling / control overhead share (paper §1: \"50% or more\")",
 		"artefact", "human-written?", "code lines", "overhead lines", "overhead share")
 	tb.AddRow("hand-written C-style ARQ (internal/sockets)", "yes",
-		socketsRep.CodeLines, socketsRep.OverheadLines, fmt.Sprintf("%.1f%%", 100*socketsRep.Fraction()))
+		socketsRep.CodeLines, socketsRep.OverheadLines, share(socketsRep))
 	tb.AddRow("DSL definition (arq.pdsl)", "yes", dslLines, 0, "0.0%")
 	tb.AddRow("generated Go (internal/arq/gen)", "no (machine-generated)",
-		genRep.CodeLines, genRep.OverheadLines, fmt.Sprintf("%.1f%%", 100*genRep.Fraction()))
+		genRep.CodeLines, genRep.OverheadLines, share(genRep))
+
+	engines := []struct {
+		label     string
+		specLines int
+		glue      []string
+	}{
+		{"shipped stop-and-wait (arq.pdsl + arq/endpoints.go)", dslLines,
+			[]string{"internal/arq/endpoints.go"}},
+		{"shipped GBN/SR (arq.pdsl + arq/window.go, gobackn.go, selectiverepeat.go)", dslLines,
+			[]string{"internal/arq/window.go", "internal/arq/gobackn.go", "internal/arq/selectiverepeat.go"}},
+		{"shipped session (handshake.pdsl + session/gate.go, client.go, codec.go)", loc.CountDSLLines(specs.Handshake),
+			[]string{"internal/session/gate.go", "internal/session/client.go", "internal/session/codec.go"}},
+	}
+	var lines []int
+	var shares, glueShares []float64
+	for _, e := range engines {
+		g, err := analyze(e.glue...)
+		if err != nil {
+			return err
+		}
+		r := loc.Report{CodeLines: e.specLines + g.CodeLines, OverheadLines: g.OverheadLines}
+		tb.AddRow(e.label, "yes (spec + glue)", r.CodeLines, r.OverheadLines, share(r))
+		lines = append(lines, r.CodeLines)
+		shares, glueShares = append(shares, 100*r.Fraction()), append(glueShares, 100*g.Fraction())
+	}
 	fmt.Fprintln(out, tb)
-	fmt.Fprintf(out, "Human-written artefact shrinks %dx (%d -> %d lines) and its overhead share drops to zero:\n",
-		socketsRep.CodeLines/dslLines, socketsRep.CodeLines, dslLines)
-	fmt.Fprintf(out, "validation moves into the compiler and the generated codecs.\n")
+	fmt.Fprintf(out, "The DSL definition alone is %d lines with no overhead, against the strawman's %d lines at %.1f%%.\n",
+		dslLines, socketsRep.CodeLines, 100*socketsRep.Fraction())
+	fmt.Fprintf(out, "But every shipped engine also runs hand-written glue: counted with its spec, the human-written\n")
+	fmt.Fprintf(out, "artefact is %d-%d lines at %.1f%%-%.1f%% overhead, and the glue alone is %.1f%%-%.1f%% overhead.\n",
+		slices.Min(lines), slices.Max(lines), slices.Min(shares), slices.Max(shares),
+		slices.Min(glueShares), slices.Max(glueShares))
 	return nil
 }
 
 // runE3 measures validate-once witnesses vs re-validation per pipeline
-// stage.
+// stage over the IPv4 header, whose Internet checksum and three semantic
+// checks are the validation a CheckedHeader lets later stages skip.
 func runE3(_ *ctx, out io.Writer) error {
-	codec, err := arq.NewCodec()
+	codec, err := ipv4.NewCodec()
 	if err != nil {
 		return err
 	}
-	enc, err := codec.EncodePacket(7, bytes.Repeat([]byte{0xAB}, 256))
+	enc, err := codec.Encode(ipv4.Header{
+		Version: 4, IHL: 5, TotalLength: 40, TTL: 64, Protocol: 6,
+		Source: [4]byte{192, 168, 1, 1}, Destination: [4]byte{10, 0, 0, 1},
+	})
 	if err != nil {
 		return err
 	}
 	const packets = 20000
-	tb := metrics.NewTable("E3: validate-once witness vs re-validation (256-byte packets)",
+	tb := metrics.NewTable("E3: validate-once witness vs re-validation (IPv4 header: checksum, version, IHL, total length)",
 		"pipeline stages", "re-validate ns/pkt", "witness ns/pkt", "speedup")
 	for _, stages := range []int{1, 2, 4, 8} {
 		naive := timeIt(func() {
 			for i := 0; i < packets; i++ {
 				for s := 0; s < stages; s++ {
-					if _, err := codec.DecodePacket(enc); err != nil {
+					if _, _, err := codec.DecodeInPlace(enc); err != nil {
 						panic(err)
 					}
 				}
@@ -124,13 +160,13 @@ func runE3(_ *ctx, out io.Writer) error {
 		}) / packets
 		witness := timeIt(func() {
 			for i := 0; i < packets; i++ {
-				pkt, err := codec.DecodePacket(enc) // validate once at the edge
+				h, _, err := codec.DecodeInPlace(enc) // validate once at the edge
 				if err != nil {
 					panic(err)
 				}
 				acc := 0
 				for s := 0; s < stages; s++ {
-					acc += int(pkt.Value().Seq) // later stages trust the witness
+					acc += int(h.Value().TTL) // later stages trust the witness
 				}
 				_ = acc
 			}

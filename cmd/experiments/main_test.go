@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestAllExperimentsRun executes the full harness (the same code path
 // as `go run ./cmd/experiments`, which prints the tables) and
@@ -22,7 +27,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, want := range []string{
 		"E1: IPv4 header",
 		"E2: error-handling",
-		"E3: validate-once",
+		"E3: validate-once witness vs re-validation (IPv4 header", // the checks a witness skips must exist
 		"E4: static checking vs explicit-state model checking",
 		"E5: stop-and-wait ARQ",
 		"E6: media-stream adaptation",
@@ -57,5 +62,31 @@ func TestUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&ctx{repoRoot: "../.."}, []string{"e99"}, &out); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestE2Golden: E2 is line counts of committed sources, so its output is
+// exact. A change that grows or shrinks the shipped glue shows up here;
+// after an intended one, rerun with -update and review the diff.
+func TestE2Golden(t *testing.T) {
+	var out bytes.Buffer
+	if err := runE2(&ctx{repoRoot: "../.."}, &out); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "e2.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("E2 output differs from %s (rerun with -update after an intended change):\n%s", path, out.String())
 	}
 }

@@ -49,7 +49,6 @@ func run(w io.Writer) error {
 	got := checked.Value()
 	fmt.Fprintf(w, "decoded: v%d ihl=%d ttl=%d proto=%d len=%d\n",
 		got.Version, got.IHL, got.TTL, got.Protocol, got.TotalLength)
-	fmt.Fprintf(w, "  certificate: %v\n", checked.Certificate().Established())
 	fmt.Fprintf(w, "  payload: % x (%d bytes)\n\n", rest, len(rest))
 
 	// Corruption cannot get through: flip one bit anywhere.

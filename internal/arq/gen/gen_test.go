@@ -11,7 +11,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"protodsl/examples/specs"
 	"protodsl/internal/arq"
+	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/genrt"
 	"protodsl/internal/netsim"
@@ -38,11 +40,11 @@ func TestGeneratedCodecRoundTrip(t *testing.T) {
 // TestGeneratedCodecMatchesInterpreter: the generated inline codec and
 // the wire-layout interpreter produce byte-identical encodings.
 func TestGeneratedCodecMatchesInterpreter(t *testing.T) {
-	codec, err := arq.NewCodec()
+	proto, _, err := dsl.Compile(specs.ARQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := codec.Packet
+	layout := proto.Layouts["Packet"]
 	f := func(seq uint8, payload []byte) bool {
 		if len(payload) > 1000 {
 			payload = payload[:1000]

@@ -2,9 +2,10 @@
 // stop-and-wait transport protocol with automatic repeat request, built
 // entirely on the DSL framework — wire-described packets, a statically
 // checked state machine executed by the fsm interpreter, and validation
-// witnesses for received packets. The typed-state variant, which carries
-// the transition discipline in Go's type system, is generated from the
-// same spec into internal/arq/gen.
+// witnesses for received packets: CheckedPacket and CheckedAck, values
+// that only the validating decoders can build. The typed-state variant,
+// which carries the transition discipline in Go's type system, is
+// generated from the same spec into internal/arq/gen.
 //
 // A go-back-N extension (window > 1) is provided as the "further work"
 // the paper sketches for richer protocols.
@@ -19,22 +20,18 @@ import (
 	"fmt"
 
 	"protodsl/internal/expr"
-	"protodsl/internal/proof"
 	"protodsl/internal/wire"
 )
 
-// Codec pairs arq.pdsl's Packet and Ack layouts and slot programs —
+// Codec pairs the slot programs of arq.pdsl's Packet and Ack layouts —
 // compiled once per process and shared, immutable, by every Codec — with
-// per-codec frame scratch for the allocation-free encode/decode paths.
-// The scratch makes a Codec single-goroutine (like the machines it
-// serves); use one Codec per endpoint.
-//
-// The hot-path methods (AppendEncode*, Decode*InPlace, Decode*Frame) run
-// entirely on wire.Program slot frames: from the delivery buffer to the
-// decoded field values, no map is touched and no string is hashed.
+// per-codec frame scratch, so encoding and decoding allocate nothing:
+// from the delivery buffer to the decoded field values, no map is
+// touched and no string is hashed. The scratch makes a Codec
+// single-goroutine (like the machines it serves); use one Codec per
+// endpoint. Tests that need the map-based reference codec take the
+// layout from the compiled spec.
 type Codec struct {
-	Packet *wire.Layout
-
 	pktProg *wire.Program
 	ackProg *wire.Program
 
@@ -63,7 +60,6 @@ func NewCodec() (*Codec, error) {
 		return nil, fmt.Errorf("arq: arq.pdsl lacks a Packet or Ack message")
 	}
 	c := &Codec{
-		Packet:  p,
 		pktProg: p.Program(),
 		ackProg: a.Program(),
 	}
@@ -83,9 +79,7 @@ func (c *Codec) PacketProgram() *wire.Program { return c.pktProg }
 // AckProgram returns the ack's slot program (shared, immutable).
 func (c *Codec) AckProgram() *wire.Program { return c.ackProg }
 
-// Packet is the decoded, validated form of a data packet. Values are only
-// constructed by DecodePacket (which verifies the checksum and length) —
-// the ChkPacket discipline of §3.3.
+// Packet is the decoded, validated form of a data packet.
 type Packet struct {
 	Seq     uint8
 	Payload []byte
@@ -96,33 +90,21 @@ type Ack struct {
 	Seq uint8
 }
 
-// CheckedPacket is a validation witness for a received packet: possession
-// implies the wire checksum and length checks passed.
-type CheckedPacket = proof.Checked[Packet]
+// CheckedPacket is a validation witness for a received packet — the
+// ChkPacket discipline of §3.3. Only DecodePacketInPlace builds one, and
+// only after the wire checksum and length checks passed, so possession
+// implies the packet is valid.
+type CheckedPacket struct{ v Packet }
 
-// CheckedAck is a validation witness for a received acknowledgement.
-type CheckedAck = proof.Checked[Ack]
+// Value returns the validated packet.
+func (c CheckedPacket) Value() Packet { return c.v }
 
-// packetWitness re-verifies nothing: wire.Decode already established the
-// checks, so the validator's checks are structural (they document what
-// the certificate asserts). The heavyweight validation lives in Decode.
-var packetWitness = proof.NewValidator[Packet]("arq.Packet",
-	proof.Check[Packet]{Name: "checksum-verified", Fn: func(Packet) error { return nil }},
-	proof.Check[Packet]{Name: "length-verified", Fn: func(Packet) error { return nil }},
-)
+// CheckedAck is a validation witness for a received acknowledgement,
+// built only by DecodeAckInPlace.
+type CheckedAck struct{ v Ack }
 
-var ackWitness = proof.NewValidator[Ack]("arq.Ack",
-	proof.Check[Ack]{Name: "checksum-verified", Fn: func(Ack) error { return nil }},
-)
-
-// EncodePacket serialises a packet; the checksum and length fields are
-// computed by the wire layer.
-func (c *Codec) EncodePacket(seq uint8, payload []byte) ([]byte, error) {
-	return c.Packet.Encode(map[string]expr.Value{
-		"seq":     expr.U8(uint64(seq)),
-		"payload": expr.Bytes(payload),
-	})
-}
+// Value returns the validated acknowledgement.
+func (c CheckedAck) Value() Ack { return c.v }
 
 // AppendEncodePacket serialises a packet into the tail of dst and
 // returns the extended slice — the allocation-free hot-loop path: the
@@ -141,37 +123,22 @@ func (c *Codec) AppendEncodeAck(dst []byte, seq uint8) ([]byte, error) {
 	return c.ackProg.AppendEncode(dst, c.encAck)
 }
 
-// DecodePacket parses and validates a received data packet. A non-nil
-// witness is returned only when every wire-level check (checksum, length
-// consistency, no trailing bytes) passed; "no processing occurs on
-// unverified packets" (§3.4 guarantee 2) because processing code takes
-// the witness, not raw bytes.
-func (c *Codec) DecodePacket(data []byte) (CheckedPacket, error) {
-	vals, err := c.Packet.Decode(data)
-	if err != nil {
-		return CheckedPacket{}, err
-	}
-	p := Packet{
-		Seq:     uint8(vals["seq"].AsUint()),
-		Payload: vals["payload"].AsBytes(),
-	}
-	return packetWitness.Validate(p)
-}
-
 // DecodePacketInPlace parses and validates a received data packet using
-// the codec's reusable scratch frame. The returned packet's payload
-// aliases data (wire.Program.DecodeInto semantics), so it is only valid
-// while the caller owns data — the endpoints' per-delivery buffers
-// qualify.
+// the codec's reusable scratch frame. A witness is returned only when
+// every wire-level check (checksum, length consistency, no trailing
+// bytes) passed; "no processing occurs on unverified packets" (§3.4
+// guarantee 2) because processing code takes the witness, not raw bytes.
+// The packet's payload aliases data (wire.Program.DecodeInto
+// semantics), so it is only valid while the caller owns data — the
+// endpoints' per-delivery buffers qualify.
 func (c *Codec) DecodePacketInPlace(data []byte) (CheckedPacket, error) {
 	if err := c.pktProg.DecodeInto(c.decPkt, data); err != nil {
 		return CheckedPacket{}, err
 	}
-	p := Packet{
+	return CheckedPacket{Packet{
 		Seq:     uint8(c.decPkt.Get(c.pktSeq).AsUint()),
 		Payload: c.decPkt.Get(c.pktPayload).RawBytes(),
-	}
-	return packetWitness.Validate(p)
+	}}, nil
 }
 
 // DecodePacketFrame parses and validates a received data packet into the
@@ -205,7 +172,7 @@ func (c *Codec) DecodeAckInPlace(data []byte) (CheckedAck, error) {
 	if err := c.ackProg.DecodeInto(c.decAck, data); err != nil {
 		return CheckedAck{}, err
 	}
-	return ackWitness.Validate(Ack{Seq: uint8(c.decAck.Get(c.ackSeq).AsUint())})
+	return CheckedAck{Ack{Seq: uint8(c.decAck.Get(c.ackSeq).AsUint())}}, nil
 }
 
 // The endpoints hand the interpreter slot-backed message values —

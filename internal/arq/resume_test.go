@@ -50,7 +50,7 @@ func TestReceiversResumeAtSeededExpect(t *testing.T) {
 			r.SeedExpect(k)
 			feed := func(idx int) {
 				t.Helper()
-				pkt, err := codec.EncodePacket(uint8(idx%256), payload(idx))
+				pkt, err := codec.AppendEncodePacket(nil, uint8(idx%256), payload(idx))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -106,7 +106,7 @@ func TestReceiversStopOnSendError(t *testing.T) {
 				t.Fatal(err)
 			}
 			for idx := 0; idx < 3; idx++ {
-				pkt, err := codec.EncodePacket(uint8(idx), []byte{byte(idx)})
+				pkt, err := codec.AppendEncodePacket(nil, uint8(idx), []byte{byte(idx)})
 				if err != nil {
 					t.Fatal(err)
 				}

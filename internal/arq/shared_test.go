@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
 	"protodsl/internal/ipv4"
 	"protodsl/internal/netsim"
@@ -178,11 +179,19 @@ func TestConcurrentEngineConstruction(t *testing.T) {
 				if a, err := c.DecodeAckInPlace(ack); err != nil || a.Value().Seq != uint8(w) {
 					return fmt.Errorf("worker %d: ack round trip: %v", w, err)
 				}
-				pkt, err = c.EncodePacket(uint8(w), payloads[0])
+				proto, err := arqSpec()
 				if err != nil {
 					return err
 				}
-				if p, err := c.DecodePacket(pkt); err != nil || p.Value().Seq != uint8(w) {
+				layout := proto.Layouts["Packet"]
+				pkt, err = layout.Encode(map[string]expr.Value{
+					"seq":     expr.U8(uint64(w)),
+					"payload": expr.Bytes(payloads[0]),
+				})
+				if err != nil {
+					return err
+				}
+				if vals, err := layout.Decode(pkt); err != nil || vals["seq"].AsUint() != uint64(w) {
 					return fmt.Errorf("worker %d: map-path packet round trip: %v", w, err)
 				}
 

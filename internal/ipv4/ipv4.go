@@ -17,7 +17,6 @@ import (
 	"protodsl/examples/specs"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
-	"protodsl/internal/proof"
 	"protodsl/internal/wire"
 )
 
@@ -70,38 +69,36 @@ type Header struct {
 // HeaderLen returns the header length in bytes (IHL * 4).
 func (h Header) HeaderLen() int { return int(h.IHL) * 4 }
 
-// CheckedHeader witnesses a header that passed wire validation (checksum,
-// alignment) *and* the semantic constraints.
-type CheckedHeader = proof.Checked[Header]
+// CheckedHeader witnesses a header that passed wire validation
+// (checksum, alignment) *and* the semantic constraints. Only the
+// codec's decoders build one, so later stages that take a CheckedHeader
+// can skip every check.
+type CheckedHeader struct{ h Header }
 
-var headerWitness = proof.NewValidator[Header]("ipv4.Header",
-	proof.Check[Header]{Name: "version-is-4", Fn: func(h Header) error {
-		if h.Version != 4 {
-			return fmt.Errorf("%w: %d", ErrBadVersion, h.Version)
-		}
-		return nil
-	}},
-	proof.Check[Header]{Name: "ihl-minimum", Fn: func(h Header) error {
-		if h.IHL < 5 {
-			return fmt.Errorf("%w: %d", ErrBadIHL, h.IHL)
-		}
-		return nil
-	}},
-	proof.Check[Header]{Name: "total-length-covers-header", Fn: func(h Header) error {
-		if int(h.TotalLength) < h.HeaderLen() {
-			return fmt.Errorf("%w: total=%d header=%d", ErrBadTotalLength, h.TotalLength, h.HeaderLen())
-		}
-		return nil
-	}},
-)
+// Value returns the validated header.
+func (c CheckedHeader) Value() Header { return c.h }
 
-// Codec encodes and decodes IPv4 headers. The Append/InPlace methods
-// run on the layout's slot-compiled program with reusable frame scratch
-// (no map on the per-packet path), making the codec single-goroutine
-// (use one per worker).
+// validate enforces the semantic constraints the wire layout cannot
+// express, in order, reporting the first that fails.
+func validate(h Header) error {
+	if h.Version != 4 {
+		return fmt.Errorf("%w: %d", ErrBadVersion, h.Version)
+	}
+	if h.IHL < 5 {
+		return fmt.Errorf("%w: %d", ErrBadIHL, h.IHL)
+	}
+	if int(h.TotalLength) < h.HeaderLen() {
+		return fmt.Errorf("%w: total=%d header=%d", ErrBadTotalLength, h.TotalLength, h.HeaderLen())
+	}
+	return nil
+}
+
+// Codec encodes and decodes IPv4 headers. Every method runs on the
+// layout's slot-compiled program with reusable frame scratch (no map on
+// the per-packet path), making the codec single-goroutine (use one per
+// worker).
 type Codec struct {
-	layout *wire.Layout
-	prog   *wire.Program
+	prog *wire.Program
 
 	encFrame, decFrame *expr.Frame
 	slots              headerSlots
@@ -127,7 +124,6 @@ func NewCodec() (*Codec, error) {
 		return s
 	}
 	return &Codec{
-		layout:   l,
 		prog:     prog,
 		encFrame: prog.NewFrame(),
 		decFrame: prog.NewFrame(),
@@ -149,37 +145,18 @@ func NewCodec() (*Codec, error) {
 	}, nil
 }
 
-// Encode serialises the header; the checksum is computed automatically.
-// The supplied header's semantic constraints are enforced first, so
-// invalid headers cannot be put on the wire.
+// Encode serialises the header into a new slice; the checksum is
+// computed automatically. The supplied header's semantic constraints are
+// enforced first, so invalid headers cannot be put on the wire.
 func (c *Codec) Encode(h Header) ([]byte, error) {
-	if _, err := headerWitness.Validate(h); err != nil {
-		return nil, err
-	}
-	if len(h.Options) != (int(h.IHL)-5)*4 {
-		return nil, fmt.Errorf("ipv4: options length %d does not match IHL %d", len(h.Options), h.IHL)
-	}
-	return c.layout.Encode(map[string]expr.Value{
-		"version":         expr.U8(uint64(h.Version)),
-		"ihl":             expr.U8(uint64(h.IHL)),
-		"tos":             expr.U8(uint64(h.TOS)),
-		"total_length":    expr.U16(uint64(h.TotalLength)),
-		"identification":  expr.U16(uint64(h.Identification)),
-		"flags":           expr.U8(uint64(h.Flags)),
-		"fragment_offset": expr.U16(uint64(h.FragmentOffset)),
-		"ttl":             expr.U8(uint64(h.TTL)),
-		"protocol":        expr.U8(uint64(h.Protocol)),
-		"source":          expr.U32(addrToUint(h.Source)),
-		"destination":     expr.U32(addrToUint(h.Destination)),
-		"options":         expr.Bytes(h.Options),
-	})
+	return c.AppendEncode(nil, h)
 }
 
-// AppendEncode serialises the header into the tail of dst — the
-// allocation-free counterpart of Encode, writing the codec's scratch
-// frame slots (no map operation) and not copying options.
+// AppendEncode serialises the header into the tail of dst, writing the
+// codec's scratch frame slots (no map operation) and not copying
+// options.
 func (c *Codec) AppendEncode(dst []byte, h Header) ([]byte, error) {
-	if _, err := headerWitness.Validate(h); err != nil {
+	if err := validate(h); err != nil {
 		return nil, err
 	}
 	if len(h.Options) != (int(h.IHL)-5)*4 {
@@ -259,11 +236,10 @@ func (c *Codec) decode(data []byte, inPlace bool) (CheckedHeader, []byte, error)
 	} else {
 		h.Options = f.Get(s.options).AsBytes()
 	}
-	checked, err := headerWitness.Validate(h)
-	if err != nil {
+	if err := validate(h); err != nil {
 		return CheckedHeader{}, nil, err
 	}
-	return checked, data[hdrLen:], nil
+	return CheckedHeader{h}, data[hdrLen:], nil
 }
 
 // Diagram renders the Figure 1 ASCII picture from the definition. The

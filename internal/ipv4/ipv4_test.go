@@ -1,7 +1,10 @@
 package ipv4
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,11 +88,6 @@ func TestDecodeRoundTrip(t *testing.T) {
 	if h.Source != [4]byte{192, 168, 1, 1} || h.Destination != [4]byte{10, 0, 0, 1} {
 		t.Errorf("addresses %v -> %v", h.Source, h.Destination)
 	}
-	for _, check := range []string{"version-is-4", "ihl-minimum", "total-length-covers-header"} {
-		if !checked.Certificate().Establishes(check) {
-			t.Errorf("certificate missing %q", check)
-		}
-	}
 }
 
 func TestDecodeWithPayloadAndOptions(t *testing.T) {
@@ -124,53 +122,137 @@ func TestDecodeWithPayloadAndOptions(t *testing.T) {
 	}
 }
 
+// decodeCase is one input of the decode tests: want is nil for a header
+// every decoder accepts, else the error class every decoder reports.
+type decodeCase struct {
+	name string
+	data []byte
+	want error
+}
+
+// rejectionCases derives one rejected input per check from a good header.
+func rejectionCases(good []byte) []decodeCase {
+	mutate := func(fixChecksum bool, mut func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		mut(b)
+		if fixChecksum { // so that the semantic check is reached
+			b[10], b[11] = 0, 0
+			fix := recompute(b)
+			b[10], b[11] = byte(fix>>8), byte(fix)
+		}
+		return b
+	}
+	return []decodeCase{
+		{"short buffer", append([]byte(nil), good[:19]...), wire.ErrShortBuffer},
+		{"corrupted checksum", mutate(false, func(b []byte) { b[12] ^= 0x01 }), wire.ErrChecksumMismatch}, // a source-address bit
+		{"wrong version", mutate(true, func(b []byte) { b[0] = 0x65 }), ErrBadVersion},                    // version 6
+		{"bad ihl", mutate(false, func(b []byte) { b[0] = 0x44 }), ErrBadIHL},                             // IHL 4
+		{"total length too small", mutate(true, func(b []byte) { b[2], b[3] = 0, 10 }), ErrBadTotalLength},
+	}
+}
+
 func TestDecodeRejections(t *testing.T) {
 	c, err := NewCodec()
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := referencePacket(t)
+	for _, tc := range rejectionCases(referencePacket(t)) {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := c.Decode(tc.data); !errors.Is(err, tc.want) {
+				t.Errorf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
 
-	t.Run("short buffer", func(t *testing.T) {
-		if _, _, err := c.Decode(good[:19]); !errors.Is(err, wire.ErrShortBuffer) {
-			t.Errorf("err = %v", err)
+// TestCodecContracts pins the two encoders and the two decoders against
+// each other: Encode(h) is AppendEncode(nil, h) byte for byte, and
+// DecodeInPlace accepts and rejects exactly what Decode does, with the
+// same error class and the same header. Decode leaves its input
+// untouched and copies the options out of it; DecodeInPlace restores
+// its input and returns options that alias it.
+func TestCodecContracts(t *testing.T) {
+	c, err := NewCodec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := []Header{
+		{
+			Version: 4, IHL: 5, TotalLength: 40, Identification: 0x1c46, Flags: 0x2,
+			TTL: 64, Protocol: 6,
+			Source: [4]byte{192, 168, 1, 1}, Destination: [4]byte{10, 0, 0, 1},
+		},
+		{
+			Version: 4, IHL: 6, TotalLength: 28, TTL: 1, Protocol: 17,
+			Source: [4]byte{127, 0, 0, 1}, Destination: [4]byte{127, 0, 0, 2},
+			Options: []byte{0x94, 0x04, 0x00, 0x00}, // router alert
+		},
+	}
+	var cases []decodeCase
+	for i, h := range headers {
+		enc, err := c.Encode(h)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Run("corrupted checksum", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[12] ^= 0x01 // flip a source-address bit
-		if _, _, err := c.Decode(bad); !errors.Is(err, wire.ErrChecksumMismatch) {
-			t.Errorf("err = %v", err)
+		app, err := c.AppendEncode(nil, h)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Run("wrong version", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[0] = 0x65 // version 6
-		// Checksum must be fixed up so the semantic check is reached.
-		bad[10], bad[11] = 0, 0
-		fix := recompute(bad)
-		bad[10], bad[11] = byte(fix>>8), byte(fix)
-		if _, _, err := c.Decode(bad); !errors.Is(err, ErrBadVersion) {
-			t.Errorf("err = %v", err)
+		if !bytes.Equal(enc, app) {
+			t.Errorf("header %d: Encode = %x, AppendEncode(nil) = %x", i, enc, app)
 		}
-	})
-	t.Run("bad ihl", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[0] = 0x44 // IHL 4
-		if _, _, err := c.Decode(bad); !errors.Is(err, ErrBadIHL) {
-			t.Errorf("err = %v", err)
+		cases = append(cases, decodeCase{fmt.Sprintf("header %d with payload", i), append(enc, 0xDE, 0xAD), nil})
+	}
+	cases = append(cases, rejectionCases(cases[0].data[:20])...)
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			copied, inPlace := append([]byte(nil), tc.data...), append([]byte(nil), tc.data...)
+			checked, rest, err := c.Decode(copied)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("Decode err = %v, want %v", err, tc.want)
+			}
+			if !bytes.Equal(copied, tc.data) {
+				t.Errorf("Decode changed its input: %x, was %x", copied, tc.data)
+			}
+			checkedInPlace, restInPlace, err := c.DecodeInPlace(inPlace)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("DecodeInPlace err = %v, want %v", err, tc.want)
+			}
+			if !bytes.Equal(inPlace, tc.data) {
+				t.Errorf("DecodeInPlace did not restore its input: %x, was %x", inPlace, tc.data)
+			}
+			if tc.want != nil {
+				return
+			}
+			h, hInPlace := checked.Value(), checkedInPlace.Value()
+			if !bytes.Equal(h.Options, hInPlace.Options) || !bytes.Equal(rest, restInPlace) {
+				t.Errorf("options %x / %x, rest %x / %x", h.Options, hInPlace.Options, rest, restInPlace)
+			}
+			if n := len(h.Options); n > 0 {
+				if aliases(h.Options, copied) {
+					t.Error("Decode's options alias its input")
+				}
+				if !aliases(hInPlace.Options, inPlace) {
+					t.Error("DecodeInPlace's options do not alias its input")
+				}
+			}
+			h.Options, hInPlace.Options = nil, nil
+			if !reflect.DeepEqual(h, hInPlace) {
+				t.Errorf("Decode = %+v, DecodeInPlace = %+v", h, hInPlace)
+			}
+		})
+	}
+}
+
+// aliases reports whether sub's first byte lies inside buf.
+func aliases(sub, buf []byte) bool {
+	for i := range buf {
+		if &buf[i] == &sub[0] {
+			return true
 		}
-	})
-	t.Run("total length too small", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[2], bad[3] = 0, 10
-		bad[10], bad[11] = 0, 0
-		fix := recompute(bad)
-		bad[10], bad[11] = byte(fix>>8), byte(fix)
-		if _, _, err := c.Decode(bad); !errors.Is(err, ErrBadTotalLength) {
-			t.Errorf("err = %v", err)
-		}
-	})
+	}
+	return false
 }
 
 func recompute(hdr []byte) uint16 {
@@ -204,6 +286,11 @@ func TestEncodeRejectsInvalidHeaders(t *testing.T) {
 	bad.TotalLength = 19
 	if _, err := c.Encode(bad); !errors.Is(err, ErrBadTotalLength) {
 		t.Errorf("total length err = %v", err)
+	}
+	bad = base
+	bad.Version, bad.IHL = 6, 4 // the checks run in order: version first
+	if _, err := c.Encode(bad); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("version+ihl err = %v, want %v", err, ErrBadVersion)
 	}
 	bad = base
 	bad.Options = []byte{1, 2, 3, 4} // IHL says none

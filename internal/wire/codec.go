@@ -219,8 +219,9 @@ func encodeField(m *Message, f *Field, filled map[string]expr.Value, w *bitWrite
 //
 // Every computed field is recomputed and compared against the received
 // value; a successful Decode therefore *is* the validation step that makes
-// the result a checked packet in the sense of §3.3. Callers that need a
-// transferable witness wrap the result with a proof.Validator.
+// the result a checked packet in the sense of §3.3. A transferable
+// witness is a type that only a validating decoder can build, as
+// arq.CheckedPacket and ipv4.CheckedHeader are.
 //
 // The returned byte-field values are copies, independent of data.
 func (l *Layout) Decode(data []byte) (map[string]expr.Value, error) {
