@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"protodsl/internal/expr"
-	"protodsl/internal/fsm"
+	"protodsl/internal/arq/gen"
 	"protodsl/internal/netsim"
 	"protodsl/internal/obs"
+	"protodsl/internal/wire"
 )
 
 // SenderStats counts sender-side protocol events.
@@ -23,22 +23,22 @@ type SenderStats struct {
 // Sender drives the checked ARQ sender spec over a simulator endpoint.
 // All methods run inside the simulator event loop.
 //
-// The machine executes the spec's compiled program (fsm.Program) through
-// the slot-frame path end to end: acks are decoded into the codec's
-// reusable frame, handed to the machine as slot-backed message values
-// (expr.FrameMsg), and fired outputs come back as slot frames the wire
-// program encodes directly — the steady-state send/ack loop touches no
-// map, hashes no string and does not allocate.
+// The machine is gen.SenderMachine, the flat table-dispatch machine
+// generated from arq.pdsl's Sender, and the wire codec is the one
+// generated from its Packet and Ack layouts: acks decode into a
+// reusable gen.Ack, the machine dispatches on the decoded value, and
+// the packet it stages is encoded straight into a reusable buffer — the
+// steady-state send/ack loop touches no map, hashes no string and does
+// not allocate. Dispatch is on the returned genrt.StepOutcome, the
+// fired transition's index (gen.SenderTrAck, …).
 type Sender struct {
 	sim     *netsim.Sim
 	ep      *netsim.Endpoint
 	peer    netsim.Addr
-	machine *fsm.Machine
-	codec   *Codec
+	machine gen.SenderMachine
 
 	payloads [][]byte
 	idx      int
-	current  []byte
 
 	timer      netsim.Timer
 	timeoutFn  func() // pre-bound onTimeout, so re-arming never closes over s
@@ -48,12 +48,11 @@ type Sender struct {
 	obs        *obs.Shard    // sim's stats block
 	sentAt     time.Duration // first-transmit time of the in-flight packet
 
-	// Reusable hot-loop state. The frame views handed to the machine are
-	// only read during the StepEv call (the sender spec stores no message
-	// or bytes parameter in a variable), so reuse is safe.
-	encBuf                                             []byte
-	ackShape                                           *expr.MsgShape
-	evSend, evOK, evFail, evTimeout, evRetry, evFinish fsm.EventID
+	// Reusable hot-loop state. The machine reads ack only during the OK
+	// call (the sender spec stores no message in a variable), so reuse
+	// is safe.
+	encBuf []byte
+	ack    gen.Ack
 
 	stats SenderStats
 	done  bool
@@ -61,31 +60,18 @@ type Sender struct {
 	err   error
 }
 
-// NewSender builds a sender for the given payload sequence. The machine
-// is instantiated from arq.pdsl's Sender program, compiled and checked
-// once per process.
+// NewSender builds a sender for the given payload sequence. It refuses
+// to run unless arq.pdsl, the spec its machine was generated from,
+// still compiles and checks.
 func NewSender(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr,
 	payloads [][]byte, rto time.Duration, maxRetries int) (*Sender, error) {
-	prog, err := program("Sender")
-	if err != nil {
-		return nil, err
+	if _, err := arqSpec(); err != nil {
+		return nil, fmt.Errorf("arq: %w", err)
 	}
-	codec, err := NewCodec()
-	if err != nil {
-		return nil, err
-	}
-	machine := prog.NewMachine()
 	s := &Sender{
-		sim: sim, ep: ep, peer: peer, machine: machine, codec: codec,
-		payloads: payloads, rto: rto, maxRetries: maxRetries,
-		ackShape: prog.MsgShape("Ack"), obs: obs.Of(sim),
+		sim: sim, ep: ep, peer: peer, machine: gen.NewSenderMachine(),
+		payloads: payloads, rto: rto, maxRetries: maxRetries, obs: obs.Of(sim),
 	}
-	s.evSend, _ = machine.EventID(EvSend)
-	s.evOK, _ = machine.EventID(EvOK)
-	s.evFail, _ = machine.EventID(EvFail)
-	s.evTimeout, _ = machine.EventID(EvTimeout)
-	s.evRetry, _ = machine.EventID(EvRetry)
-	s.evFinish, _ = machine.EventID(EvFinish)
 	s.timeoutFn = s.onTimeout
 	ep.SetHandler(s.onDatagram)
 	return s, nil
@@ -106,7 +92,7 @@ func (s *Sender) Err() error { return s.err }
 func (s *Sender) Stats() SenderStats { return s.stats }
 
 // State returns the machine's current state name.
-func (s *Sender) State() string { return s.machine.State() }
+func (s *Sender) State() string { return s.machine.StateName() }
 
 // fail records an internal error and halts the transfer.
 func (s *Sender) fail(err error) {
@@ -114,6 +100,11 @@ func (s *Sender) fail(err error) {
 		s.err = err
 	}
 	s.finish(false)
+}
+
+// failStep records a machine error for event ev.
+func (s *Sender) failStep(ev string, err error) {
+	s.fail(fmt.Errorf("arq sender: %s in state %s: %w", ev, s.machine.StateName(), err))
 }
 
 func (s *Sender) finish(ok bool) {
@@ -133,33 +124,34 @@ func (s *Sender) advance() {
 		return
 	}
 	if s.idx >= len(s.payloads) {
-		if _, err := s.machine.StepEv(s.evFinish); err != nil {
-			s.fail(err)
+		if _, err := s.machine.FINISH(); err != nil {
+			s.failStep(EvFinish, err)
 			return
 		}
 		s.finish(true)
 		return
 	}
-	s.current = s.payloads[s.idx]
 	s.transmit(false)
 }
 
 // transmit raises SEND (or re-raises it after FAIL/RETRY) and puts the
-// emitted packet on the wire.
+// staged packet on the wire.
 func (s *Sender) transmit(isRetransmit bool) {
-	res, err := s.machine.StepEv(s.evSend, expr.BytesView(s.current))
+	out, err := s.machine.SEND(s.payloads[s.idx])
 	if err != nil {
-		s.fail(err)
+		s.failStep(EvSend, err)
 		return
 	}
-	if res.Fired == nil {
-		s.fail(fmt.Errorf("arq sender: SEND did not fire in state %s", res.From))
+	if out != gen.SenderTrSend {
+		s.fail(fmt.Errorf("arq sender: SEND did not fire in state %s", s.machine.StateName()))
 		return
 	}
-	out := res.Outputs[0]
-	enc, err := s.codec.PacketProgram().AppendEncode(s.encBuf[:0], out.Frame)
+	enc, err := gen.AppendEncodePacket(s.encBuf[:0], &s.machine.OutPacket)
 	if err != nil {
-		s.fail(fmt.Errorf("arq sender: encode: %w", err))
+		// The generated encoder's only failure is a field out of range
+		// (an oversize payload); report it as the window engines'
+		// slot-program encoder does.
+		s.fail(fmt.Errorf("arq sender: encode: %w: %w", wire.ErrBadFieldValue, err))
 		return
 	}
 	s.encBuf = enc[:0]
@@ -186,52 +178,48 @@ func (s *Sender) armTimer() {
 
 // onDatagram handles anything arriving at the sender: only acks are
 // expected. Validation happens *before* the machine sees the event, so
-// the machine's OK transitions only ever observe verified acks.
+// the machine's OK transitions only ever observe verified acks:
+// gen.DecodeAckInto leaves s.ack untouched unless every check passed.
 func (s *Sender) onDatagram(_ netsim.Addr, data []byte) {
 	if s.done {
 		return
 	}
-	frame, err := s.codec.DecodeAckFrame(data)
-	if err != nil {
+	if err := gen.DecodeAckInto(&s.ack, data); err != nil {
 		// Corrupted ack: the paper's FAIL transition — back to Ready and
 		// retransmit immediately.
 		s.stats.AcksCorrupted++
-		res, serr := s.machine.StepEv(s.evFail)
+		out, serr := s.machine.FAIL()
 		if serr != nil {
-			s.fail(serr)
+			s.failStep(EvFail, serr)
 			return
 		}
-		if res.Fired != nil && res.To == StReady {
+		if out == gen.SenderTrFail {
 			s.transmit(true)
 		}
 		return
 	}
 	s.stats.AcksReceived++
-	// The decoded frame (checksum already verified) goes to the machine
-	// as a slot-backed message: the `ack.seq == seq` guard reads the seq
-	// slot by index.
-	res, serr := s.machine.StepEv(s.evOK, expr.FrameMsg(s.ackShape, frame))
+	out, serr := s.machine.OK(&s.ack)
 	if serr != nil {
-		s.fail(serr)
+		s.failStep(EvOK, serr)
 		return
 	}
-	switch {
-	case res.Fired != nil && res.Fired.Name == "ack":
-		// The in-flight packet is acknowledged: advance. Karn's rule —
-		// only a never-retransmitted packet yields a valid RTT sample.
-		if s.retries == 0 {
-			s.obs.RTT().Observe(s.sim.Now() - s.sentAt)
-		}
-		if s.timer != nil {
-			s.timer.Cancel()
-		}
-		s.retries = 0
-		s.idx++
-		s.advance()
-	default:
+	if out != gen.SenderTrAck {
 		// Rejected (wrong seq) or ignored (stale in Ready).
 		s.stats.StaleAcks++
+		return
 	}
+	// The in-flight packet is acknowledged: advance. Karn's rule — only
+	// a never-retransmitted packet yields a valid RTT sample.
+	if s.retries == 0 {
+		s.obs.RTT().Observe(s.sim.Now() - s.sentAt)
+	}
+	if s.timer != nil {
+		s.timer.Cancel()
+	}
+	s.retries = 0
+	s.idx++
+	s.advance()
 }
 
 // onTimeout handles retransmission-timer expiry.
@@ -239,12 +227,12 @@ func (s *Sender) onTimeout() {
 	if s.done {
 		return
 	}
-	res, err := s.machine.StepEv(s.evTimeout)
+	out, err := s.machine.TIMEOUT()
 	if err != nil {
-		s.fail(err)
+		s.failStep(EvTimeout, err)
 		return
 	}
-	if res.Fired == nil {
+	if out != gen.SenderTrTimeout {
 		return // late timer in Ready: ignored by the spec
 	}
 	s.stats.Timeouts++
@@ -256,8 +244,8 @@ func (s *Sender) onTimeout() {
 		s.finish(false)
 		return
 	}
-	if _, err := s.machine.StepEv(s.evRetry); err != nil {
-		s.fail(err)
+	if _, err := s.machine.RETRY(); err != nil {
+		s.failStep(EvRetry, err)
 		return
 	}
 	s.transmit(true)
@@ -273,41 +261,31 @@ type ReceiverStats struct {
 
 // Receiver drives the checked ARQ receiver spec over a simulator
 // endpoint, delivering accepted payloads in order. Like Sender, it runs
-// the compiled program on the slot-frame path with reusable frames and
-// buffers.
+// the generated gen.ReceiverMachine and codec with a reusable decode
+// target and encode buffer.
 type Receiver struct {
 	ep      *netsim.Endpoint
 	peer    netsim.Addr
-	machine *fsm.Machine
-	codec   *Codec
+	machine gen.ReceiverMachine
 
-	// Reusable hot-loop state (see Sender).
-	encBuf          []byte
-	pktShape        *expr.MsgShape
-	evRecv, evClose fsm.EventID
+	// Reusable hot-loop state (see Sender). pkt's payload aliases the
+	// delivery buffer, which the handler owns from its decode on.
+	encBuf []byte
+	pkt    gen.Packet
 
 	delivered [][]byte
 	stats     ReceiverStats
 	err       error
 }
 
-// NewReceiver builds a receiver running arq.pdsl's Receiver program.
+// NewReceiver builds a receiver running the machine generated from
+// arq.pdsl's Receiver; like NewSender, it refuses a spec that no longer
+// checks.
 func NewReceiver(sim *netsim.Sim, ep *netsim.Endpoint, peer netsim.Addr) (*Receiver, error) {
-	prog, err := program("Receiver")
-	if err != nil {
-		return nil, err
+	if _, err := arqSpec(); err != nil {
+		return nil, fmt.Errorf("arq: %w", err)
 	}
-	codec, err := NewCodec()
-	if err != nil {
-		return nil, err
-	}
-	machine := prog.NewMachine()
-	r := &Receiver{
-		ep: ep, peer: peer, machine: machine, codec: codec,
-		pktShape: prog.MsgShape("Packet"),
-	}
-	r.evRecv, _ = machine.EventID(EvRecv)
-	r.evClose, _ = machine.EventID(EvClose)
+	r := &Receiver{ep: ep, peer: peer, machine: gen.NewReceiverMachine()}
 	ep.SetHandler(r.onDatagram)
 	return r, nil
 }
@@ -327,18 +305,18 @@ func (r *Receiver) Err() error { return r.err }
 
 // Close raises the CLOSE event, moving the machine to its final state.
 func (r *Receiver) Close() error {
-	_, err := r.machine.StepEv(r.evClose)
-	return err
+	if _, err := r.machine.CLOSE(); err != nil {
+		return fmt.Errorf("arq receiver: %s in state %s: %w", EvClose, r.machine.StateName(), err)
+	}
+	return nil
 }
 
 func (r *Receiver) onDatagram(_ netsim.Addr, data []byte) {
-	if r.err != nil || r.machine.State() == StClosed {
+	if r.err != nil || r.machine.StateIndex() == gen.ReceiverStClosed {
 		return
 	}
-	// In-place decode straight into the codec's slot frame: the payload
-	// aliases this delivery's buffer, which the handler owns from here on.
-	frame, err := r.codec.DecodePacketFrame(data)
-	if err != nil {
+	// In-place decode: the payload aliases this delivery's buffer.
+	if err := gen.DecodePacketInto(&r.pkt, data); err != nil {
 		// Unverified packets are never processed (§3.4 guarantee 2): the
 		// machine does not even see the event. The sender's timer covers
 		// recovery.
@@ -346,30 +324,29 @@ func (r *Receiver) onDatagram(_ netsim.Addr, data []byte) {
 		return
 	}
 	r.stats.PacketsReceived++
-	res, serr := r.machine.StepEv(r.evRecv, expr.FrameMsg(r.pktShape, frame))
-	if serr != nil {
-		r.err = serr
+	out, err := r.machine.RECV(&r.pkt)
+	if err != nil {
+		r.err = fmt.Errorf("arq receiver: %s in state %s: %w", EvRecv, r.machine.StateName(), err)
 		return
 	}
-	if res.Fired == nil {
+	switch out {
+	case gen.ReceiverTrAccept:
+		r.delivered = append(r.delivered, r.pkt.Payload)
+	case gen.ReceiverTrDupack:
+		r.stats.Duplicates++
+	default:
 		return // cannot happen: accept/dupack guards partition seq space
 	}
-	if res.Fired.Name == "accept" {
-		r.delivered = append(r.delivered, frame.Get(r.codec.PacketPayloadSlot()).RawBytes())
-	} else {
-		r.stats.Duplicates++
+	// Both transitions stage the ack that answers the packet.
+	enc, err := gen.AppendEncodeAck(r.encBuf[:0], &r.machine.OutAck)
+	if err != nil {
+		r.err = fmt.Errorf("arq receiver: encode ack: %w", err)
+		return
 	}
-	for _, out := range res.Outputs {
-		enc, eerr := r.codec.AckProgram().AppendEncode(r.encBuf[:0], out.Frame)
-		if eerr != nil {
-			r.err = fmt.Errorf("arq receiver: encode ack: %w", eerr)
-			return
-		}
-		r.encBuf = enc[:0]
-		if err := r.ep.Send(r.peer, enc); err != nil {
-			r.err = err
-			return
-		}
-		r.stats.AcksSent++
+	r.encBuf = enc[:0]
+	if err := r.ep.Send(r.peer, enc); err != nil {
+		r.err = err
+		return
 	}
+	r.stats.AcksSent++
 }

@@ -1,7 +1,7 @@
 // Behavioural tests for the GENERATED ARQ package: the compile-time
-// transition discipline, witness enforcement and codec validation, plus a
-// full simulated transfer driven entirely through generated code and an
-// equivalence check against the interpreter implementation.
+// transition discipline, witness enforcement and codec validation. The
+// transfers the stop-and-wait engines run on these types are tested
+// against the interpreter in internal/arq.
 package gen
 
 import (
@@ -9,14 +9,11 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"protodsl/examples/specs"
-	"protodsl/internal/arq"
 	"protodsl/internal/dsl"
 	"protodsl/internal/expr"
 	"protodsl/internal/genrt"
-	"protodsl/internal/netsim"
 )
 
 func TestGeneratedCodecRoundTrip(t *testing.T) {
@@ -229,96 +226,5 @@ func TestGeneratedReceiver(t *testing.T) {
 	}
 	if closed.StateName() != "Closed" {
 		t.Errorf("close -> %s", closed.StateName())
-	}
-}
-
-func TestGeneratedTransferOverLossyLink(t *testing.T) {
-	payloads := make([][]byte, 25)
-	for i := range payloads {
-		payloads[i] = []byte{byte(i), byte(i + 1), byte(i + 2)}
-	}
-	cfg := arq.Config{
-		Seed: 5,
-		Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: 0.2, DupProb: 0.05, CorruptProb: 0.05},
-		RTO:  15 * time.Millisecond, MaxRetries: 50,
-	}
-	res, err := RunTransfer(cfg, payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK {
-		t.Fatal("generated transfer failed")
-	}
-	if len(res.Delivered) != len(payloads) {
-		t.Fatalf("delivered %d/%d", len(res.Delivered), len(payloads))
-	}
-	for i := range payloads {
-		if !bytes.Equal(res.Delivered[i], payloads[i]) {
-			t.Fatalf("payload %d mismatch", i)
-		}
-	}
-}
-
-// TestGeneratedEquivalentToInterpreter: generated code and the fsm
-// interpreter produce identical protocol behaviour on identical seeds —
-// outcome, final sender state, deliveries, packets sent and
-// retransmissions — over duplicating and corrupting links.
-func TestGeneratedEquivalentToInterpreter(t *testing.T) {
-	oneByte := make([][]byte, 15)
-	for i := range oneByte {
-		oneByte[i] = []byte{byte(i)}
-	}
-	wide := make([][]byte, 15)
-	for i := range wide {
-		wide[i] = make([]byte, 24)
-		for j := range wide[i] {
-			wide[i][j] = byte(i + j)
-		}
-	}
-	cases := []struct {
-		seed     int64
-		payloads [][]byte
-		losses   []float64
-		dup      float64
-		corrupt  float64
-		rto      time.Duration
-	}{
-		{seed: 11, payloads: oneByte, losses: []float64{0, 0.2, 0.4}, dup: 0.1, rto: 12 * time.Millisecond},
-		{seed: 7, payloads: wide, losses: []float64{0, 0.15, 0.35}, dup: 0.05, corrupt: 0.05, rto: 15 * time.Millisecond},
-	}
-	for _, c := range cases {
-		for _, loss := range c.losses {
-			cfg := arq.Config{
-				Seed: c.seed,
-				Link: netsim.LinkParams{Delay: time.Millisecond, LossProb: loss, DupProb: c.dup, CorruptProb: c.corrupt},
-				RTO:  c.rto, MaxRetries: 40,
-			}
-			interp, err := arq.RunTransfer(cfg, c.payloads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen, err := RunTransfer(cfg, c.payloads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if interp.OK != gen.OK || interp.SenderState != gen.SenderState {
-				t.Fatalf("seed=%d loss=%.2f: interp (%v,%s), generated (%v,%s)",
-					c.seed, loss, interp.OK, interp.SenderState, gen.OK, gen.SenderState)
-			}
-			if len(interp.Delivered) != len(gen.Delivered) {
-				t.Fatalf("seed=%d loss=%.2f: delivered %d vs %d", c.seed, loss, len(interp.Delivered), len(gen.Delivered))
-			}
-			for i := range interp.Delivered {
-				if !bytes.Equal(interp.Delivered[i], gen.Delivered[i]) {
-					t.Fatalf("seed=%d loss=%.2f: delivery %d differs", c.seed, loss, i)
-				}
-			}
-			if interp.Sender.PacketsSent != gen.Sender.PacketsSent || interp.Sender.Retransmits != gen.Sender.Retransmits {
-				t.Errorf("seed=%d loss=%.2f: packets sent/retransmits %d/%d vs %d/%d", c.seed, loss,
-					interp.Sender.PacketsSent, interp.Sender.Retransmits, gen.Sender.PacketsSent, gen.Sender.Retransmits)
-			}
-			t.Logf("seed=%d loss=%.2f: %s, %d packets, %d retransmits",
-				c.seed, loss, gen.SenderState, gen.Sender.PacketsSent, gen.Sender.Retransmits)
-		}
 	}
 }

@@ -1,14 +1,17 @@
 // Package arq implements the paper's worked example (§3.4): a simple
 // stop-and-wait transport protocol with automatic repeat request, built
-// entirely on the DSL framework — wire-described packets, a statically
-// checked state machine executed by the fsm interpreter, and validation
-// witnesses for received packets: CheckedPacket and CheckedAck, values
-// that only the validating decoders can build. The typed-state variant,
-// which carries the transition discipline in Go's type system, is
-// generated from the same spec into internal/arq/gen.
+// entirely on the DSL framework. Everything the stop-and-wait engines
+// run is generated from arq.pdsl into internal/arq/gen: the statically
+// checked Sender and Receiver machines as flat table dispatch, and the
+// Packet and Ack codecs, whose decoders fill their target only after
+// every wire check passed. The compiled fsm interpreter running the
+// same spec is the reference the tests hold them to.
 //
-// A go-back-N extension (window > 1) is provided as the "further work"
-// the paper sketches for richer protocols.
+// Go-back-N and selective repeat (window > 1) are provided as the
+// "further work" the paper sketches for richer protocols. They use
+// Codec, the slot-program codec over the same layouts, whose decoders
+// return validation witnesses: CheckedPacket and CheckedAck, values
+// that only the validating decoders can build.
 //
 // Concurrency: every engine (sender or receiver, any variant) is
 // single-owner. It belongs to the event loop of the netsim.Runtime it
@@ -28,7 +31,7 @@ import (
 // per-codec frame scratch, so encoding and decoding allocate nothing:
 // from the delivery buffer to the decoded field values, no map is
 // touched and no string is hashed. The scratch makes a Codec
-// single-goroutine (like the machines it serves); use one Codec per
+// single-goroutine (like the engines it serves); use one Codec per
 // endpoint. Tests that need the map-based reference codec take the
 // layout from the compiled spec.
 type Codec struct {
@@ -36,7 +39,7 @@ type Codec struct {
 	ackProg *wire.Program
 
 	encPkt, encAck *expr.Frame // AppendEncode* scratch frames
-	decPkt, decAck *expr.Frame // Decode*InPlace / Decode*Frame scratch frames
+	decPkt, decAck *expr.Frame // Decode*InPlace scratch frames
 
 	pktSeq, pktPayload, ackSeq int // canonical field slots
 }
@@ -130,7 +133,7 @@ func (c *Codec) AppendEncodeAck(dst []byte, seq uint8) ([]byte, error) {
 // guarantee 2) because processing code takes the witness, not raw bytes.
 // The packet's payload aliases data (wire.Program.DecodeInto
 // semantics), so it is only valid while the caller owns data — the
-// endpoints' per-delivery buffers qualify.
+// engines' per-delivery buffers qualify.
 func (c *Codec) DecodePacketInPlace(data []byte) (CheckedPacket, error) {
 	if err := c.pktProg.DecodeInto(c.decPkt, data); err != nil {
 		return CheckedPacket{}, err
@@ -141,31 +144,6 @@ func (c *Codec) DecodePacketInPlace(data []byte) (CheckedPacket, error) {
 	}}, nil
 }
 
-// DecodePacketFrame parses and validates a received data packet into the
-// codec's reusable packet frame and returns it. The frame is laid out by
-// the packet's canonical shape (field i at slot i) — wrap it with
-// expr.FrameMsg to hand the machine a slot-backed message value. Byte
-// fields alias data; both frame and aliases are valid until the next
-// packet decode on this codec.
-func (c *Codec) DecodePacketFrame(data []byte) (*expr.Frame, error) {
-	if err := c.pktProg.DecodeInto(c.decPkt, data); err != nil {
-		return nil, err
-	}
-	return c.decPkt, nil
-}
-
-// DecodeAckFrame is DecodePacketFrame for acknowledgements.
-func (c *Codec) DecodeAckFrame(data []byte) (*expr.Frame, error) {
-	if err := c.ackProg.DecodeInto(c.decAck, data); err != nil {
-		return nil, err
-	}
-	return c.decAck, nil
-}
-
-// PacketPayloadSlot returns the canonical slot of the packet payload
-// field (for engines reading payloads straight from a decoded frame).
-func (c *Codec) PacketPayloadSlot() int { return c.pktPayload }
-
 // DecodeAckInPlace parses and validates an acknowledgement using the
 // codec's reusable scratch frame (no allocations on the success path).
 func (c *Codec) DecodeAckInPlace(data []byte) (CheckedAck, error) {
@@ -174,10 +152,3 @@ func (c *Codec) DecodeAckInPlace(data []byte) (CheckedAck, error) {
 	}
 	return CheckedAck{Ack{Seq: uint8(c.decAck.Get(c.ackSeq).AsUint())}}, nil
 }
-
-// The endpoints hand the interpreter slot-backed message values —
-// expr.FrameMsg over the codec's decode frames, using the machine
-// program's shapes — so guards index fields by slot instead of hashing
-// names (see endpoints.go). The former map-copying packetValue/ackValue
-// helpers, and the reusable field maps that replaced them, are gone from
-// the per-packet path entirely.

@@ -10,16 +10,21 @@ import (
 	"testing"
 	"time"
 
+	"protodsl/internal/arq/gen"
 	"protodsl/internal/expr"
 	"protodsl/internal/fsm"
+	"protodsl/internal/genrt"
 	"protodsl/internal/ipv4"
 	"protodsl/internal/netsim"
 	"protodsl/internal/wire"
 )
 
-// TestEnginesRunLoadedProgram: every engine runs the machine programs
-// and wire programs arqSpec compiled from arq.pdsl — the same pointers,
-// not per-engine recompilations of a copy.
+// TestEnginesRunLoadedProgram: the stop-and-wait engines run the flat
+// machines generated from arq.pdsl, so the generated state, event and
+// transition indices they dispatch on must name exactly what the
+// programs arqSpec compiles from the same text declare, in the same
+// order. The windowed engines run the loaded Packet and Ack programs —
+// the same pointers, not per-engine recompilations of a copy.
 func TestEnginesRunLoadedProgram(t *testing.T) {
 	proto, err := arqSpec()
 	if err != nil {
@@ -28,6 +33,59 @@ func TestEnginesRunLoadedProgram(t *testing.T) {
 	senderProg, _ := proto.Program("Sender")
 	receiverProg, _ := proto.Program("Receiver")
 	pktProg, ackProg := proto.Layouts["Packet"].Program(), proto.Layouts["Ack"].Program()
+
+	for _, m := range []struct {
+		prog        *fsm.Program
+		states      []string // generated state index -> name
+		events      []string // generated event index -> name
+		transitions []string // generated StepOutcome -> name
+		outcomes    map[genrt.StepOutcome]string
+	}{
+		{
+			senderProg,
+			[]string{gen.SenderStReady: StReady, gen.SenderStWait: "Wait", gen.SenderStTimeout: StTimeout, gen.SenderStSent: StSent},
+			[]string{gen.SenderEvSEND: EvSend, gen.SenderEvOK: EvOK, gen.SenderEvFAIL: EvFail,
+				gen.SenderEvTIMEOUT: EvTimeout, gen.SenderEvRETRY: EvRetry, gen.SenderEvFINISH: EvFinish},
+			gen.SenderTransitionNames[:],
+			map[genrt.StepOutcome]string{gen.SenderTrSend: "send", gen.SenderTrAck: "ack",
+				gen.SenderTrFail: "fail", gen.SenderTrTimeout: "timeout"},
+		},
+		{
+			receiverProg,
+			[]string{gen.ReceiverStReadyFor: "ReadyFor", gen.ReceiverStClosed: "Closed"},
+			[]string{gen.ReceiverEvRECV: EvRecv, gen.ReceiverEvCLOSE: EvClose},
+			gen.ReceiverTransitionNames[:],
+			map[genrt.StepOutcome]string{gen.ReceiverTrAccept: "accept", gen.ReceiverTrDupack: "dupack"},
+		},
+	} {
+		name := m.prog.Spec().Name
+		if len(m.states) != m.prog.NumStates() || len(m.events) != m.prog.NumEvents() {
+			t.Fatalf("%s: generated %d states/%d events, loaded program %d/%d",
+				name, len(m.states), len(m.events), m.prog.NumStates(), m.prog.NumEvents())
+		}
+		for i, st := range m.states {
+			if got := m.prog.StateName(i); got != st {
+				t.Errorf("%s: generated state %d is %s, loaded program's is %s", name, i, st, got)
+			}
+		}
+		for i, ev := range m.events {
+			if got := m.prog.EventAt(i).Name; got != ev {
+				t.Errorf("%s: generated event %d is %s, loaded program's is %s", name, i, ev, got)
+			}
+		}
+		var want []string
+		for _, tr := range m.prog.Spec().Transitions {
+			want = append(want, tr.Name)
+		}
+		if !reflect.DeepEqual(m.transitions, want) {
+			t.Errorf("%s: generated transition names %v, loaded program's %v", name, m.transitions, want)
+		}
+		for out, tr := range m.outcomes {
+			if m.transitions[out] != tr {
+				t.Errorf("%s: outcome %d names %s, want %s", name, out, m.transitions[out], tr)
+			}
+		}
+	}
 
 	sim := netsim.New(1)
 	n := 0
@@ -46,15 +104,8 @@ func TestEnginesRunLoadedProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReceiver(sim, ep(), peer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.machine.Program() != senderProg {
-		t.Error("NewSender's machine does not run the loaded Sender program")
-	}
-	if r.machine.Program() != receiverProg {
-		t.Error("NewReceiver's machine does not run the loaded Receiver program")
+	if got, want := s.State(), senderProg.NewMachine().State(); got != want {
+		t.Errorf("a new Sender is in %s, the loaded program starts in %s", got, want)
 	}
 
 	gs, err := AttachGBNSender(sim, ep(), peer, cfg, nil, nil)
@@ -74,7 +125,6 @@ func TestEnginesRunLoadedProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]*Codec{
-		"stop-and-wait sender": s.codec, "stop-and-wait receiver": r.codec,
 		"gbn sender": gs.codec, "gbn receiver": gr.codec,
 		"sr sender": ss.codec, "sr receiver": sr.codec,
 	} {

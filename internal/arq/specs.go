@@ -16,9 +16,6 @@ const (
 	StTimeout = "Timeout"
 	StSent    = "Sent"
 
-	// Receiver states.
-	StClosed = "Closed"
-
 	// Sender events (the paper's SendTrans constructors).
 	EvSend    = "SEND"
 	EvOK      = "OK"
@@ -32,23 +29,11 @@ const (
 	EvClose = "CLOSE"
 )
 
-// arqSpec is the loader of arq.pdsl: every engine in this package runs
-// the Sender and Receiver programs and the Packet and Ack layouts it
-// compiles, once per process.
+// arqSpec is the loader of arq.pdsl, compiled and checked once per
+// process: the windowed engines' Codec runs the Packet and Ack layouts
+// it compiles, and the stop-and-wait engines refuse to start unless it
+// loads (their machines and codec are generated from the same text).
 var arqSpec = dsl.Load(specs.ARQ)
-
-// program returns the shared compiled program of one arq.pdsl machine.
-func program(machine string) (*fsm.Program, error) {
-	proto, err := arqSpec()
-	if err != nil {
-		return nil, fmt.Errorf("arq: %w", err)
-	}
-	prog, ok := proto.Program(machine)
-	if !ok {
-		return nil, fmt.Errorf("arq: arq.pdsl has no machine %s", machine)
-	}
-	return prog, nil
-}
 
 // SenderSpec returns the paper's ARQ sender machine, the Sender of
 // arq.pdsl:
@@ -64,12 +49,13 @@ func program(machine string) (*fsm.Program, error) {
 // machine "ready to try again" after a timeout (§3.4).
 //
 // The OK transition's ChkPacket argument is modelled by the guard
-// `ack.seq == seq` over a *validated* Ack: the interpreter only ever sees
-// acks that passed DecodeAck, so the dependent-type precondition
-// "verified packet" is established before the event is raised.
+// `ack.seq == seq` over a *validated* Ack: the machine only ever sees
+// acks that passed the validating decoder, so the dependent-type
+// precondition "verified packet" is established before the event is
+// raised.
 //
 // Each call parses the embedded text afresh, so the caller owns the
-// spec and may mutate it; the engines' compiled program is unaffected.
+// spec and may mutate it; the engines' machines are unaffected.
 func SenderSpec() *fsm.Spec { return parsedMachine("Sender") }
 
 // ReceiverSpec returns the paper's receiver, the Receiver of arq.pdsl:

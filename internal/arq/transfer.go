@@ -52,26 +52,9 @@ type Result struct {
 // simulated link and returns the outcome. Runs are deterministic in
 // (Config, payloads).
 func RunTransfer(cfg Config, payloads [][]byte) (*Result, error) {
-	if cfg.RTO == 0 {
-		cfg.RTO = 50 * time.Millisecond
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 10
-	}
-	if cfg.EventBudget == 0 {
-		cfg.EventBudget = 10000 + 200*len(payloads)*(cfg.MaxRetries+1)
-	}
-
-	sim := netsim.New(cfg.Seed)
-	sEP, err := sim.NewEndpoint("sender")
+	cfg = cfg.withDefaults(len(payloads))
+	sim, sEP, rEP, err := newTransferSim(cfg)
 	if err != nil {
-		return nil, err
-	}
-	rEP, err := sim.NewEndpoint("receiver")
-	if err != nil {
-		return nil, err
-	}
-	if err := connectWithFaults(sim, sEP, rEP, cfg.Link, cfg.Faults); err != nil {
 		return nil, err
 	}
 
@@ -108,6 +91,39 @@ func RunTransfer(cfg Config, payloads [][]byte) (*Result, error) {
 		Network:     sim.Stats(),
 		Obs:         sim.Obs().Snapshot(),
 	}, nil
+}
+
+// withDefaults fills the zero fields of cfg for a transfer of n
+// payloads.
+func (cfg Config) withDefaults(n int) Config {
+	if cfg.RTO == 0 {
+		cfg.RTO = 50 * time.Millisecond
+	}
+	if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = 10
+	}
+	if cfg.EventBudget == 0 {
+		cfg.EventBudget = 10000 + 200*n*(cfg.MaxRetries+1)
+	}
+	return cfg
+}
+
+// newTransferSim builds the simulator of one transfer: a sender and a
+// receiver endpoint joined by cfg's link and fault schedule.
+func newTransferSim(cfg Config) (*netsim.Sim, *netsim.Endpoint, *netsim.Endpoint, error) {
+	sim := netsim.New(cfg.Seed)
+	sEP, err := sim.NewEndpoint("sender")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rEP, err := sim.NewEndpoint("receiver")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := connectWithFaults(sim, sEP, rEP, cfg.Link, cfg.Faults); err != nil {
+		return nil, nil, nil, err
+	}
+	return sim, sEP, rEP, nil
 }
 
 // Goodput returns delivered payload bytes per second of virtual time.

@@ -53,10 +53,12 @@ func TestCodecZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMachinePacketLoopZeroAllocs drives the full per-packet machine
-// path — ack decode into the codec frame, FrameMsg wrap, StepEv with the
+// TestMachinePacketLoopZeroAllocs drives the interpreter's per-packet
+// path — ack decode into a slot frame, FrameMsg wrap, StepEv with the
 // `ack.seq == seq` guard, output frame encode — and asserts zero
-// allocations, i.e. the rewritten endpoints' steady-state loop.
+// allocations: the loop the model checker and the session layer step
+// machines through, and the stop-and-wait reference of
+// reference_test.go.
 func TestMachinePacketLoopZeroAllocs(t *testing.T) {
 	machine, err := fsm.NewMachine(SenderSpec())
 	if err != nil {
@@ -67,6 +69,7 @@ func TestMachinePacketLoopZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ackShape := machine.Program().MsgShape("Ack")
+	ackFrame := codec.AckProgram().NewFrame()
 	evSend, _ := machine.EventID(EvSend)
 	evOK, _ := machine.EventID(EvOK)
 	payload := make([]byte, 64)
@@ -96,11 +99,10 @@ func TestMachinePacketLoopZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		ackBuf = a[:0]
-		frame, err := codec.DecodeAckFrame(a)
-		if err != nil {
+		if err := codec.AckProgram().DecodeInto(ackFrame, a); err != nil {
 			t.Fatal(err)
 		}
-		okRes, err := machine.StepEv(evOK, expr.FrameMsg(ackShape, frame))
+		okRes, err := machine.StepEv(evOK, expr.FrameMsg(ackShape, ackFrame))
 		if err != nil {
 			t.Fatal(err)
 		}

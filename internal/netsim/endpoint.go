@@ -52,6 +52,18 @@ type Endpoint struct {
 	sim     *Sim
 	addr    Addr
 	handler func(from Addr, data []byte)
+
+	// route caches the last peer Send resolved: its link and endpoint,
+	// valid while route.topo equals the Sim's topology generation.
+	route route
+}
+
+// route is one resolved destination of an Endpoint.
+type route struct {
+	to   Addr
+	link *link
+	dst  *Endpoint
+	topo uint64
 }
 
 // NewEndpoint registers a new endpoint.
@@ -62,6 +74,7 @@ func (s *Sim) NewEndpoint(name string) (*Endpoint, error) {
 	}
 	e := &Endpoint{sim: s, addr: addr}
 	s.endpoints[addr] = e
+	s.topo++
 	return e, nil
 }
 
@@ -86,6 +99,7 @@ func (s *Sim) Connect(a, b *Endpoint, p LinkParams) {
 // ConnectDirectional installs (or replaces) the from→to link.
 func (s *Sim) ConnectDirectional(from, to *Endpoint, p LinkParams) {
 	s.links[linkKey{from.addr, to.addr}] = &link{params: p}
+	s.topo++
 }
 
 // SetLinkParams updates the parameters of an existing directional link
@@ -105,14 +119,12 @@ func (s *Sim) SetLinkParams(from, to Addr, p LinkParams) bool {
 // the simulation PRNG.
 func (e *Endpoint) Send(to Addr, data []byte) error {
 	s := e.sim
-	l, ok := s.links[linkKey{e.addr, to}]
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s", ErrNoRoute, e.addr, to)
+	if e.route.topo != s.topo || e.route.to != to {
+		if err := e.resolve(to); err != nil {
+			return err
+		}
 	}
-	dst, ok := s.endpoints[to]
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s (no such endpoint)", ErrNoRoute, e.addr, to)
-	}
+	l, dst := e.route.link, e.route.dst
 	s.stats.Sent++
 	s.obsSh.Inc(obs.FramesOut)
 	s.obsSh.Add(obs.BytesOut, uint64(len(data)))
@@ -191,6 +203,22 @@ func (e *Endpoint) Send(to Addr, data []byte) error {
 		s.traceEvent(TraceDup, e.addr, to, len(dupPayload))
 		s.scheduleDelivery(e.addr, dst, s.corrupt(p, e.addr, to, dupPayload), dupAt)
 	}
+	return nil
+}
+
+// resolve looks up the link to peer and the peer's endpoint and caches
+// both in e.route, so a run of sends to one peer hashes no address.
+func (e *Endpoint) resolve(to Addr) error {
+	s := e.sim
+	l, ok := s.links[linkKey{e.addr, to}]
+	if !ok {
+		return fmt.Errorf("%w: %s -> %s", ErrNoRoute, e.addr, to)
+	}
+	dst, ok := s.endpoints[to]
+	if !ok {
+		return fmt.Errorf("%w: %s -> %s (no such endpoint)", ErrNoRoute, e.addr, to)
+	}
+	e.route = route{to: to, link: l, dst: dst, topo: s.topo}
 	return nil
 }
 

@@ -223,6 +223,84 @@ func TestNoRoute(t *testing.T) {
 	}
 }
 
+// TestReconnectAppliesNewLinkParams: Send caches the route to its last
+// peer, and a Connect mid-run replaces the link, so the next send must
+// travel over the new link's parameters — and a route cached before a
+// later link existed must not stop sends to a newly linked peer.
+func TestReconnectAppliesNewLinkParams(t *testing.T) {
+	s, a, b := twoNodes(t, 1, LinkParams{Delay: 10 * time.Millisecond})
+	var at []time.Duration
+	b.SetHandler(func(Addr, []byte) { at = append(at, s.Now()) })
+	if err := a.Send(b.Addr(), []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilIdle(100); err != nil {
+		t.Fatal(err)
+	}
+	s.Connect(a, b, LinkParams{Delay: 30 * time.Millisecond})
+	if err := a.Send(b.Addr(), []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	s.Connect(a, b, LinkParams{LossProb: 1})
+	if err := a.Send(b.Addr(), []byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilIdle(100); err != nil {
+		t.Fatal(err)
+	}
+	if want := []time.Duration{10 * time.Millisecond, 40 * time.Millisecond}; len(at) != 2 || at[0] != want[0] || at[1] != want[1] {
+		t.Fatalf("deliveries at %v, want %v (the third send crossed a total-loss link)", at, want)
+	}
+	if st := s.Stats(); st.Sent != 3 || st.Dropped != 1 {
+		t.Errorf("sent=%d dropped=%d, want 3 and 1", st.Sent, st.Dropped)
+	}
+
+	c, err := s.NewEndpoint("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	c.SetHandler(func(Addr, []byte) { got++ })
+	s.ConnectDirectional(a, c, LinkParams{})
+	if err := a.Send(c.Addr(), []byte{4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(b.Addr(), []byte{5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunUntilIdle(100); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Errorf("C received %d packets, want 1", got)
+	}
+}
+
+// TestUnknownPeerAfterCachedRoute: a route cached for one peer never
+// answers for another — an unknown or unlinked peer is still
+// ErrNoRoute, and the cached peer still works afterwards.
+func TestUnknownPeerAfterCachedRoute(t *testing.T) {
+	s, a, b := twoNodes(t, 1, LinkParams{})
+	if err := a.Send(b.Addr(), []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send("Z", []byte{1}); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("Send to unknown peer err = %v, want ErrNoRoute", err)
+	}
+	if _, err := s.NewEndpoint("C"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send("C", []byte{1}); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("Send to unlinked peer err = %v, want ErrNoRoute", err)
+	}
+	if err := a.Send(b.Addr(), []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Sent != 2 {
+		t.Errorf("sent=%d, want 2 (failed sends count nothing)", st.Sent)
+	}
+}
+
 func TestTimers(t *testing.T) {
 	s := New(1)
 	fired := []int{}

@@ -89,6 +89,7 @@ type Sim struct {
 	rng       *rand.Rand
 	endpoints map[Addr]*Endpoint
 	links     map[linkKey]*link
+	topo      uint64 // topology generation: bumped by NewEndpoint and ConnectDirectional
 	stats     Stats
 	processed uint64
 
