@@ -129,6 +129,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dsl/ -run '^$$' -fuzz FuzzParse -fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/verify/ -run '^$$' -fuzz FuzzStateCanon -fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/session/ -run '^$$' -fuzz FuzzSessionFrame -fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/netsim/ -run '^$$' -fuzz FuzzEventOrder -fuzztime 30s -fuzzminimizetime 10x
 
 lint: vet fmtcheck
 

@@ -124,9 +124,9 @@ func goldenLine(sc goldenScenario, dur time.Duration, events, hash uint64) strin
 // TestGoldenTraces re-runs the E5 grid and compares virtual durations,
 // processed-event counts and full trace hashes against
 // testdata/golden_traces.txt, recorded from the PR 2 indexed-heap event
-// core. The timing wheel must reproduce every line byte-for-byte: same
-// durations, same event counts, same global (deadline, arm-order) event
-// ordering. Regenerate with `go test ./internal/arq -run GoldenTraces
+// core. The simulator's current event core must reproduce every line
+// byte-for-byte: same durations, same event counts, same global
+// (deadline, arm-order) event ordering. Regenerate with `go test ./internal/arq -run GoldenTraces
 // -update` — but a diff here is a determinism regression unless the
 // event core's ordering contract deliberately changed.
 func TestGoldenTraces(t *testing.T) {

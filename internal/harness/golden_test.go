@@ -20,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden result files")
 // 32 concurrent flows over a shared bottleneck, 4 seeded shards. Its
 // per-flow outcomes are a function of nothing but the event core's
 // deterministic ordering — which makes it the end-to-end golden for the
-// timer store (heap then, wheel now).
+// timer store (a binary heap, then a timing wheel, now a 4-ary heap).
 func e11GoldenConfig(variant Variant) MultiFlowConfig {
 	return MultiFlowConfig{
 		Flows:           32,
@@ -42,8 +42,8 @@ func e11GoldenConfig(variant Variant) MultiFlowConfig {
 // TestGoldenE11Results pins the seeded E11 runs against
 // testdata/golden_e11.txt (recorded from the PR 2 heap event core):
 // per-flow durations, packet and retransmit counts, hashed in shard/flow
-// order. Identical hashes mean the wheel replays the heap's event
-// ordering exactly across 4 shards × 32 contending flows. Regenerate
+// order. Identical hashes mean the current event core replays the
+// recorded event ordering exactly across 4 shards × 32 contending flows. Regenerate
 // with `go test ./internal/harness -run GoldenE11 -update`.
 func TestGoldenE11Results(t *testing.T) {
 	path := filepath.Join("testdata", "golden_e11.txt")

@@ -128,9 +128,7 @@ func (e *Endpoint) Send(to Addr, data []byte) error {
 	s.stats.Sent++
 	s.obsSh.Inc(obs.FramesOut)
 	s.obsSh.Add(obs.BytesOut, uint64(len(data)))
-	payload := make([]byte, len(data))
-	copy(payload, data)
-	s.traceEvent(TraceSend, e.addr, to, len(payload))
+	s.traceEvent(TraceSend, e.addr, to, len(data))
 
 	p := l.params
 
@@ -145,21 +143,21 @@ func (e *Endpoint) Send(to Addr, data []byte) error {
 		if l.busyUntil > txStart {
 			txStart = l.busyUntil
 		}
-		txTime := time.Duration(float64(len(payload)) / float64(p.Bandwidth) * float64(time.Second))
+		txTime := time.Duration(float64(len(data)) / float64(p.Bandwidth) * float64(time.Second))
 		l.busyUntil = txStart + txTime
 		txStart = l.busyUntil
 	}
 
-	if p.MTU > 0 && len(payload) > p.MTU {
+	if p.MTU > 0 && len(data) > p.MTU {
 		s.stats.Dropped++
 		s.obsSh.Inc(obs.DropLink)
-		s.traceEvent(TraceDrop, e.addr, to, len(payload))
+		s.traceEvent(TraceDrop, e.addr, to, len(data))
 		return nil
 	}
 	if p.LossProb > 0 && s.rng.Float64() < p.LossProb {
 		s.stats.Dropped++
 		s.obsSh.Inc(obs.DropLink)
-		s.traceEvent(TraceDrop, e.addr, to, len(payload))
+		s.traceEvent(TraceDrop, e.addr, to, len(data))
 		return nil
 	}
 
@@ -172,11 +170,16 @@ func (e *Endpoint) Send(to Addr, data []byte) error {
 		if v.Drop {
 			s.stats.FaultDropped++
 			s.obsSh.Inc(obs.DropFault)
-			s.traceEvent(TraceDrop, e.addr, to, len(payload))
+			s.traceEvent(TraceDrop, e.addr, to, len(data))
 			return nil
 		}
 		faultDelay = v.Delay
 	}
+
+	// The packet survives the link: copy it now, so a dropped packet
+	// costs no allocation. The copy draws nothing from the PRNG.
+	payload := make([]byte, len(data))
+	copy(payload, data)
 
 	deliverAt := txStart + p.Delay + faultDelay
 	if p.Jitter > 0 {
@@ -235,7 +238,7 @@ func (s *Sim) corrupt(p LinkParams, from, to Addr, payload []byte) []byte {
 	return payload
 }
 
-// delivery is one packet in flight and the wheel event's target. The
+// delivery is one packet in flight and its event's target. The
 // records are pooled per Sim (Sim.freeDeliveries), so scheduling a
 // delivery builds no closure and, once the pool is warm, allocates
 // nothing beyond the payload copy Send already made.
@@ -261,7 +264,7 @@ func (s *Sim) scheduleDelivery(from Addr, dst *Endpoint, payload []byte, at time
 	s.schedule(at, d)
 }
 
-// Fire delivers the packet (timerwheel.Target). The record goes back to
+// Fire delivers the packet (target). The record goes back to
 // the free list before the handler runs, so a handler that sends again
 // reuses it.
 func (d *delivery) Fire() {

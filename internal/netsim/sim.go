@@ -12,19 +12,20 @@
 // from the timer store outright, so a dead event can never move the clock
 // or burn event budget.
 //
-// The timer store is a hierarchical timing wheel (internal/timerwheel):
-// O(1) arm/cancel/advance instead of the binary heap's O(log n), with
-// advancement jumping straight to the next occupied slot — no per-tick
-// scan — and events firing in strict (deadline, arm-order) sequence, so
-// every seeded run is byte-identical to the heap-backed core it
-// replaced (the golden-trace tests in internal/arq and internal/harness
-// pin this). See DESIGN.md §9.
+// The timer store is an indexed 4-ary min-heap keyed by (deadline, arm
+// sequence), sized to what a simulation actually holds live: one or two
+// events for a stop-and-wait transfer, a few hundred per multi-flow
+// shard. Events fire in strict (deadline, arm-order) sequence, so every
+// seeded run is byte-identical to the timing-wheel core it replaced
+// (the golden-trace tests in internal/arq and internal/harness pin
+// this). See DESIGN.md §9.
 //
-// The data path repeats no allocation it can avoid: a wheel event's
-// target is the simulator's own timer or delivery record, not a
-// closure, so After allocates only the Timer handle, and delivery
-// records are pooled per Sim — on a warm Sim, Send allocates only the
-// payload copy (two on a duplicated packet).
+// The data path repeats no allocation it can avoid: an event's target
+// is the simulator's own timer or delivery record, not a closure, so
+// After allocates only the Timer handle, and event and delivery records
+// are pooled per Sim — on a warm Sim, a delivered Send allocates only
+// the payload copy (two on a duplicated packet), and a dropped one
+// allocates nothing.
 //
 // Concurrency contract: a Sim and everything attached to it (endpoints,
 // muxes, timers) belong to exactly one goroutine. Scaling out means many
@@ -51,7 +52,6 @@ import (
 	"time"
 
 	"protodsl/internal/obs"
-	"protodsl/internal/timerwheel"
 )
 
 // Simulation errors.
@@ -68,13 +68,6 @@ var (
 // Addr identifies an endpoint.
 type Addr string
 
-// wheelGranularity is the simulator's timer-wheel tick: 1.024µs. The
-// granularity quantises only slot placement — deadlines and firing
-// order stay exact to the nanosecond — so it is a pure
-// cache-locality/cascade-depth trade-off, sized well under the
-// millisecond-scale delays and RTOs the experiments use.
-const wheelGranularity = time.Microsecond
-
 // simTraceSlots sizes the trace ring EnableTrace arms: comfortably
 // above the longest golden-trace scenario (a few hundred events), so
 // the deterministic tests see every event; longer live runs wrap with
@@ -85,7 +78,7 @@ const simTraceSlots = 4096
 // use (by design — see the package comment).
 type Sim struct {
 	now       time.Duration
-	wheel     *timerwheel.Wheel
+	events    eventQueue
 	rng       *rand.Rand
 	endpoints map[Addr]*Endpoint
 	links     map[linkKey]*link
@@ -115,7 +108,6 @@ func New(seed int64) *Sim {
 	st := obs.New(1, 0) // ring armed lazily by EnableTrace: Sims are created en masse
 	return &Sim{
 		rng:       rand.New(rand.NewSource(seed)),
-		wheel:     timerwheel.New(wheelGranularity),
 		endpoints: make(map[Addr]*Endpoint),
 		links:     make(map[linkKey]*link),
 		obs:       st,
@@ -190,26 +182,26 @@ func (s *Sim) addrOf(id uint16) Addr {
 	return s.addrs[id-1]
 }
 
-// schedule enqueues target at absolute virtual time at. Event structs
-// are pooled inside the wheel: the steady-state send/timeout loop
-// reuses them instead of allocating.
-func (s *Sim) schedule(at time.Duration, target timerwheel.Target) *timerwheel.Event {
+// schedule enqueues t at absolute virtual time at. Event structs are
+// pooled inside the queue: the steady-state send/timeout loop reuses
+// them instead of allocating.
+func (s *Sim) schedule(at time.Duration, t target) *event {
 	if at < s.now {
 		at = s.now
 	}
-	return s.wheel.Arm(at, target)
+	return s.events.arm(at, t)
 }
 
-// simTimer is the simulator's Timer implementation. It is also the
-// wheel event's target, so arming one allocates only the timer itself.
+// simTimer is the simulator's Timer implementation. It is also its
+// event's target, so arming one allocates only the timer itself.
 type simTimer struct {
 	sim   *Sim
-	ev    *timerwheel.Event
+	ev    *event
 	fn    func() // the callback; dropped once it fires or is cancelled
 	fired bool
 }
 
-// Fire runs the callback (timerwheel.Target).
+// Fire runs the callback (target).
 func (t *simTimer) Fire() {
 	fn := t.fn
 	t.fired, t.ev, t.fn = true, nil, nil
@@ -217,14 +209,14 @@ func (t *simTimer) Fire() {
 }
 
 // Cancel prevents the timer from firing and removes its event from the
-// wheel: a cancelled timer costs nothing to the event loop and — crucially
+// queue: a cancelled timer costs nothing to the event loop and — crucially
 // — can never advance virtual time. Cancelling an already-fired or
 // already-cancelled timer is a no-op.
 func (t *simTimer) Cancel() {
 	if t.ev == nil {
 		return
 	}
-	t.sim.wheel.Cancel(t.ev)
+	t.sim.events.cancel(t.ev)
 	t.ev, t.fn = nil, nil
 }
 
@@ -244,20 +236,16 @@ func (s *Sim) After(d time.Duration, fn func()) Timer {
 
 // Post schedules fn to run "immediately" (at the current time, after any
 // events already queued for this instant).
-func (s *Sim) Post(fn func()) { s.schedule(s.now, timerwheel.Func(fn)) }
+func (s *Sim) Post(fn func()) { s.schedule(s.now, funcTarget(fn)) }
 
 // Run processes events until the queue is empty or virtual time would
 // exceed `until`. It returns the number of events processed.
 func (s *Sim) Run(until time.Duration) int {
 	n := 0
-	for {
-		at, ok := s.wheel.PeekDeadline()
-		if !ok || at > until {
-			break
-		}
-		at, target, _ := s.wheel.Pop()
+	for len(s.events.heap) > 0 && s.events.heap[0].at <= until {
+		at, t := s.events.pop()
 		s.now = at
-		target.Fire()
+		t.Fire()
 		s.processed++
 		n++
 	}
@@ -271,18 +259,16 @@ func (s *Sim) Run(until time.Duration) int {
 // than maxEvents fire (which indicates a livelock such as an
 // ever-rescheduling timer).
 func (s *Sim) RunUntilIdle(maxEvents int) error {
-	for n := 0; ; n++ {
-		if _, ok := s.wheel.PeekDeadline(); !ok {
-			return nil
-		}
+	for n := 0; len(s.events.heap) > 0; n++ {
 		if n >= maxEvents {
 			return fmt.Errorf("%w: %d events", ErrBudgetExceeded, maxEvents)
 		}
-		at, target, _ := s.wheel.Pop()
+		at, t := s.events.pop()
 		s.now = at
-		target.Fire()
+		t.Fire()
 		s.processed++
 	}
+	return nil
 }
 
 // Rand exposes the simulation PRNG so protocol components (e.g. random

@@ -12,7 +12,7 @@ func TestCancelledTimerDoesNotAdvanceTime(t *testing.T) {
 	s := New(1)
 	tm := s.After(100*time.Millisecond, func() { t.Error("cancelled timer fired") })
 	tm.Cancel()
-	if s.wheel.Len() != 0 {
+	if len(s.events.heap) != 0 {
 		t.Error("queue not empty after cancelling the only timer")
 	}
 	if err := s.RunUntilIdle(10); err != nil {
@@ -122,7 +122,7 @@ func TestTimerStateMachine(t *testing.T) {
 }
 
 // The arm/cancel/re-arm cycle of an ARQ sender must not allocate a new
-// event struct per cycle (the wheel's pool recycles them), nor a
+// event struct per cycle (the queue's pool recycles them), nor a
 // wrapper closure (the timer itself is the event's target).
 func TestEventPoolRecyclesArmCancelCycle(t *testing.T) {
 	s := New(1)
@@ -178,6 +178,38 @@ func TestPooledDeliveryAllocs(t *testing.T) {
 	}
 }
 
+// A packet the link drops is never copied: a Send lost to LossProb or
+// refused by an undersized MTU allocates nothing.
+func TestDroppedSendAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    LinkParams
+	}{
+		{"loss", LinkParams{Delay: time.Millisecond, LossProb: 1}},
+		{"mtu", LinkParams{Delay: time.Millisecond, MTU: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, a, b := twoNodes(t, 1, tc.p)
+			b.SetHandler(func(Addr, []byte) { t.Error("dropped packet delivered") })
+			data := []byte("payload")
+			allocs := testing.AllocsPerRun(1000, func() {
+				if err := a.Send(b.Addr(), data); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("dropped Send allocates %.1f objects, want 0", allocs)
+			}
+			if err := s.RunUntilIdle(10); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Stats().Dropped; got != 1001 {
+				t.Errorf("Dropped = %d, want 1001", got)
+			}
+		})
+	}
+}
+
 // A handler that sends again reuses the record its own delivery came
 // in: the record is back on the free list before the handler runs.
 func TestDeliveryRecordReusedByHandler(t *testing.T) {
@@ -207,6 +239,15 @@ func TestDeliveryRecordReusedByHandler(t *testing.T) {
 	}
 }
 
+// pooledEvents counts the recycled event structs awaiting reuse.
+func pooledEvents(q *eventQueue) int {
+	n := 0
+	for e := q.free; e != nil; e = e.next {
+		n++
+	}
+	return n
+}
+
 // Post/deliver churn through the run loop must recycle events too.
 func TestEventPoolRecyclesRunLoop(t *testing.T) {
 	s := New(1)
@@ -214,12 +255,12 @@ func TestEventPoolRecyclesRunLoop(t *testing.T) {
 	if err := s.RunUntilIdle(10); err != nil {
 		t.Fatal(err)
 	}
-	if s.wheel.PooledEvents() == 0 {
+	if pooledEvents(&s.events) == 0 {
 		t.Error("run loop did not return events to the pool")
 	}
-	before := s.wheel.PooledEvents()
+	before := pooledEvents(&s.events)
 	s.Post(func() {})
-	if s.wheel.PooledEvents() != before-1 {
+	if pooledEvents(&s.events) != before-1 {
 		t.Error("schedule did not reuse a pooled event")
 	}
 }

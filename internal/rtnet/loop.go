@@ -14,14 +14,16 @@ import (
 // implementation protocol engines run against when they are attached to
 // a real socket instead of a simulator.
 //
-// It mirrors the simulator's timer guarantees exactly — the timer store
-// is the same hierarchical timing wheel (internal/timerwheel), so
-// Cancel physically unlinks the event in O(1) and a cancelled timer can
-// never fire or cost the event loop anything — but time is the host's
-// monotonic clock, measured as a Duration since the owning Node's start
-// so engine-visible timestamps look just like virtual ones. Deadlines
-// stay exact; the wheel's granularity (64µs or so, on the order of the
-// shard loop's poll quantum) only decides slot placement.
+// It keeps the simulator's timer guarantees — events fire in (deadline,
+// arm-order) sequence, and Cancel physically removes the event, so a
+// cancelled timer can never fire or cost the event loop anything — over
+// a different store: a hierarchical timing wheel (internal/timerwheel)
+// where the simulator keeps an indexed heap (DESIGN.md §9). Time is the
+// host's monotonic clock, measured as a Duration since the owning
+// Node's start so engine-visible timestamps look just like virtual
+// ones. Deadlines stay exact; the wheel's granularity (64µs or so, on
+// the order of the shard loop's poll quantum) only decides slot
+// placement.
 //
 // A Loop belongs to exactly one shard goroutine. Now/After/Post must
 // only be called from inside that shard's event loop (engine handlers,

@@ -1,6 +1,9 @@
-// Package timerwheel is the shared O(1) timer store under both event
-// cores: netsim.Sim (virtual time) and rtnet.Loop (real monotonic time)
-// park their pending timers here instead of a binary heap.
+// Package timerwheel is the timer store under rtnet.Loop, the
+// real-clock event core: each shard loop parks its pending timers here.
+// The simulator's virtual-time core, netsim.Sim, does not use it: a
+// simulation holds one to a few hundred live events, where an indexed
+// heap's few compares cost less than the wheel's cascades (DESIGN.md §9
+// gives the measured sizes).
 //
 // It is a hierarchical timing wheel (Varghese & Lauck): 11 levels of 64
 // slots each, level ℓ slots spanning 64^ℓ ticks, so any 64-bit tick
@@ -27,12 +30,12 @@
 // the steady-state arm/cancel churn of an ARQ sender allocates nothing.
 //
 // An event carries a Target — anything with a Fire method — rather
-// than a func(). The owner's own timer or delivery record is the
-// target, so arming one builds no wrapper closure; a plain func rides
+// than a func(). The owner's own timer record is the target, so arming
+// one builds no wrapper closure; a plain func rides
 // through the Func adapter, which allocates nothing either.
 //
 // Concurrency: a Wheel belongs to exactly one goroutine (the event loop
-// that owns it), exactly like the Sim or Loop wrapping it.
+// that owns it), exactly like the Loop wrapping it.
 package timerwheel
 
 import (
@@ -126,8 +129,7 @@ type Wheel struct {
 	due     []*Event
 	dueHead int
 
-	free  *Event // free pool, linked through next
-	freeN int
+	free *Event // free pool, linked through next
 }
 
 // New creates a wheel whose tick granularity is the given duration
@@ -142,13 +144,6 @@ func New(granularity time.Duration) *Wheel {
 	return &Wheel{shift: shift}
 }
 
-// Len returns the number of live events.
-func (w *Wheel) Len() int { return w.size }
-
-// PooledEvents returns the size of the free pool (recycled event
-// structs awaiting reuse); the arm/cancel churn tests pin it.
-func (w *Wheel) PooledEvents() int { return w.freeN }
-
 func (w *Wheel) tickOf(at time.Duration) uint64 {
 	if at < 0 {
 		at = 0
@@ -160,7 +155,6 @@ func (w *Wheel) alloc() *Event {
 	if e := w.free; e != nil {
 		w.free = e.next
 		e.next = nil
-		w.freeN--
 		return e
 	}
 	return &Event{}
@@ -172,7 +166,6 @@ func (w *Wheel) release(e *Event) {
 	e.level = levelFree
 	e.next = w.free
 	w.free = e
-	w.freeN++
 }
 
 // Arm schedules target at absolute deadline at and returns the event as

@@ -142,15 +142,15 @@ func differential(t *testing.T, seed int64, ops int, nextDeadline func(rng *rand
 		default:
 			pop()
 		}
-		if w.Len() != h.Len() {
-			t.Fatalf("op %d: wheel Len=%d heap Len=%d", i, w.Len(), h.Len())
+		if w.size != h.Len() {
+			t.Fatalf("op %d: wheel size=%d heap Len=%d", i, w.size, h.Len())
 		}
 	}
 	for h.Len() > 0 {
 		pop()
 	}
-	if w.Len() != 0 {
-		t.Fatalf("wheel still holds %d events after heap drained", w.Len())
+	if w.size != 0 {
+		t.Fatalf("wheel still holds %d events after heap drained", w.size)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestCancelUnlinksEverywhere(t *testing.T) {
 			t.Fatal("Cancel of live event returned false")
 		}
 	}
-	if w.Len() != 0 {
-		t.Fatalf("Len = %d after cancelling everything", w.Len())
+	if w.size != 0 {
+		t.Fatalf("size = %d after cancelling everything", w.size)
 	}
 	if _, _, ok := w.Pop(); ok {
 		t.Fatal("Pop returned an event after all were cancelled")
@@ -282,7 +282,7 @@ func TestPoolRecyclesChurn(t *testing.T) {
 	fn := Func(func() {})
 	// Warm the pool.
 	w.Cancel(w.Arm(time.Millisecond, fn))
-	if w.PooledEvents() == 0 {
+	if w.free == nil {
 		t.Fatal("cancel did not return the event to the pool")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
