@@ -77,6 +77,20 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	if _, err := c.DecodePacketInPlace(enc); !errors.Is(err, wire.ErrChecksumMismatch) {
 		t.Errorf("err = %v, want checksum mismatch", err)
 	}
+
+	// Every rejection keeps the wire sentinel of its class.
+	good, _ := c.AppendEncodePacket(nil, 1, []byte{10, 20, 30})
+	if _, err := c.DecodePacketInPlace(good[:len(good)-1]); !errors.Is(err, wire.ErrShortBuffer) {
+		t.Errorf("short packet: err = %v, want short buffer", err)
+	}
+	if _, err := c.DecodePacketInPlace(append(good, 0)); !errors.Is(err, wire.ErrTrailingBytes) {
+		t.Errorf("packet with a trailing byte: err = %v, want trailing bytes", err)
+	}
+	ack, _ := c.AppendEncodeAck(nil, 9)
+	ack[0] ^= 0x01
+	if w, err := c.DecodeAckInPlace(ack); !errors.Is(err, wire.ErrChecksumMismatch) || w != (CheckedAck{}) {
+		t.Errorf("corrupted ack: witness %+v, err = %v, want the zero witness and checksum mismatch", w.Value(), err)
+	}
 }
 
 func TestTransferPerfectLink(t *testing.T) {

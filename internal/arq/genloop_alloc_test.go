@@ -1,11 +1,3 @@
-//go:build !race
-
-// The race detector's instrumentation defeats the compiler's
-// append(dst, make([]byte, n)...) optimisation the generated encoders
-// rely on, so under -race each encode allocates; the zero-allocation
-// contract is for uninstrumented builds (make allocscheck pins the same
-// encoders there).
-
 package arq
 
 import (

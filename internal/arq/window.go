@@ -140,9 +140,7 @@ type WindowSender struct {
 	notify     func() // optional completion hook, runs inside the event loop
 }
 
-// init validates cfg and builds the shared sender state. One codec per
-// endpoint: the Append/InPlace scratch state makes a Codec single-owner
-// (see Codec docs).
+// init validates cfg and builds the shared sender state.
 func (s *WindowSender) init(rt netsim.Runtime, port netsim.Port, peer netsim.Addr, cfg FlowConfig, payloads [][]byte, onDone func()) error {
 	if err := cfg.applyDefaults(); err != nil {
 		return err

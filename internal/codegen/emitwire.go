@@ -294,8 +294,11 @@ func (e *msgEmitter) appendEncode() error {
 		g.p("\tc%s := %s", goName(op.Name), code)
 	}
 
-	// One zero-filled grow of the exact wire size (the compiler lowers
-	// append(dst, make(...)...) to a grow+memclr with no temporary).
+	// Extend dst by the exact wire size, zero-filled: in place with a
+	// clear when its capacity allows, else by one append(dst, make(...)...)
+	// grow, which the compiler lowers to a grow+memclr with no temporary.
+	// Extending in place keeps the steady-state encode allocation-free
+	// even under -race, whose instrumentation defeats that lowering.
 	constBytes, uintBits := 0, 0
 	var lenParts []string
 	for _, op := range ir.Ops {
@@ -313,7 +316,12 @@ func (e *msgEmitter) appendEncode() error {
 		nExpr += " + " + p
 	}
 	g.p("\tn := %s", nExpr)
-	g.p("\tdst = append(dst, make([]byte, n)...)")
+	g.p("\tif cap(dst)-len(dst) >= n {")
+	g.p("\t\tdst = dst[:len(dst)+n]")
+	g.p("\t\tclear(dst[len(dst)-n:])")
+	g.p("\t} else {")
+	g.p("\t\tdst = append(dst, make([]byte, n)...)")
+	g.p("\t}")
 	g.p("\tb := dst[len(dst)-n:]")
 
 	// Field stores. Checksum bytes are skipped (left zero) and patched
