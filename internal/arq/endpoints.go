@@ -149,8 +149,8 @@ func (s *Sender) transmit(isRetransmit bool) {
 	enc, err := gen.AppendEncodePacket(s.encBuf[:0], &s.machine.OutPacket)
 	if err != nil {
 		// The generated encoder's only failure is a field out of range
-		// (an oversize payload); report it as the window engines'
-		// slot-program encoder does.
+		// (an oversize payload); report it with its wire class, as
+		// arq.Codec's encoder does.
 		s.fail(fmt.Errorf("arq sender: encode: %w: %w", wire.ErrBadFieldValue, err))
 		return
 	}
