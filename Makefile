@@ -111,14 +111,15 @@ bench-diff:
 
 # Allocation gate: the slot codec, the AOT-generated codec hot paths
 # (AppendEncode / DecodeInto) and flat machine dispatch, the rtnet
-# steady-state loops, the timing wheel's churn path, the harness
+# steady-state loops, the timing wheel's churn path, both substrates'
+# in-place timer re-arm (netsim.Rearm on a Sim and an rtnet loop), the harness
 # metrics merge, the obs write paths (counter add, histogram observe,
 # ring-trace record) and the session steady state (heartbeat tick,
 # established-peer data dispatch, snapshot append) must report
 # 0 allocs/op. Regressions fail here, not in the narrative.
 allocscheck:
-	$(GO) run ./cmd/benchjson -bench 'AblationCodecPath/slot|AblationCodecPath/generated-append-encode|AblationCodecPath/generated-decode-into|AblationInterpVsCodegen/flat-machine|RTNetLoopback|TimerChurn/wheel|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|SessionBeatTick|SessionGateData|SessionSnapshotAppend' \
-		-benchtime 30000x -require-zero 'slot|generated-append-encode|generated-decode-into|flat-machine|RTNetLoopback|TimerChurn/wheel|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|SessionBeatTick|SessionGateData|SessionSnapshotAppend' -out /dev/null
+	$(GO) run ./cmd/benchjson -bench 'AblationCodecPath/slot|AblationCodecPath/generated-append-encode|AblationCodecPath/generated-decode-into|AblationInterpVsCodegen/flat-machine|RTNetLoopback|TimerChurn/wheel|TimerRearm|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|SessionBeatTick|SessionGateData|SessionSnapshotAppend' \
+		-benchtime 30000x -require-zero 'slot|generated-append-encode|generated-decode-into|flat-machine|RTNetLoopback|TimerChurn/wheel|TimerRearm|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|SessionBeatTick|SessionGateData|SessionSnapshotAppend' -out /dev/null
 
 # Fuzz smoke: ~30s of native fuzzing per target against the committed
 # hostile corpora (testdata/fuzz). Minimization is capped — on small

@@ -101,10 +101,10 @@ func parseBench(out string, procs int) (results []Result, cpu string) {
 
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "output file ('-' for stdout)")
-	bench := flag.String("bench", "AblationCodecPath|AblationInterpVsCodegen|CompiledVsTreeWalk|RTNetLoopback|RTNetReusePort|AblationChecksums|Sum8|Inet16|TimerChurn|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|VerifyStates|SessionHandshake|SessionBeatTick|SessionGateData|SessionSnapshotAppend",
+	bench := flag.String("bench", "AblationCodecPath|AblationInterpVsCodegen|CompiledVsTreeWalk|RTNetLoopback|RTNetReusePort|AblationChecksums|Sum8|Inet16|TimerChurn|TimerRearm|AggregateInto|ObsCounterAdd|ObsHistObserve|ObsRingRecord|ObsGaugeSet|VerifyStates|SessionHandshake|SessionBeatTick|SessionGateData|SessionSnapshotAppend",
 		"benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (e.g. 2s, 30000x); empty for default")
-	pkgsFlag := flag.String("pkg", ".,./internal/rtnet,./internal/checksum,./internal/timerwheel,./internal/harness,./internal/obs,./internal/verify,./internal/session", "comma-separated packages to benchmark")
+	pkgsFlag := flag.String("pkg", ".,./internal/rtnet,./internal/checksum,./internal/timerwheel,./internal/netsim,./internal/harness,./internal/obs,./internal/verify,./internal/session", "comma-separated packages to benchmark")
 	requireZero := flag.String("require-zero", "", "regexp: matching benchmarks must report 0 allocs/op")
 	flag.Parse()
 

@@ -170,10 +170,7 @@ func (s *Sender) transmit(isRetransmit bool) {
 }
 
 func (s *Sender) armTimer() {
-	if s.timer != nil {
-		s.timer.Cancel()
-	}
-	s.timer = s.sim.After(s.rto, s.timeoutFn)
+	s.timer = netsim.Rearm(s.sim, s.timer, s.rto, s.timeoutFn)
 }
 
 // onDatagram handles anything arriving at the sender: only acks are

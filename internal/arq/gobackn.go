@@ -59,11 +59,10 @@ func (s *gbnSender) pump() {
 }
 
 func (s *gbnSender) armTimer() {
-	if s.timer != nil {
-		s.timer.Cancel()
-	}
 	if s.base < len(s.payloads) {
-		s.timer = s.rt.After(s.rto.Current(), s.timeoutFn)
+		s.timer = netsim.Rearm(s.rt, s.timer, s.rto.Current(), s.timeoutFn)
+	} else if s.timer != nil {
+		s.timer.Cancel()
 	}
 }
 

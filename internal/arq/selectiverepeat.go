@@ -46,10 +46,7 @@ func (s *srSender) send(idx int, retx bool) error {
 		return err
 	}
 	slot := &s.slots[idx%s.window]
-	if slot.timer != nil {
-		slot.timer.Cancel()
-	}
-	slot.timer = s.rt.After(s.rto.Current(), s.timeouts[idx%s.window])
+	slot.timer = netsim.Rearm(s.rt, slot.timer, s.rto.Current(), s.timeouts[idx%s.window])
 	return nil
 }
 
@@ -68,8 +65,7 @@ func (s *srSender) onAck(_ netsim.Addr, data []byte) {
 		slot.acked = true
 		s.rtoAck(slot, s.rt.Now())
 		if slot.timer != nil {
-			slot.timer.Cancel()
-			slot.timer = nil
+			slot.timer.Cancel() // kept: the slot's next packet re-arms it
 		}
 		for s.base < s.next && s.slots[s.base%s.window].acked {
 			s.base++

@@ -104,7 +104,7 @@ type sendSlot struct {
 	at      time.Duration // first transmit, for RTT samples
 	retries int           // retransmissions; Karn's rule samples only at 0
 	acked   bool          // individually acknowledged (selective repeat)
-	timer   netsim.Timer  // the packet's own timer (selective repeat)
+	timer   netsim.Timer  // the slot's timer (selective repeat), re-armed per packet
 }
 
 // WindowSender is the sender half of a windowed flow: the state both
@@ -203,7 +203,7 @@ func (s *WindowSender) transmit(idx int, retx bool) error {
 		s.obs.Inc(obs.Retransmits)
 		slot.retries++
 	} else {
-		*slot = sendSlot{idx: idx, at: s.rt.Now()}
+		*slot = sendSlot{idx: idx, at: s.rt.Now(), timer: slot.timer}
 	}
 	return nil
 }

@@ -134,17 +134,19 @@ func (r FlowResult) Goodput() float64 {
 // the "distinct per-flow payloads" guarantee identical across the
 // simulated and real paths.
 //
-// Byte j of payload i is byte(key+i+j). The payloads share one backing
-// array, each copied from payloadPattern and capped at its length, so
-// appending to one can never overwrite the next.
+// Byte j of payload i is byte(key+i+j), so payload i is the window
+// pattern[i%256 : i%256+size] of one 256+size-byte payloadPattern. The
+// payloads share that array rather than copying it, so their bytes cost
+// 256+size whatever count is. Each is capped at its length, so
+// appending to one reallocates rather than overwriting the next. They
+// are read-only: the engines only read their payloads, and a write into
+// one would change every payload that shares its bytes.
 func DistinctPayloads(key, count, size int) [][]byte {
 	out := make([][]byte, count)
 	pattern := payloadPattern(key, size)
-	buf := make([]byte, count*size)
 	for i := range out {
-		a, b := i*size, (i+1)*size
-		copy(buf[a:b], pattern[i%256:])
-		out[i] = buf[a:b:b]
+		a, b := i%256, i%256+size
+		out[i] = pattern[a:b:b]
 	}
 	return out
 }

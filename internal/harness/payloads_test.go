@@ -2,7 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"time"
+
+	"protodsl/internal/arq"
+	"protodsl/internal/netsim"
 )
 
 // formulaPayload is DistinctPayloads' defining formula, one byte at a
@@ -23,10 +28,10 @@ func distinctPayloadsByByte(key, count, size int) [][]byte {
 	return out
 }
 
-// DistinctPayloads fills one backing array from a pattern; its content
-// must stay the per-byte formula (E11's golden, bench's delivery check
-// and protosim all carry these bytes), and no payload may have room to
-// grow into its neighbour.
+// DistinctPayloads windows one shared pattern; its content must stay
+// the per-byte formula (E11's golden, bench's delivery check and
+// protosim all carry these bytes), and no payload may have room to grow
+// into its neighbour.
 func TestDistinctPayloadsMatchFormula(t *testing.T) {
 	for _, tc := range []struct{ key, count, size int }{
 		{0, 0, 16}, {5, 3, 0}, {0, 1, 1}, {7, 10, 64}, {-9, 5, 300},
@@ -79,5 +84,77 @@ func TestCheckDeliveredRejectsWrongContent(t *testing.T) {
 	}
 	if _, err := checkDelivered(good(), key, count-1, size); err == nil {
 		t.Error("more payloads delivered than sent: accepted")
+	}
+}
+
+// The engines only read their payloads: DistinctPayloads' windows share
+// one pattern, so a write through any of them would corrupt every
+// payload that overlaps it. Stop-and-wait, go-back-N and selective
+// repeat each carry a set across a lossy, duplicating, corrupting link,
+// and the payloads still hold the formula's bytes afterwards.
+func TestEnginesLeavePayloadsUnchanged(t *testing.T) {
+	const key, count, size = 11, 300, 33
+	link := netsim.LinkParams{Delay: time.Millisecond, LossProb: 0.1, DupProb: 0.05, CorruptProb: 0.05}
+	run := map[string]func(payloads [][]byte) error{
+		"stop-and-wait": func(payloads [][]byte) error {
+			res, err := arq.RunTransfer(arq.Config{Link: link, RTO: 10 * time.Millisecond, MaxRetries: 60, Seed: 3}, payloads)
+			if err == nil && !res.OK {
+				err = fmt.Errorf("transfer failed in %s", res.SenderState)
+			}
+			return err
+		},
+		"go-back-N":        func(payloads [][]byte) error { return runWindowed(arq.StartGBN, link, payloads) },
+		"selective repeat": func(payloads [][]byte) error { return runWindowed(arq.StartSR, link, payloads) },
+	}
+	for name, transfer := range run {
+		payloads := DistinctPayloads(key, count, size)
+		if err := transfer(payloads); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, p := range payloads {
+			if want := formulaPayload(key, i, size); !bytes.Equal(p, want) || cap(p) != size {
+				t.Fatalf("%s: payload %d is %x (cap %d) after the transfer, want %x (cap %d)", name, i, p, cap(p), want, size)
+			}
+		}
+	}
+}
+
+// runWindowed carries payloads over one windowed flow on a fresh Sim.
+func runWindowed(start func(netsim.Runtime, netsim.Port, netsim.Port, arq.FlowConfig, [][]byte) (*arq.WindowFlow, error), link netsim.LinkParams, payloads [][]byte) error {
+	sim := netsim.New(5)
+	a, err := sim.NewEndpoint("a")
+	if err != nil {
+		return err
+	}
+	b, err := sim.NewEndpoint("b")
+	if err != nil {
+		return err
+	}
+	sim.Connect(a, b, link)
+	fl, err := start(sim, a, b, arq.FlowConfig{Window: 8, RTO: 10 * time.Millisecond, MaxRetries: 60}, payloads)
+	if err != nil {
+		return err
+	}
+	if err := sim.RunUntilIdle(1 << 22); err != nil {
+		return err
+	}
+	if err := fl.Err(); err != nil {
+		return err
+	}
+	if r := fl.Result(); !r.OK || len(r.Delivered) != len(payloads) {
+		return fmt.Errorf("delivered %d of %d (ok=%v)", len(r.Delivered), len(payloads), r.OK)
+	}
+	return nil
+}
+
+// DistinctPayloads' cost does not grow with count beyond the slice of
+// headers: the payload bytes are one pattern, whatever the count.
+func TestDistinctPayloadsAllocsDoNotGrowWithCount(t *testing.T) {
+	allocs := func(count int) float64 {
+		return testing.AllocsPerRun(20, func() { DistinctPayloads(31*3+7*5, count, 33) })
+	}
+	small, large := allocs(600), allocs(60000)
+	if small != large || small > 2 {
+		t.Errorf("DistinctPayloads allocates %.1f objects for 600 payloads and %.1f for 60000, want the same, at most 2 (headers and pattern)", small, large)
 	}
 }

@@ -12,7 +12,9 @@
 //   - everything else inside function bodies is protocol logic.
 //
 // Lines outside functions (types, imports, docs) are not counted in
-// either bucket: the fraction is over executable lines.
+// either bucket: the fraction is over executable lines. Only a line that
+// carries a token counts, so a comment or blank line inside a
+// multi-line statement counts as neither code nor overhead.
 //
 // Classification is a pure function over parsed source files; concurrent
 // runs on distinct inputs are safe.
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"strings"
 )
@@ -103,14 +106,40 @@ func AnalyzeSource(filename, src string) (Report, error) {
 		})
 	}
 
+	tokenLines := linesWithTokens(fset.File(file.Pos()), src)
 	var rep Report
 	for l := range codeLines {
+		if !tokenLines[l] {
+			continue
+		}
 		rep.CodeLines++
 		if overheadLines[l] {
 			rep.OverheadLines++
 		}
 	}
 	return rep, nil
+}
+
+// linesWithTokens returns the lines of src that carry a token other than
+// a comment; a multi-line raw string marks every line it spans. f is
+// src's entry in the parse's file set.
+func linesWithTokens(f *token.File, src string) map[int]bool {
+	var sc scanner.Scanner
+	sc.Init(f, []byte(src), nil, 0)
+	lines := make(map[int]bool)
+	for {
+		pos, tok, lit := sc.Scan()
+		if tok == token.EOF {
+			return lines
+		}
+		if tok == token.SEMICOLON && lit == "\n" {
+			continue // inserted at a line end, not written
+		}
+		line := f.Line(pos)
+		for l := line; l <= line+strings.Count(lit, "\n"); l++ {
+			lines[l] = true
+		}
+	}
 }
 
 // isOverheadCond reports whether an if-condition is an error/validity

@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,6 +65,41 @@ func add(a, b int) int {
 	}
 	if rep.CodeLines != 2 {
 		t.Errorf("code lines = %d, want 2", rep.CodeLines)
+	}
+}
+
+// Comment and blank lines inside a multi-line statement are neither
+// code nor overhead: a 3-line and a 1-line comment in the same error
+// branch give the same counts.
+func TestCommentLinesInsideStatementsDoNotCount(t *testing.T) {
+	const tmpl = `package p
+
+func send(b []byte) error {
+	if err := write(b); err != nil {
+%s
+		return err
+	}
+	n := len(b)
+
+	return use(n)
+}
+`
+	long := fmt.Sprintf(tmpl, "\t\t// The write failed: report it\n\t\t// to the caller, which owns\n\t\t// the retry policy.")
+	short := fmt.Sprintf(tmpl, "\t\t// The write failed: report it.")
+	var reps []Report
+	for _, src := range []string{long, short} {
+		rep, err := AnalyzeSource("t.go", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	if reps[0] != reps[1] {
+		t.Errorf("3-line comment gives %s, 1-line comment gives %s", reps[0], reps[1])
+	}
+	// if, return, }, n :=, return: the comment and blank lines are out.
+	if want := (Report{CodeLines: 5, OverheadLines: 3}); reps[1] != want {
+		t.Errorf("counts %s, want %s", reps[1], want)
 	}
 }
 

@@ -7,18 +7,21 @@ import (
 )
 
 // FuzzEventOrder holds the determinism contract under arbitrary
-// arm/cancel/pop sequences: the event queue pops exactly what a
+// arm/re-arm/cancel/pop sequences: the event queue pops exactly what a
 // container/heap reference on the same (deadline, arm sequence) key
 // pops. Each operation is one byte, its low two bits the kind and the
-// rest its argument: 0 and 1 arm at now plus the argument in 256 ns
-// steps (so equal bytes make same-instant ties and adjacent ones sit
-// 256 ns apart), 2 cancels the event in the queue's heap slot argument
-// mod its length, 3 pops.
+// rest its argument: 0 arms at now plus the argument in 256 ns steps
+// (so equal bytes make same-instant ties and adjacent ones sit 256 ns
+// apart), 1 re-arms the event in the queue's heap slot argument mod its
+// length to that same deadline (the reference removes it and pushes it
+// again under a fresh sequence), 2 cancels the event in that slot, 3
+// pops.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 3, 3, 3})
 	f.Add([]byte{4, 8, 4, 2, 3, 6, 3, 3})
 	f.Add([]byte{0xfc, 0x00, 0x80, 0x7e, 0x02, 0x06, 0x0a, 0x03, 0x03})
+	f.Add([]byte{0x10, 0x08, 0x04, 0x05, 0x01, 0x0d, 0x03, 0x00, 0x01, 0x03, 0x03})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var (
@@ -36,23 +39,38 @@ func FuzzEventOrder(f *testing.F) {
 			}
 			now = at
 		}
+		// slot finds the reference entry of the event in the queue's
+		// heap slot arg mod its length.
+		slot := func(arg int) (*event, int) {
+			e := q.heap[arg%len(q.heap)].ev
+			i := 0
+			for ref[i].ev != e {
+				i++
+			}
+			return e, i
+		}
 		for _, op := range ops {
 			arg := int(op >> 2)
+			at := now + time.Duration(arg)*256
 			switch op & 3 {
-			case 0, 1:
-				at := now + time.Duration(arg)*256
+			case 0:
 				p := &probe{id: int(seq)}
 				heap.Push(&ref, &refEvent{at: at, seq: seq, tgt: p, ev: q.arm(at, p)})
+				seq++
+			case 1:
+				if len(ref) == 0 {
+					continue
+				}
+				e, i := slot(arg)
+				old := heap.Remove(&ref, i).(*refEvent)
+				q.rearm(e, at)
+				heap.Push(&ref, &refEvent{at: at, seq: seq, tgt: old.tgt, ev: e})
 				seq++
 			case 2:
 				if len(ref) == 0 {
 					continue
 				}
-				e := q.heap[arg%len(q.heap)].ev
-				i := 0
-				for ref[i].ev != e {
-					i++
-				}
+				e, i := slot(arg)
 				if !q.cancel(e) {
 					t.Fatalf("cancel of live event at %s refused", ref[i].at)
 				}

@@ -65,6 +65,14 @@ func (q *eventQueue) arm(at time.Duration, t target) *event {
 	return e
 }
 
+// rearm moves the pending event e to deadline at under a fresh arm
+// sequence, in one sift. The key is the one cancel plus arm would give
+// it, so the firing order is theirs too.
+func (q *eventQueue) rearm(e *event, at time.Duration) {
+	q.sift(e.index, queued{at: at, seq: q.seq, ev: e})
+	q.seq++
+}
+
 // cancel removes a pending event and recycles it. It returns false (and
 // does nothing) if the event already fired or was already cancelled.
 func (q *eventQueue) cancel(e *event) bool {
@@ -99,12 +107,17 @@ func (q *eventQueue) remove(i int) {
 	n := len(q.heap) - 1
 	last := q.heap[n]
 	q.heap = q.heap[:n]
-	switch {
-	case i == n:
-	case i > 0 && before(&last, &q.heap[(i-1)/4]):
-		q.up(i, last)
-	default:
-		q.down(i, last)
+	if i != n {
+		q.sift(i, last)
+	}
+}
+
+// sift moves x from hole i up or down to its place.
+func (q *eventQueue) sift(i int, x queued) {
+	if i > 0 && before(&x, &q.heap[(i-1)/4]) {
+		q.up(i, x)
+	} else {
+		q.down(i, x)
 	}
 }
 

@@ -8,6 +8,12 @@ import "time"
 // same guarantee: Cancel really cancels. A cancelled timer's callback
 // never runs, the timer costs the event loop nothing, and (in the
 // simulator) it can never advance virtual time.
+//
+// Both substrates' timers can also be re-armed in place: Rearm resets
+// one to a new deadline and callback without allocating, where After
+// allocates a fresh handle per arm. A Timer from another Runtime
+// implementation (a tracing wrapper, say) needs only the three methods
+// here; Rearm falls back to Cancel plus a fresh After for it.
 type Timer interface {
 	// Cancel prevents the timer from firing. Cancelling an already-fired
 	// or already-cancelled timer is a no-op.
@@ -41,3 +47,28 @@ type Runtime interface {
 }
 
 var _ Runtime = (*Sim)(nil)
+
+// resetter is a Timer that can be re-armed in place: the simulator's
+// and rtnet's timers.
+type resetter interface {
+	Timer
+	Reset(d time.Duration, fn func())
+}
+
+// Rearm schedules fn to run after d on rt and returns the pending
+// timer, reusing t if it can: a timer with a Reset method is re-armed
+// in place, whether pending, fired or cancelled, and nothing is
+// allocated; any other timer is cancelled and replaced by rt.After, and
+// a nil t is simply replaced. Either way the firing order is the one
+// Cancel plus After gives. t must be nil or a timer rt.After returned.
+func Rearm(rt Runtime, t Timer, d time.Duration, fn func()) Timer {
+	switch t := t.(type) {
+	case nil:
+	case resetter:
+		t.Reset(d, fn)
+		return t
+	default:
+		t.Cancel()
+	}
+	return rt.After(d, fn)
+}

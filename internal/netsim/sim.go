@@ -22,9 +22,10 @@
 //
 // The data path repeats no allocation it can avoid: an event's target
 // is the simulator's own timer or delivery record, not a closure, so
-// After allocates only the Timer handle, and event and delivery records
-// are pooled per Sim — on a warm Sim, a delivered Send allocates only
-// the payload copy (two on a duplicated packet), and a dropped one
+// After allocates only the Timer handle, Rearm re-arms that handle in
+// place and allocates nothing, and event and delivery records are
+// pooled per Sim — on a warm Sim, a delivered Send allocates only the
+// payload copy (two on a duplicated packet), and a dropped one
 // allocates nothing.
 //
 // Concurrency contract: a Sim and everything attached to it (endpoints,
@@ -193,7 +194,8 @@ func (s *Sim) schedule(at time.Duration, t target) *event {
 }
 
 // simTimer is the simulator's Timer implementation. It is also its
-// event's target, so arming one allocates only the timer itself.
+// event's target, so arming one allocates only the timer itself, and
+// re-arming it (Reset) allocates nothing.
 type simTimer struct {
 	sim   *Sim
 	ev    *event
@@ -218,6 +220,21 @@ func (t *simTimer) Cancel() {
 	}
 	t.sim.events.cancel(t.ev)
 	t.ev, t.fn = nil, nil
+}
+
+// Reset re-arms the timer to run fn after virtual duration d, whether
+// it is pending, fired or cancelled; it is then Active and not Fired,
+// as a fresh After's timer would be. A pending timer's event is re-keyed
+// where it sits in the queue, under a fresh arm sequence, so the firing
+// order is the one Cancel plus After would give.
+func (t *simTimer) Reset(d time.Duration, fn func()) {
+	s := t.sim
+	t.fn, t.fired = fn, false
+	if t.ev == nil {
+		t.ev = s.schedule(s.now+d, t)
+		return
+	}
+	s.events.rearm(t.ev, max(s.now+d, s.now))
 }
 
 // Fired reports whether the callback has run.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -118,6 +119,96 @@ func TestTimerStateMachine(t *testing.T) {
 	tm2.Cancel() // double cancel
 	if tm2.Active() || tm2.Fired() {
 		t.Error("cancelled timer active or fired")
+	}
+
+	// Reset re-arms a pending, a fired and a cancelled timer alike: each
+	// is Active and not Fired until its new deadline, and then fires
+	// once, with the new callback.
+	var runs []string
+	pending := s.After(time.Hour, func() { runs = append(runs, "stale") })
+	for _, c := range []struct {
+		name string
+		tm   Timer
+	}{{"pending", pending}, {"fired", tm}, {"cancelled", tm2}} {
+		name := c.name
+		c.tm.(resetter).Reset(time.Millisecond, func() { runs = append(runs, name) })
+		if !c.tm.Active() || c.tm.Fired() {
+			t.Errorf("reset %s timer: Active=%v Fired=%v, want true false", name, c.tm.Active(), c.tm.Fired())
+		}
+	}
+	start := s.Now()
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"pending", "fired", "cancelled"}; !slices.Equal(runs, want) {
+		t.Errorf("reset timers ran %v, want %v (reset order, once each)", runs, want)
+	}
+	if got := s.Now() - start; got != time.Millisecond {
+		t.Errorf("reset timers fired %s after the reset, want 1ms", got)
+	}
+	for _, tm := range []Timer{pending, tm, tm2} {
+		if tm.Active() || !tm.Fired() {
+			t.Error("reset timer not fired after its deadline")
+		}
+	}
+	pending.(resetter).Reset(time.Millisecond, func() { t.Error("cancelled reset timer fired") })
+	pending.Cancel()
+	if pending.Active() || pending.Fired() {
+		t.Error("Cancel after Reset left the timer active or fired")
+	}
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Rearm on the simulator's own timer re-arms it in place, and a Timer
+// without Reset (any other Runtime's) is cancelled and replaced by
+// After; both orders are the one Cancel plus After gives.
+func TestRearmResetsOrFallsBack(t *testing.T) {
+	s := New(1)
+	var runs []string
+	tm := s.After(time.Millisecond, func() { runs = append(runs, "first") })
+	if got := Rearm(s, tm, 2*time.Millisecond, func() { runs = append(runs, "reset") }); got != tm {
+		t.Error("Rearm replaced a simulator timer instead of resetting it")
+	}
+	foreign := foreignTimer{s.After(time.Millisecond, func() { runs = append(runs, "foreign") })}
+	got := Rearm(s, foreign, time.Millisecond, func() { runs = append(runs, "replacement") })
+	if got == Timer(foreign) || foreign.Active() {
+		t.Error("Rearm kept a timer that has no Reset")
+	}
+	fresh := Rearm(s, nil, time.Millisecond, func() { runs = append(runs, "fresh") })
+	if err := s.RunUntilIdle(10); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"replacement", "fresh", "reset"}; !slices.Equal(runs, want) {
+		t.Errorf("ran %v, want %v", runs, want)
+	}
+	if !fresh.Fired() || !got.Fired() {
+		t.Error("Rearm's timers did not report Fired")
+	}
+}
+
+// foreignTimer hides the simulator timer's Reset, as a Timer from
+// another Runtime implementation would lack it.
+type foreignTimer struct{ Timer }
+
+// Re-arming a warm timer, pending or fired, allocates nothing: the
+// handle and its event are reused.
+func TestTimerResetAllocs(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	tm := s.After(time.Millisecond, fn)
+	if allocs := testing.AllocsPerRun(1000, func() { tm = Rearm(s, tm, time.Millisecond, fn) }); allocs != 0 {
+		t.Errorf("Rearm of a pending timer allocates %.1f objects, want 0", allocs)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm = Rearm(s, tm, time.Millisecond, fn)
+		if err := s.RunUntilIdle(10); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Rearm plus firing allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -263,4 +354,42 @@ func TestEventPoolRecyclesRunLoop(t *testing.T) {
 	if pooledEvents(&s.events) != before-1 {
 		t.Error("schedule did not reuse a pooled event")
 	}
+}
+
+// BenchmarkTimerRearm is timerwheel's BenchmarkTimerChurn workload on
+// the simulator's timers, at a multi-flow shard's size, with each
+// retired timer re-armed in place by Rearm instead of cancelled and
+// replaced by a fresh After: 1k live timers, virtual time advancing
+// 100 ns per op, and each op firing what is due and re-arming the
+// oldest timer. A timer comes round every 100 µs, half its RTO, so 15
+// in 16 are re-armed while pending (the ack beat the RTO); the rest are
+// left to expire and re-armed once fired. Steady state: 0 allocs/op.
+func BenchmarkTimerRearm(b *testing.B) {
+	const (
+		nLive     = 1000
+		rto       = 200 * time.Microsecond
+		dt        = 100 * time.Nanosecond
+		fireEvery = 16
+	)
+	b.Run("sim-1k", func(b *testing.B) {
+		s := New(1)
+		fired := 0
+		fn := func() { fired++ }
+		ring := make([]Timer, nLive)
+		for i := range ring {
+			ring[i] = s.After(rto, fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Run(s.Now() + dt)
+			slot := i % nLive
+			if slot%fireEvery == 0 && ring[slot].Active() {
+				continue // left to expire
+			}
+			// Deterministic sub-tick jitter spreads the deadlines.
+			ring[slot] = Rearm(s, ring[slot], rto+time.Duration((i*7)&1023), fn)
+		}
+		b.ReportMetric(float64(fired)/float64(b.N), "fires/op")
+	})
 }

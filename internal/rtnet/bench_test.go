@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"protodsl/internal/arq"
 	"protodsl/internal/netsim"
@@ -300,4 +301,36 @@ func benchPingPong(b *testing.B, shards int) {
 	}
 	<-done
 	b.StopTimer()
+}
+
+// BenchmarkTimerRearm is netsim's BenchmarkTimerRearm on the real-clock
+// loop's wheel: 1k live timers, each op firing what is due and
+// re-arming the oldest timer in place, 1 in 16 left to expire and
+// re-armed once fired. Steady state: 0 allocs/op.
+func BenchmarkTimerRearm(b *testing.B) {
+	const (
+		nLive     = 1000
+		rto       = 2 * time.Millisecond
+		fireEvery = 16
+	)
+	b.Run("loop-1k", func(b *testing.B) {
+		l := newLoop(time.Now())
+		fired := 0
+		fn := func() { fired++ }
+		ring := make([]netsim.Timer, nLive)
+		for i := range ring {
+			ring[i] = l.After(rto, fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.runDue()
+			slot := i % nLive
+			if slot%fireEvery == 0 && ring[slot].Active() {
+				continue // left to expire
+			}
+			ring[slot] = netsim.Rearm(l, ring[slot], rto+time.Duration((i*7)&1023), fn)
+		}
+		b.ReportMetric(float64(fired)/float64(b.N), "fires/op")
+	})
 }

@@ -54,7 +54,8 @@ func newLoop(start time.Time) *Loop {
 }
 
 // rtTimer is the real-clock netsim.Timer implementation. It is also the
-// wheel event's target, so arming one allocates only the timer itself.
+// wheel event's target, so arming one allocates only the timer itself,
+// and re-arming it (Reset) allocates nothing.
 type rtTimer struct {
 	loop  *Loop
 	ev    *timerwheel.Event
@@ -80,6 +81,19 @@ func (t *rtTimer) Cancel() {
 	t.ev, t.fn = nil, nil
 }
 
+// Reset re-arms the timer to run fn after real duration d, whether it
+// is pending, fired or cancelled; it is then Active and not Fired. A
+// pending timer's event is cancelled and armed again on the same
+// handle: the wheel's pool hands the event straight back, and the new
+// arm sequence gives the order Cancel plus After would.
+func (t *rtTimer) Reset(d time.Duration, fn func()) {
+	if t.ev != nil {
+		t.loop.wheel.Cancel(t.ev)
+	}
+	t.fn, t.fired = fn, false
+	t.ev = t.loop.wheel.Arm(t.loop.deadline(d), t)
+}
+
 // Fired reports whether the callback has run.
 func (t *rtTimer) Fired() bool { return t.fired }
 
@@ -92,12 +106,13 @@ func (l *Loop) Now() time.Duration { return time.Since(l.start) }
 // After schedules fn to run after real duration d on this shard's loop.
 func (l *Loop) After(d time.Duration, fn func()) netsim.Timer {
 	t := &rtTimer{loop: l, fn: fn}
-	at := l.Now() + d
-	if at < 0 {
-		at = 0
-	}
-	t.ev = l.wheel.Arm(at, t)
+	t.ev = l.wheel.Arm(l.deadline(d), t)
 	return t
+}
+
+// deadline is the wheel deadline of a timer armed now for d.
+func (l *Loop) deadline(d time.Duration) time.Duration {
+	return max(l.Now()+d, 0)
 }
 
 // Post schedules fn to run promptly, after work already queued for this

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -517,6 +518,51 @@ func TestLoopTimerArmCancelAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("After+Cancel allocates %.1f objects, want <= 1 (the Timer handle)", allocs)
+	}
+}
+
+// A reset rtTimer fires once, at its new deadline and with its new
+// callback, whether it was reset while pending or after firing; Cancel
+// after Reset still holds; and a warm re-arm allocates nothing.
+func TestLoopTimerReset(t *testing.T) {
+	l := newLoop(time.Now())
+	var runs []string
+	tm := l.After(time.Millisecond, func() { runs = append(runs, "stale") })
+	doomed := l.After(time.Millisecond, func() { runs = append(runs, "doomed") })
+	armed := l.Now()
+	tm.(*rtTimer).Reset(20*time.Millisecond, func() { runs = append(runs, "reset") })
+	doomed.(*rtTimer).Reset(5*time.Millisecond, func() { runs = append(runs, "doomed") })
+	doomed.Cancel()
+	if !tm.Active() || tm.Fired() || doomed.Active() || doomed.Fired() {
+		t.Fatal("Reset or Cancel after Reset left the wrong Active/Fired state")
+	}
+	for tm.Active() {
+		if l.Now() > armed+5*time.Second {
+			t.Fatal("reset timer never fired")
+		}
+		l.runDue()
+		time.Sleep(100 * time.Microsecond)
+	}
+	if elapsed := l.Now() - armed; elapsed < 20*time.Millisecond {
+		t.Errorf("reset timer fired %s after arming, before its new 20ms deadline", elapsed)
+	}
+	// Reset after firing re-arms it too.
+	tm.(*rtTimer).Reset(time.Millisecond, func() { runs = append(runs, "again") })
+	for tm.Active() {
+		l.runDue()
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	l.runDue()
+	if want := []string{"reset", "again"}; !slices.Equal(runs, want) {
+		t.Errorf("timers ran %v, want %v", runs, want)
+	}
+	if !tm.Fired() {
+		t.Error("fired reset timer does not report Fired")
+	}
+	fn := func() {}
+	if allocs := testing.AllocsPerRun(1000, func() { tm = netsim.Rearm(l, tm, time.Second, fn) }); allocs != 0 {
+		t.Errorf("Rearm of a warm loop timer allocates %.1f objects, want 0", allocs)
 	}
 }
 
